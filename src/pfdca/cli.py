@@ -2,14 +2,17 @@
 grid, run deterministic baselines, verify the numerical certificates,
 and merge result files into an information-plane report.
 
-Exit codes: 0 success; 1 malformed input file or unreadable records;
-2 bad flags or unknown ``--set`` override keys; 3 solve hit the
-iteration cap without converging; 4 exhaustive baseline guard exceeded;
-5 a verification check failed.
+Exit codes: 0 success; 1 malformed input file, unreadable records, or
+a source whose channel is rank deficient; 2 bad flags or unknown
+``--set`` override keys; 3 solve hit the iteration cap without
+converging; 4 exhaustive baseline guard exceeded; 5 a verification
+check failed; 6 internal error (a bug, not bad input; set
+``PFDCA_DEBUG`` to print its traceback).
 """
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -17,6 +20,7 @@ import numpy as np
 from .baseline import exhaustive_partitions, greedy_merge_run
 from .dca import DcaConfig, InnerKind, dca_run
 from .diagnostics import run_verification
+from .linops import RankDeficiencyError
 from .probability import InvalidDistributionError, load_joint
 from .sweep import (
     Solver,
@@ -35,6 +39,7 @@ EXIT_BAD_FLAGS = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_GUARD = 4
 EXIT_CHECK_FAILED = 5
+EXIT_INTERNAL = 6
 
 DOMINANCE_SLACK_BITS = 0.01
 
@@ -155,7 +160,7 @@ def cmd_solve(args) -> int:
     }
     col_sums = res.encoder.matrix.sum(axis=0)
     if np.max(np.abs(col_sums - 1.0)) > 1e-9:
-        raise CliError(EXIT_BAD_INPUT, "internal error: encoder columns not stochastic")
+        raise CliError(EXIT_INTERNAL, "internal error: encoder columns not stochastic")
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
@@ -190,12 +195,16 @@ def cmd_sweep(args) -> int:
 
 def cmd_baseline(args) -> int:
     j = _load_dist(args.dist)
+    if args.beta <= 0:
+        raise CliError(EXIT_BAD_FLAGS, "--beta must be positive")
     points = []
     if args.solver in ("greedy", "both"):
         points.extend(greedy_merge_run(j, args.beta))
     if args.solver in ("exhaustive", "both"):
         try:
             points.extend(exhaustive_partitions(j, args.beta))
+        except RankDeficiencyError:
+            raise
         except ValueError as exc:
             raise CliError(EXIT_GUARD, str(exc)) from exc
     write_points_csv(points, args.out)
@@ -349,9 +358,17 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except Exception as exc:  # defensive: never leak a traceback as exit 1
-        print(f"error: {exc}", file=sys.stderr)
+    except RankDeficiencyError as exc:
+        # The solver refuses sources whose channel has rank below |X|.
+        print(f"error: unsupported source: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except Exception as exc:
+        if os.environ.get("PFDCA_DEBUG"):
+            import traceback  # only debug runs pay for the import
+
+            traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ ascent beyond ``DESCENT_SLACK`` (never produced by the guard) would be
 flagged as a defect.
 """
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -63,10 +64,34 @@ _PROBATION_AFTER = 3
 _PROBATION_PERIOD = 8
 # Iteration cap for one guarded descent step on the linearized objective.
 _SURROGATE_STEP_ITERS = 60
+# P(z|x) above which a code counts as supported in the stationarity gap.
+_SUPPORT_TOL = 1e-8
 
 _ARMIJO_SHRINK = 0.5
 _ARMIJO_DECREASE = 1e-4
 _ARMIJO_MIN_STEP = 1e-14
+
+
+def _armijo_steps() -> tuple:
+    """Backtracking step sizes 1, shrink, shrink**2, ... down to the
+    last one at or above ``_ARMIJO_MIN_STEP``."""
+    steps = []
+    step = 1.0
+    while step >= _ARMIJO_MIN_STEP:
+        steps.append(step)
+        step *= _ARMIJO_SHRINK
+    return tuple(steps)
+
+
+# Step sizes the q=1 inner solve tries per batch. Sequential backtracking
+# there takes about 3 trials per iteration on average, so one batch of 4
+# settles most iterations.
+_SPARSE_TRIAL_CHUNK = 4
+_ARMIJO_STEPS = _armijo_steps()
+_ARMIJO_STEP_CHUNKS = tuple(
+    np.array(_ARMIJO_STEPS[i:i + _SPARSE_TRIAL_CHUNK])[:, None, None]
+    for i in range(0, len(_ARMIJO_STEPS), _SPARSE_TRIAL_CHUNK)
+)
 
 
 class InnerKind(str, Enum):
@@ -146,12 +171,21 @@ class _Problem:
         )
 
 
+def _plogp(a: np.ndarray) -> np.ndarray:
+    """Entrywise ``a * log(a)``, with 0 for zero cells, in the memory
+    layout of ``a`` (sums over it then run in the same order)."""
+    out = np.zeros_like(a)
+    np.log(a, out=out, where=a > 0.0)
+    out *= a
+    return out
+
+
 def _neg_plogp_sum(a: np.ndarray) -> float:
-    return -float(np.sum(np.where(a > 0.0, a * np.log(np.where(a > 0.0, a, 1.0)), 0.0)))
+    return -float(_plogp(a).sum())
 
 
 def _col_entropies(m: np.ndarray) -> np.ndarray:
-    return -np.where(m > 0.0, m * np.log(np.where(m > 0.0, m, 1.0)), 0.0).sum(axis=0)
+    return -_plogp(m).sum(axis=0)
 
 
 def _metrics(V: np.ndarray, prob: _Problem):
@@ -193,16 +227,32 @@ def _softmax_cols(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
-def _simplex_project_columns(m: np.ndarray) -> np.ndarray:
-    """Euclidean projection of every column onto the probability simplex."""
-    n, cols = m.shape
-    u = np.sort(m, axis=0)[::-1]
-    shifted = np.cumsum(u, axis=0) - 1.0
+@functools.lru_cache(maxsize=64)
+def _project_indices(n: int, cols: int):
+    """Read-only (1..n as a float column, 0..cols-1) for projecting an
+    (n, cols) array."""
     counts = np.arange(1, n + 1, dtype=float)[:, None]
-    active = u - shifted / counts > 0.0
-    rho = n - 1 - np.argmax(active[::-1], axis=0)
-    theta = shifted[rho, np.arange(cols)] / (rho + 1.0)
-    return np.maximum(m - theta[None, :], 0.0)
+    col_idx = np.arange(cols)
+    counts.flags.writeable = col_idx.flags.writeable = False
+    return counts, col_idx
+
+
+def _simplex_project_columns(m: np.ndarray) -> np.ndarray:
+    """Euclidean projection of every column of a 2-D array onto the
+    probability simplex (Duchi et al., ICML 2008). ``m`` is not modified."""
+    n, cols = m.shape
+    counts, col_idx = _project_indices(n, cols)
+    u = np.sort(m, axis=0)[::-1]
+    shifted = np.cumsum(u, axis=0)
+    shifted -= 1.0
+    active = np.divide(shifted, counts)
+    np.subtract(u, active, out=active)
+    rho = n - 1 - np.argmax(active[::-1] > 0.0, axis=0)
+    theta = shifted[rho, col_idx]
+    theta /= rho + 1.0
+    out = m - theta
+    np.maximum(out, 0.0, out=out)
+    return out
 
 
 def _f_value_arr(V: np.ndarray, prob: _Problem) -> float:
@@ -225,12 +275,12 @@ def _ridge_descent(V, target, prob: _Problem, alpha, tol, max_iter):
     a = prob.pxcy.T
     lip = prob.a_smax ** 2 + 2.0 * alpha
     resid = V @ a_t - target
-    obj = 0.5 * float(np.sum(resid * resid)) + alpha * float(np.sum(V * V))
+    obj = 0.5 * float((resid * resid).sum()) + alpha * float((V * V).sum())
     for _ in range(max_iter):
         grad = resid @ a + 2.0 * alpha * V
         V = _simplex_project_columns(V - grad / lip)
         resid = V @ a_t - target
-        new_obj = 0.5 * float(np.sum(resid * resid)) + alpha * float(np.sum(V * V))
+        new_obj = 0.5 * float((resid * resid).sum()) + alpha * float((V * V).sum())
         done = abs(obj - new_obj) <= tol * max(1.0, abs(obj))
         obj = new_obj
         if done:
@@ -239,10 +289,17 @@ def _ridge_descent(V, target, prob: _Problem, alpha, tol, max_iter):
 
 
 def _sparse_objective(L, l_xy, log_target, alpha):
-    s = L[:, :, None] + l_xy[None, :, :]
-    mx = s.max(axis=1)
-    resid = mx + np.log(np.exp(s - mx[:, None, :]).sum(axis=1)) - log_target
-    return 0.5 * float(np.sum(resid * resid)) - alpha * float(np.sum(L))
+    """Objective of the q=1 inner problem at ``L`` of shape (|Z|, |X|),
+    or at each slice of a C-ordered stack of shape (k, |Z|, |X|); a slice
+    gives exactly the value a 2-D call on it gives."""
+    s = L[..., :, :, None] + l_xy
+    mx = s.max(axis=-2)
+    resid = mx + np.log(np.exp(s - mx[..., None, :]).sum(axis=-2)) - log_target
+    sq = resid * resid
+    if L.ndim == 2:
+        return 0.5 * float(sq.sum()) - alpha * float(L.sum())
+    k = len(L)
+    return 0.5 * sq.reshape(k, -1).sum(axis=1) - alpha * L.reshape(k, -1).sum(axis=1)
 
 
 def _sparse_gradient(L, l_xy, log_target, alpha):
@@ -255,23 +312,32 @@ def _sparse_gradient(L, l_xy, log_target, alpha):
 
 
 def _sparse_descent(L, l_xy, log_target, alpha, lo, hi, tol, max_iter):
-    """Armijo projected gradient on the box of log-likelihoods."""
+    """Armijo projected gradient on the box of log-likelihoods.
+
+    The backtracking step sizes are tried a chunk at a time, and the
+    first that passes the Armijo test in sequential order is taken, so
+    the iterates are those of one-at-a-time backtracking.
+    """
+    # The stacked trials are C-ordered; a C-ordered start keeps every
+    # objective summed in that same order.
+    L = np.ascontiguousarray(L)
     obj = _sparse_objective(L, l_xy, log_target, alpha)
     for _ in range(max_iter):
         grad, _ = _sparse_gradient(L, l_xy, log_target, alpha)
-        step = 1.0
-        accepted = False
-        while step >= _ARMIJO_MIN_STEP:
-            trial = np.clip(L - step * grad, lo, hi)
-            trial_obj = _sparse_objective(trial, l_xy, log_target, alpha)
-            if trial_obj <= obj + _ARMIJO_DECREASE * float(np.sum(grad * (trial - L))):
-                accepted = True
+        for steps in _ARMIJO_STEP_CHUNKS:
+            trials = np.maximum(L - steps * grad, lo)
+            np.minimum(trials, hi, out=trials)
+            trial_objs = _sparse_objective(trials, l_xy, log_target, alpha)
+            slopes = (grad * (trials - L)).reshape(len(steps), -1).sum(axis=1)
+            passed = trial_objs <= obj + _ARMIJO_DECREASE * slopes
+            k = passed.argmax()
+            if passed[k]:
                 break
-            step *= _ARMIJO_SHRINK
-        if not accepted:
+        else:
             break
+        trial_obj = float(trial_objs[k])
         done = abs(obj - trial_obj) <= tol * max(1.0, abs(obj))
-        L, obj = trial, trial_obj
+        L, obj = trials[k], trial_obj
         if done:
             break
     return L, obj
@@ -284,19 +350,15 @@ def _surrogate_descent(V, grad_g_k, prob: _Problem, clamp, tol, max_iter):
     Any decrease here certifies a decrease of the true loss, so this is
     the guard's fallback when a relaxed candidate ascends.
     """
-    obj = _f_value_arr(V, prob) - float(np.sum(grad_g_k * V))
+    obj = _f_value_arr(V, prob) - float((grad_g_k * V).sum())
     for _ in range(max_iter):
         grad = _grad_f_arr(V, prob, clamp) - grad_g_k
-        step = 1.0
-        accepted = False
-        while step >= _ARMIJO_MIN_STEP:
+        for step in _ARMIJO_STEPS:
             trial = _simplex_project_columns(V - step * grad)
-            trial_obj = _f_value_arr(trial, prob) - float(np.sum(grad_g_k * trial))
-            if trial_obj <= obj + _ARMIJO_DECREASE * float(np.sum(grad * (trial - V))):
-                accepted = True
+            trial_obj = _f_value_arr(trial, prob) - float((grad_g_k * trial).sum())
+            if trial_obj <= obj + _ARMIJO_DECREASE * float((grad * (trial - V)).sum()):
                 break
-            step *= _ARMIJO_SHRINK
-        if not accepted:
+        else:
             break
         done = abs(obj - trial_obj) <= tol * max(1.0, abs(obj))
         V, obj = trial, trial_obj
@@ -379,11 +441,20 @@ def inner_sparse_solve(target: CondDist, j: JointXY, alpha: float, cfg: DcaConfi
     return Encoder.from_matrix(_softmax_cols(L))
 
 
+def _stationarity_gap_arr(V: np.ndarray, prob: _Problem, beta: float, support_tol: float, clamp: float) -> float:
+    diff = _grad_f_arr(V, prob, clamp) - _grad_g_arr(V, prob, beta, clamp)
+    mask = V > support_tol
+    counts = mask.sum(axis=0)
+    mean = np.where(counts > 0, (diff * mask).sum(axis=0) / np.maximum(counts, 1), 0.0)
+    residual = (diff - mean[None, :]) * mask
+    return float(np.max(np.abs(residual)))
+
+
 def stationarity_gap(
     enc: Encoder,
     j: JointXY,
     beta: float,
-    support_tol: float = 1e-8,
+    support_tol: float = _SUPPORT_TOL,
     log_clamp: float = LOG_CLAMP,
 ) -> float:
     """Interior-restricted first-order residual ``max |grad f - grad g|``.
@@ -392,14 +463,7 @@ def stationarity_gap(
     is subtracted, playing the role of the simplex multiplier, and
     coordinates at the active lower bound are zeroed.
     """
-    prob = _Problem.build(j, enc.card_z)
-    V = enc.matrix
-    diff = _grad_f_arr(V, prob, log_clamp) - _grad_g_arr(V, prob, beta, log_clamp)
-    mask = V > support_tol
-    counts = mask.sum(axis=0)
-    mean = np.where(counts > 0, (diff * mask).sum(axis=0) / np.maximum(counts, 1), 0.0)
-    residual = (diff - mean[None, :]) * mask
-    return float(np.max(np.abs(residual)))
+    return _stationarity_gap_arr(enc.matrix, _Problem.build(j, enc.card_z), beta, support_tol, log_clamp)
 
 
 def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None) -> DcaResult:
@@ -506,7 +570,7 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
         loss_trace=trace_arr,
         converged=converged,
         iterations=iterations,
-        stationarity_gap=stationarity_gap(enc, j, beta, log_clamp=clamp),
+        stationarity_gap=_stationarity_gap_arr(enc.matrix, prob, beta, _SUPPORT_TOL, clamp),
         i_zx_bits=izx * NATS_TO_BITS,
         i_zy_bits=izy * NATS_TO_BITS,
         loss_nats=loss,

@@ -1,9 +1,11 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pfdca.cli import main
+import pfdca.cli
+from pfdca.cli import EXIT_BAD_FLAGS, EXIT_BAD_INPUT, EXIT_INTERNAL, main
 from pfdca.sweep import CSV_HEADER, read_points_csv
 
 
@@ -195,3 +197,52 @@ class TestReport:
         bad.write_text("x,y\n1,2\n")
         rc = run_cli("report", "--inputs", sweep, bad, "--out", tmp_path / "o.csv")
         assert rc == 1
+
+
+class TestExitCodes:
+    @pytest.fixture
+    def rank_deficient_file(self, tmp_path):
+        # |Y| < |X|: the solver refuses the source (rank below |X|).
+        path = tmp_path / "short.json"
+        path.write_text(
+            json.dumps({"p_x": [1 / 3] * 3, "p_y_given_x": [[0.6, 0.5, 0.4], [0.4, 0.5, 0.6]]})
+        )
+        return path
+
+    @staticmethod
+    def _raise(*args, **kwargs):
+        raise RuntimeError("solver bug")
+
+    def test_internal_error_has_own_code(self, tmp_path, demo_dist_file, monkeypatch, capsys):
+        monkeypatch.delenv("PFDCA_DEBUG", raising=False)
+        monkeypatch.setattr(pfdca.cli, "dca_run", self._raise)
+        rc = run_cli("solve", "--dist", demo_dist_file, "--out", tmp_path / "o.json")
+        assert rc == EXIT_INTERNAL == 6
+        err = capsys.readouterr().err
+        assert "solver bug" in err and "Traceback" not in err
+
+    def test_debug_env_prints_traceback(self, tmp_path, demo_dist_file, monkeypatch, capsys):
+        monkeypatch.setenv("PFDCA_DEBUG", "1")
+        monkeypatch.setattr(pfdca.cli, "dca_run", self._raise)
+        rc = run_cli("solve", "--dist", demo_dist_file, "--out", tmp_path / "o.json")
+        assert rc == EXIT_INTERNAL
+        assert "Traceback" in capsys.readouterr().err
+
+    def test_non_stochastic_encoder_is_internal(self, tmp_path, demo_dist_file, monkeypatch):
+        bad = SimpleNamespace(
+            converged=True, iterations=1, loss_nats=0.0, i_zx_bits=0.0, i_zy_bits=0.0,
+            stationarity_gap=0.0, fallback_steps=0, defect=False,
+            loss_trace=np.zeros(1), encoder=SimpleNamespace(matrix=np.full((3, 3), 0.5)),
+        )
+        monkeypatch.setattr(pfdca.cli, "dca_run", lambda *args: bad)
+        rc = run_cli("solve", "--dist", demo_dist_file, "--out", tmp_path / "o.json")
+        assert rc == EXIT_INTERNAL
+
+    @pytest.mark.parametrize("command", [("solve",), ("baseline", "--solver", "exhaustive"), ("baseline",)])
+    def test_rank_deficient_source_is_input_error(self, tmp_path, rank_deficient_file, command):
+        rc = run_cli(command[0], "--dist", rank_deficient_file, "--out", tmp_path / "o", *command[1:])
+        assert rc == EXIT_BAD_INPUT
+
+    def test_baseline_negative_beta_is_flag_error(self, tmp_path, demo_dist_file):
+        rc = run_cli("baseline", "--dist", demo_dist_file, "--out", tmp_path / "o.csv", "--beta", -1.0)
+        assert rc == EXIT_BAD_FLAGS
