@@ -16,6 +16,17 @@ two inner solvers:
   ``0.5 * ||lse_x(l_xy + l_zx) - log q||^2 + alpha * ||l_zx||_1``,
   followed by a softmax back to probabilities.
 
+Every Armijo search (the ``sparse_log`` solve and the exact step below)
+starts at the spectral step ``<s,s>/<s,y>`` of Barzilai and Borwein,
+where ``s`` is the last accepted move and ``y`` the change of gradient
+along it, as in spectral projected gradient (Birgin, Martinez and
+Raydan, SIAM J. Optim. 2000). The step is clipped to [1e-6, 1e6], and a
+search without positive curvature ``<s,y>`` starts at 1. In the exact
+step, ``s`` leaves out coordinates that are zero before or after the
+move: the clamped log in that gradient jumps there, which is not
+curvature. The Armijo test itself is unchanged, so every accepted step
+still decreases its objective.
+
 Both inner problems are relaxations, so a candidate step can increase
 the true loss (most visibly for large ``alpha``), and a run that merely
 stalls at the relaxed update's biased fixed point has not reached a
@@ -28,9 +39,10 @@ descent step on the linearized objective ``f(p) - <grad g(p_k), p>``
 (any decrease of which certifies a decrease of the true loss), and once
 relaxed steps stop making progress the run finishes on those exact
 steps alone, declaring convergence only when a full-budget exact step
-cannot improve the loss beyond the outer tolerance. This preserves the
-monotone-descent certificate and leaves the final encoder approximately
-stationary. Fallback steps are counted on the result; an accepted
+cannot improve the loss beyond the outer tolerance (an exact step that
+stopped before its budget already is the full-budget one). This
+preserves the monotone-descent certificate and leaves the final encoder
+approximately stationary. Fallback steps are counted on the result; an accepted
 ascent beyond ``DESCENT_SLACK`` (never produced by the guard) would be
 flagged as a defect.
 """
@@ -70,11 +82,18 @@ _SUPPORT_TOL = 1e-8
 _ARMIJO_SHRINK = 0.5
 _ARMIJO_DECREASE = 1e-4
 _ARMIJO_MIN_STEP = 1e-14
+# Safeguards on the spectral first trial step of each backtracking search:
+# it is clipped to [_SPECTRAL_MIN, _SPECTRAL_MAX], and a search whose last
+# move gives no positive curvature starts at _SPECTRAL_FALLBACK instead.
+_SPECTRAL_MIN = 1e-6
+_SPECTRAL_MAX = 1e6
+_SPECTRAL_FALLBACK = 1.0
 
 
 def _armijo_steps() -> tuple:
-    """Backtracking step sizes 1, shrink, shrink**2, ... down to the
-    last one at or above ``_ARMIJO_MIN_STEP``."""
+    """Backtracking factors 1, shrink, shrink**2, ... down to the last
+    one at or above ``_ARMIJO_MIN_STEP``; a search tries its first step
+    times each factor in turn."""
     steps = []
     step = 1.0
     while step >= _ARMIJO_MIN_STEP:
@@ -83,7 +102,7 @@ def _armijo_steps() -> tuple:
     return tuple(steps)
 
 
-# Step sizes the q=1 inner solve tries per batch. Sequential backtracking
+# Step factors the q=1 inner solve tries per batch. Sequential backtracking
 # there takes about 3 trials per iteration on average, so one batch of 4
 # settles most iterations.
 _SPARSE_TRIAL_CHUNK = 4
@@ -92,6 +111,17 @@ _ARMIJO_STEP_CHUNKS = tuple(
     np.array(_ARMIJO_STEPS[i:i + _SPARSE_TRIAL_CHUNK])[:, None, None]
     for i in range(0, len(_ARMIJO_STEPS), _SPARSE_TRIAL_CHUNK)
 )
+
+
+def _spectral_step(s: np.ndarray, y: np.ndarray) -> float:
+    """First trial step ``<s,s>/<s,y>`` of Barzilai and Borwein (IMA J.
+    Numer. Anal. 1988), from the last accepted move ``s`` and the change
+    ``y`` of the gradient along it, clipped to the safeguards;
+    ``_SPECTRAL_FALLBACK`` when ``<s,y>`` is not positive."""
+    sy = float((s * y).sum())
+    if not sy > 0.0:
+        return _SPECTRAL_FALLBACK
+    return min(max(float((s * s).sum()) / sy, _SPECTRAL_MIN), _SPECTRAL_MAX)
 
 
 class InnerKind(str, Enum):
@@ -288,13 +318,23 @@ def _ridge_descent(V, target, prob: _Problem, alpha, tol, max_iter):
     return V, obj
 
 
-def _sparse_objective(L, l_xy, log_target, alpha):
-    """Objective of the q=1 inner problem at ``L`` of shape (|Z|, |X|),
-    or at each slice of a C-ordered stack of shape (k, |Z|, |X|); a slice
-    gives exactly the value a 2-D call on it gives."""
+def _sparse_terms(L, l_xy):
+    """``(s, lse)`` of the q=1 inner problem at ``L`` of shape (|Z|, |X|)
+    or at each slice of a C-ordered stack of shape (k, |Z|, |X|):
+    ``s[z, x, y] = L[z, x] + l_xy[x, y]`` and its log-sum-exp over x."""
     s = L[..., :, :, None] + l_xy
     mx = s.max(axis=-2)
-    resid = mx + np.log(np.exp(s - mx[..., None, :]).sum(axis=-2)) - log_target
+    return s, mx + np.log(np.exp(s - mx[..., None, :]).sum(axis=-2))
+
+
+def _sparse_objective(L, l_xy, log_target, alpha, lse=None):
+    """Objective of the q=1 inner problem at ``L`` of shape (|Z|, |X|),
+    or at each slice of a C-ordered stack of shape (k, |Z|, |X|); a slice
+    gives exactly the value a 2-D call on it gives. ``lse`` is the
+    log-sum-exp of ``_sparse_terms(L, l_xy)`` when already computed."""
+    if lse is None:
+        _, lse = _sparse_terms(L, l_xy)
+    resid = lse - log_target
     sq = resid * resid
     if L.ndim == 2:
         return 0.5 * float(sq.sum()) - alpha * float(L.sum())
@@ -302,10 +342,11 @@ def _sparse_objective(L, l_xy, log_target, alpha):
     return 0.5 * sq.reshape(k, -1).sum(axis=1) - alpha * L.reshape(k, -1).sum(axis=1)
 
 
-def _sparse_gradient(L, l_xy, log_target, alpha):
-    s = L[:, :, None] + l_xy[None, :, :]
-    mx = s.max(axis=1)
-    lse = mx + np.log(np.exp(s - mx[:, None, :]).sum(axis=1))
+def _sparse_gradient(L, l_xy, log_target, alpha, terms=None):
+    """Gradient and residual of the q=1 objective at a 2-D ``L``; ``terms``
+    is ``_sparse_terms(L, l_xy)`` (or a slice of a stacked call) when
+    already computed."""
+    s, lse = _sparse_terms(L, l_xy) if terms is None else terms
     resid = lse - log_target
     weights = np.exp(s - lse[:, None, :])
     return np.einsum("zy,zxy->zx", resid, weights) - alpha, resid
@@ -314,20 +355,26 @@ def _sparse_gradient(L, l_xy, log_target, alpha):
 def _sparse_descent(L, l_xy, log_target, alpha, lo, hi, tol, max_iter):
     """Armijo projected gradient on the box of log-likelihoods.
 
-    The backtracking step sizes are tried a chunk at a time, and the
+    Each backtracking search starts at the spectral step of the last
+    accepted move. Its step sizes are tried a chunk at a time, and the
     first that passes the Armijo test in sequential order is taken, so
     the iterates are those of one-at-a-time backtracking.
     """
     # The stacked trials are C-ordered; a C-ordered start keeps every
     # objective summed in that same order.
     L = np.ascontiguousarray(L)
-    obj = _sparse_objective(L, l_xy, log_target, alpha)
+    terms = _sparse_terms(L, l_xy)
+    obj = _sparse_objective(L, l_xy, log_target, alpha, terms[1])
+    first, prev = _SPECTRAL_FALLBACK, None
     for _ in range(max_iter):
-        grad, _ = _sparse_gradient(L, l_xy, log_target, alpha)
+        grad, _ = _sparse_gradient(L, l_xy, log_target, alpha, terms)
+        if prev is not None:
+            first = _spectral_step(L - prev[0], grad - prev[1])
         for steps in _ARMIJO_STEP_CHUNKS:
-            trials = np.maximum(L - steps * grad, lo)
+            trials = np.maximum(L - (first * steps) * grad, lo)
             np.minimum(trials, hi, out=trials)
-            trial_objs = _sparse_objective(trials, l_xy, log_target, alpha)
+            trial_s, trial_lse = _sparse_terms(trials, l_xy)
+            trial_objs = _sparse_objective(trials, l_xy, log_target, alpha, trial_lse)
             slopes = (grad * (trials - L)).reshape(len(steps), -1).sum(axis=1)
             passed = trial_objs <= obj + _ARMIJO_DECREASE * slopes
             k = passed.argmax()
@@ -337,7 +384,8 @@ def _sparse_descent(L, l_xy, log_target, alpha, lo, hi, tol, max_iter):
             break
         trial_obj = float(trial_objs[k])
         done = abs(obj - trial_obj) <= tol * max(1.0, abs(obj))
-        L, obj = trials[k], trial_obj
+        prev = L, grad
+        L, obj, terms = trials[k], trial_obj, (trial_s[k], trial_lse[k])
         if done:
             break
     return L, obj
@@ -348,23 +396,36 @@ def _surrogate_descent(V, grad_g_k, prob: _Problem, clamp, tol, max_iter):
     ``f(p) - <grad_g_k, p>`` starting from the current iterate.
 
     Any decrease here certifies a decrease of the true loss, so this is
-    the guard's fallback when a relaxed candidate ascends.
+    the guard's fallback when a relaxed candidate ascends. Each
+    backtracking search starts at the spectral step of the last accepted
+    move, taken over the coordinates positive before and after it.
+    Returns the iterate and whether the loop stopped before using
+    its whole budget, in which case any larger budget returns the same
+    iterate.
     """
     obj = _f_value_arr(V, prob) - float((grad_g_k * V).sum())
+    first, prev = _SPECTRAL_FALLBACK, None
     for _ in range(max_iter):
         grad = _grad_f_arr(V, prob, clamp) - grad_g_k
+        if prev is not None:
+            # A coordinate that enters or leaves zero jumps in its
+            # clamped-log gradient, which is not curvature: the spectral
+            # pair leaves it out.
+            s = np.where(np.minimum(V, prev[0]) > 0.0, V - prev[0], 0.0)
+            first = _spectral_step(s, grad - prev[1])
         for step in _ARMIJO_STEPS:
-            trial = _simplex_project_columns(V - step * grad)
+            trial = _simplex_project_columns(V - (first * step) * grad)
             trial_obj = _f_value_arr(trial, prob) - float((grad_g_k * trial).sum())
             if trial_obj <= obj + _ARMIJO_DECREASE * float((grad * (trial - V)).sum()):
                 break
         else:
-            break
+            return V, True
         done = abs(obj - trial_obj) <= tol * max(1.0, abs(obj))
+        prev = V, grad
         V, obj = trial, trial_obj
         if done:
-            break
-    return V
+            return V, True
+    return V, False
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +561,8 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
 
     def exact_step(V, max_iter):
         grad_g_k = _grad_g_arr(V, prob, beta, clamp)
-        cand = _surrogate_descent(V, grad_g_k, prob, clamp, cfg.inner_tol, max_iter)
-        return cand, _loss(cand, prob, beta)
+        cand, stopped = _surrogate_descent(V, grad_g_k, prob, clamp, cfg.inner_tol, max_iter)
+        return cand, _loss(cand, prob, beta), stopped
 
     def cert_ok(drop, cand):
         move = (cand - V) @ prob.px
@@ -537,13 +598,15 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
         if cand is None:
             # Guarded step: descend the linearization directly.
             fallback_steps += 1
-            cand, cand_loss = exact_step(V, _SURROGATE_STEP_ITERS)
+            cand, cand_loss, stopped = exact_step(V, _SURROGATE_STEP_ITERS)
             if loss - cand_loss <= cfg.outer_tol or not cert_ok(loss - cand_loss, cand):
                 # Escalate to a full-budget solve of the linearized problem;
                 # at its minimizer the quadratic certificate holds up to the
                 # solver tolerance, and failure to improve past the outer
-                # tolerance certifies convergence.
-                cand, cand_loss = exact_step(V, cfg.inner_max_iter)
+                # tolerance certifies convergence. A plain step that stopped
+                # before its budget already is that solve.
+                if not stopped or cfg.inner_max_iter < _SURROGATE_STEP_ITERS:
+                    cand, cand_loss, _ = exact_step(V, cfg.inner_max_iter)
                 if loss - cand_loss <= cfg.outer_tol:
                     if cand_loss <= loss:
                         V, loss = cand, cand_loss

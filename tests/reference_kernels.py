@@ -1,8 +1,14 @@
 """Sequential reference kernels of the DC solver.
 
-These are the one-trial-at-a-time implementations the solver used
-before its line search was batched and its kernels trimmed. Tests assert
-that the package's kernels return exactly the same arrays, bit for bit.
+These are one-trial-at-a-time implementations of the solver's kernels,
+as they were before the q=1 line search was batched and the kernels
+trimmed. Tests assert that the package's kernels return exactly the same
+arrays, bit for bit. The q=1 descent starts each backtracking search at
+the safeguarded spectral step, as the package does.
+
+``surrogate_descent`` is the exact step as it was before its searches
+started at the spectral step: every search starts at 1. Tests use it as
+a baseline for the quality of the package's exact step, not for bits.
 """
 
 import numpy as np
@@ -10,6 +16,8 @@ import numpy as np
 ARMIJO_SHRINK = 0.5
 ARMIJO_DECREASE = 1e-4
 ARMIJO_MIN_STEP = 1e-14
+SPECTRAL_MIN = 1e-6
+SPECTRAL_MAX = 1e6
 
 
 def col_entropies(m):
@@ -47,32 +55,78 @@ def sparse_gradient(L, l_xy, log_target, alpha):
     return np.einsum("zy,zxy->zx", resid, weights) - alpha, resid
 
 
+def spectral_step(s, y):
+    """Barzilai-Borwein step <s,s>/<s,y>, clipped to [SPECTRAL_MIN,
+    SPECTRAL_MAX]; 1 when <s,y> is not positive."""
+    sy = float(np.sum(s * y))
+    if not sy > 0.0:
+        return 1.0
+    return float(np.clip(float(np.sum(s * s)) / sy, SPECTRAL_MIN, SPECTRAL_MAX))
+
+
 def sparse_descent(L, l_xy, log_target, alpha, lo, hi, tol, max_iter, halvings=None):
-    """Armijo projected gradient, one backtracking trial at a time.
+    """Armijo projected gradient, one backtracking trial at a time, each
+    search starting at the spectral step of the last accepted move.
 
     When ``halvings`` is a list, the number of step halvings each
     iteration took is appended to it (47 when no step passed).
     """
     obj = sparse_objective(L, l_xy, log_target, alpha)
+    prev = None
     for _ in range(max_iter):
         grad, _ = sparse_gradient(L, l_xy, log_target, alpha)
-        step = 1.0
+        first = 1.0 if prev is None else spectral_step(L - prev[0], grad - prev[1])
+        factor = 1.0
         accepted = False
         count = 0
-        while step >= ARMIJO_MIN_STEP:
-            trial = np.clip(L - step * grad, lo, hi)
+        while factor >= ARMIJO_MIN_STEP:
+            trial = np.clip(L - (first * factor) * grad, lo, hi)
             trial_obj = sparse_objective(trial, l_xy, log_target, alpha)
             if trial_obj <= obj + ARMIJO_DECREASE * float(np.sum(grad * (trial - L))):
                 accepted = True
                 break
-            step *= ARMIJO_SHRINK
+            factor *= ARMIJO_SHRINK
             count += 1
         if halvings is not None:
             halvings.append(count)
         if not accepted:
             break
         done = abs(obj - trial_obj) <= tol * max(1.0, abs(obj))
+        prev = L, grad
         L, obj = trial, trial_obj
         if done:
             break
     return L, obj
+
+
+def f_value(V, pxcy, py):
+    """-H(Z|Y) of a raw encoder matrix."""
+    return -float(col_entropies(V @ pxcy) @ py)
+
+
+def grad_f(V, pxcy, pycx, px, clamp):
+    return px[None, :] * (np.log(np.maximum(V @ pxcy, clamp)) @ pycx + 1.0)
+
+
+def surrogate_descent(V, grad_g_k, pxcy, pycx, px, py, clamp, tol, max_iter):
+    """Projected gradient with Armijo backtracking on ``f(p) - <grad_g_k, p>``
+    over column-stochastic ``p``, every search starting at step 1."""
+    obj = f_value(V, pxcy, py) - float(np.sum(grad_g_k * V))
+    for _ in range(max_iter):
+        grad = grad_f(V, pxcy, pycx, px, clamp) - grad_g_k
+        step = 1.0
+        accepted = False
+        while step >= ARMIJO_MIN_STEP:
+            trial = simplex_project_columns(V - step * grad)
+            trial_obj = f_value(trial, pxcy, py) - float(np.sum(grad_g_k * trial))
+            if trial_obj <= obj + ARMIJO_DECREASE * float(np.sum(grad * (trial - V))):
+                accepted = True
+                break
+            step *= ARMIJO_SHRINK
+        if not accepted:
+            break
+        done = abs(obj - trial_obj) <= tol * max(1.0, abs(obj))
+        V, obj = trial, trial_obj
+        if done:
+            break
+    return V

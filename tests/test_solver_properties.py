@@ -1,0 +1,125 @@
+"""Properties of the exact descent step and of whole solver runs.
+
+The exact step starts each backtracking search at a spectral
+(Barzilai-Borwein) step. These tests check that it still reaches the
+subproblem's optimum at the full budget, that it stays on the simplex
+and never ascends at any budget, and that a step which stops before its
+budget is exactly the full-budget step. The last test runs the guarded
+solver on random full-rank sources.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import reference_kernels as ref
+from pfdca import CondDist, DcaConfig, DiscreteDist, JointXY, dca_run
+from pfdca.dca import (
+    _ACCEPT_SLACK,
+    _SURROGATE_STEP_ITERS,
+    _f_value_arr,
+    _grad_g_arr,
+    _Problem,
+    _surrogate_descent,
+)
+from pfdca.probability import LOG_CLAMP
+
+FULL_BUDGET = DcaConfig(beta=1.0, alpha=1.0).inner_max_iter
+INNER_TOL = DcaConfig(beta=1.0, alpha=1.0).inner_tol
+
+
+def full_rank_joint(rng, nx, ny, concentration=1.0):
+    """A source with |Y| >= |X| whose channel has full column rank: each
+    column P(y|x) puts at least half its mass on its own symbol y = x."""
+    noise = rng.dirichlet(np.full(ny, concentration), nx).T
+    channel = 0.5 * np.eye(ny, nx) + 0.5 * noise
+    return JointXY(DiscreteDist(rng.dirichlet(np.full(nx, 2.0))), CondDist(channel))
+
+
+def subproblem(seed, concentration=1.0):
+    """(V, grad_g_k, prob) of one exact step: a random full-rank source, a
+    random encoder and beta in [0.1, 10]. Small ``concentration`` draws
+    encoders near the simplex boundary, many of their entries zero."""
+    rng = np.random.default_rng(seed)
+    nx = int(rng.integers(2, 7))
+    ny = int(rng.integers(nx, 9))
+    nz = int(rng.integers(2, 8))
+    prob = _Problem.build(full_rank_joint(rng, nx, ny), nz)
+    V = rng.dirichlet(np.full(nz, concentration), nx).T
+    if concentration < 1.0:
+        V[V < 1e-3] = 0.0
+        V /= V.sum(axis=0)
+    beta = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+    return V, _grad_g_arr(V, prob, beta, LOG_CLAMP), prob
+
+
+def objective(V, grad_g_k, prob):
+    return _f_value_arr(V, prob) - float((grad_g_k * V).sum())
+
+
+def test_full_budget_reaches_long_run_optimum():
+    # The optimum is the lower of a long run of the step itself, with no
+    # stopping tolerance, and the unit-start reference at the full budget.
+    worst = 0.0
+    for seed in range(200):
+        V, g, prob = subproblem(seed)
+        got, _ = _surrogate_descent(V, g, prob, LOG_CLAMP, INNER_TOL, FULL_BUDGET)
+        long_run, _ = _surrogate_descent(V, g, prob, LOG_CLAMP, 0.0, 4 * FULL_BUDGET)
+        unit = ref.surrogate_descent(V, g, prob.pxcy, prob.pycx, prob.px, prob.py, LOG_CLAMP, INNER_TOL, FULL_BUDGET)
+        best = min(objective(long_run, g, prob), objective(unit, g, prob))
+        worst = max(worst, (objective(got, g, prob) - best) / abs(best))
+    assert worst <= 1e-4
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    budget=st.integers(1, 80),
+    concentration=st.sampled_from([0.2, 1.0, 5.0]),
+)
+def test_any_budget_stays_stochastic_and_descends(seed, budget, concentration):
+    V, g, prob = subproblem(seed, concentration)
+    got, _ = _surrogate_descent(V, g, prob, LOG_CLAMP, INNER_TOL, budget)
+    assert np.all(got >= 0.0)
+    assert np.allclose(got.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+    assert objective(got, g, prob) <= objective(V, g, prob)
+
+
+def test_plain_step_that_stops_early_is_the_full_budget_step():
+    stopped_early = 0
+    for seed in range(60):
+        V, g, prob = subproblem(seed, concentration=(0.2, 1.0, 5.0)[seed % 3])
+        plain, stopped = _surrogate_descent(V, g, prob, LOG_CLAMP, INNER_TOL, _SURROGATE_STEP_ITERS)
+        if not stopped:
+            continue
+        stopped_early += 1
+        full, full_stopped = _surrogate_descent(V, g, prob, LOG_CLAMP, INNER_TOL, FULL_BUDGET)
+        assert full_stopped
+        assert np.array_equal(plain, full)
+    assert stopped_early >= 20
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nx=st.integers(2, 4),
+    extra_y=st.integers(0, 2),
+    card_z=st.integers(2, 4),
+    beta=st.sampled_from([0.3, 1.0, 3.0, 10.0]),
+    alpha=st.sampled_from([0.3, 1.0, 10.0]),
+    inner_kind=st.sampled_from(["ridge", "sparse_log"]),
+)
+def test_dca_run_on_random_sources(seed, nx, extra_y, card_z, beta, alpha, inner_kind):
+    rng = np.random.default_rng(seed)
+    j = full_rank_joint(rng, nx, nx + extra_y, concentration=float(rng.choice([0.3, 1.0, 10.0])))
+    cfg = DcaConfig(beta=beta, alpha=alpha, inner_kind=inner_kind, outer_max_iter=300, seed=seed % 1000)
+    res = dca_run(j, card_z, cfg)
+    enc = res.encoder.matrix
+    scalars = (res.i_zx_bits, res.i_zy_bits, res.loss_nats, res.stationarity_gap)
+    assert np.all(np.isfinite(enc)) and np.all(np.isfinite(res.loss_trace)) and np.all(np.isfinite(scalars))
+    assert np.all(enc >= 0.0)
+    assert np.allclose(enc.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+    assert not res.defect
+    # Every accepted step: an exact step descends, a relaxed one ascends by
+    # at most the guard's slack.
+    assert np.all(np.diff(res.loss_trace) <= _ACCEPT_SLACK)
