@@ -57,10 +57,19 @@ def clustering_to_encoder(c: HardClustering) -> Encoder:
     return Encoder(CondDist(m))
 
 
-def _point(j: JointXY, c: HardClustering, beta: float, solver: Solver, iterations: int) -> TradeoffPoint:
+def _information(enc: Encoder, j: JointXY, pxcy: CondDist) -> tuple:
+    """(I(Z;Y), I(Z;X)) in nats of an encoder, with ``pxcy`` = P(X|Y) of ``j``."""
+    return (
+        mutual_information(markov_compose(enc, pxcy), j.p_y),
+        mutual_information(enc.z_given_x, j.p_x),
+    )
+
+
+def _point(
+    j: JointXY, pxcy: CondDist, c: HardClustering, beta: float, solver: Solver, iterations: int
+) -> TradeoffPoint:
     enc = clustering_to_encoder(c)
-    i_zx = mutual_information(enc.z_given_x, j.p_x)
-    i_zy = mutual_information(markov_compose(enc, bayes_invert(j)), j.p_y)
+    i_zy, i_zx = _information(enc, j, pxcy)
     return TradeoffPoint(
         solver=solver,
         beta=beta,
@@ -93,8 +102,9 @@ def greedy_merge_run(j: JointXY, beta: float) -> list:
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
+    pxcy = bayes_invert(j)
     current = HardClustering(tuple(range(j.n_x)))
-    points = [_point(j, current, beta, Solver.GREEDY, 0)]
+    points = [_point(j, pxcy, current, beta, Solver.GREEDY, 0)]
     step = 0
     while current.n_clusters > 1:
         step += 1
@@ -103,14 +113,12 @@ def greedy_merge_run(j: JointXY, beta: float) -> list:
         for a in range(k):
             for b in range(a + 1, k):
                 cand = _merge(current, a, b)
-                enc = clustering_to_encoder(cand)
-                i_zx = mutual_information(enc.z_given_x, j.p_x)
-                i_zy = mutual_information(markov_compose(enc, bayes_invert(j)), j.p_y)
+                i_zy, i_zx = _information(clustering_to_encoder(cand), j, pxcy)
                 loss = i_zy - beta * i_zx
                 if best is None or loss < best[0]:
                     best = (loss, a, b, cand)
         current = best[3]
-        points.append(_point(j, current, beta, Solver.GREEDY, step))
+        points.append(_point(j, pxcy, current, beta, Solver.GREEDY, step))
     return points
 
 
@@ -139,7 +147,8 @@ def exhaustive_partitions(j: JointXY, beta: float = 1.0) -> list:
         raise ValueError(
             f"|X|={j.n_x} exceeds exhaustive enumeration guard ({EXHAUSTIVE_MAX_SYMBOLS})"
         )
-    points = []
-    for idx, assignment in enumerate(iter_partitions(j.n_x)):
-        points.append(_point(j, HardClustering(assignment), beta, Solver.EXHAUSTIVE, idx))
-    return points
+    pxcy = bayes_invert(j)
+    return [
+        _point(j, pxcy, HardClustering(assignment), beta, Solver.EXHAUSTIVE, idx)
+        for idx, assignment in enumerate(iter_partitions(j.n_x))
+    ]

@@ -3,7 +3,8 @@ grid, run deterministic baselines, verify the numerical certificates,
 and merge result files into an information-plane report.
 
 Exit codes: 0 success; 1 malformed input file, unreadable records, or
-a source whose channel is rank deficient; 2 bad flags or unknown
+a source whose channel is rank deficient (the DC solver needs rank |X|;
+the baselines accept such sources); 2 bad flags or unknown
 ``--set`` override keys; 3 solve hit the iteration cap without
 converging; 4 exhaustive baseline guard exceeded; 5 a verification
 check failed; 6 internal error (a bug, not bad input; set
@@ -203,8 +204,6 @@ def cmd_baseline(args) -> int:
     if args.solver in ("exhaustive", "both"):
         try:
             points.extend(exhaustive_partitions(j, args.beta))
-        except RankDeficiencyError:
-            raise
         except ValueError as exc:
             raise CliError(EXIT_GUARD, str(exc)) from exc
     write_points_csv(points, args.out)

@@ -48,18 +48,20 @@ flagged as a defect.
 """
 
 import functools
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .linops import RankDeficiencyError, make_b_operator, pinv_apply, softmax_over_z
+from .linops import MarkovOperator, RankDeficiencyError, make_b_operator, pinv_apply, softmax_over_z
 from .probability import (
     LOG_CLAMP,
     NATS_TO_BITS,
     CondDist,
     Encoder,
     JointXY,
+    _plogp,
     bayes_invert,
     random_encoder,
 )
@@ -173,41 +175,52 @@ class DcaResult:
 
 @dataclass(frozen=True)
 class _Problem:
-    """Arrays derived from a JointXY once per run."""
+    """Arrays derived from a JointXY, built once per source and shared by
+    every call on it; all of them are read-only."""
 
     px: np.ndarray      # (nx,)
     py: np.ndarray      # (ny,)
     pycx: np.ndarray    # (ny, nx), P(y|x)
     pxcy: np.ndarray    # (nx, ny), P(x|y)
-    b_pinv_t: np.ndarray  # (nx, ny), transpose of pinv of the backward block
-    a_smax: float       # largest singular value of the forward block
 
     @staticmethod
-    def build(j: JointXY, n_z: int) -> "_Problem":
-        pxcy = bayes_invert(j).matrix
-        b_op = make_b_operator(j, n_z)
-        # The linear update needs the backward block at full row rank.
-        if b_op.effective_rank() < j.n_x:
-            raise RankDeficiencyError(
-                f"backward block rank {b_op.effective_rank()} below |X|={j.n_x}"
+    def build(j: JointXY) -> "_Problem":
+        """The problem of ``j``, from the memo when ``j`` already has one."""
+        prob = _PROBLEMS.get(j)
+        if prob is None:
+            prob = _PROBLEMS[j] = _Problem(
+                px=j.p_x.probs,
+                py=j.p_y.probs,
+                pycx=j.y_given_x.matrix,
+                pxcy=bayes_invert(j).matrix,
             )
-        return _Problem(
-            px=j.p_x.probs,
-            py=j.p_y.probs,
-            pycx=j.y_given_x.matrix,
-            pxcy=pxcy,
-            b_pinv_t=b_op.pinv_block().T,
-            a_smax=float(np.linalg.norm(pxcy.T, 2)),
-        )
+        return prob
+
+    @functools.cached_property
+    def b_pinv_t(self) -> np.ndarray:
+        """(nx, ny) transpose of the pseudo-inverse of the backward block,
+        which only the relaxed target reads. Raises RankDeficiencyError
+        when the block is below full row rank |X|, which that target's
+        linear update needs."""
+        b_op = MarkovOperator(self.pycx.T, 1)
+        if b_op.effective_rank() < len(self.px):
+            raise RankDeficiencyError(
+                f"backward block rank {b_op.effective_rank()} below |X|={len(self.px)}"
+            )
+        out = b_op.pinv_block().T
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def a_smax(self) -> float:
+        """Largest singular value of the forward block (the ridge step's
+        Lipschitz constant)."""
+        return float(np.linalg.norm(self.pxcy.T, 2))
 
 
-def _plogp(a: np.ndarray) -> np.ndarray:
-    """Entrywise ``a * log(a)``, with 0 for zero cells, in the memory
-    layout of ``a`` (sums over it then run in the same order)."""
-    out = np.zeros_like(a)
-    np.log(a, out=out, where=a > 0.0)
-    out *= a
-    return out
+# One problem per live source. Keys are held weakly, so a source that is
+# dropped takes its arrays with it; the values never refer to their key.
+_PROBLEMS: "weakref.WeakKeyDictionary[JointXY, _Problem]" = weakref.WeakKeyDictionary()
 
 
 def _neg_plogp_sum(a: np.ndarray) -> float:
@@ -437,12 +450,12 @@ def grad_g(enc: Encoder, j: JointXY, beta: float, log_clamp: float = LOG_CLAMP) 
 
     Entry (z, x) is ``P(x) * (log P(z) + 1 + beta * log(P(z|x)/P(z)))``.
     """
-    return _grad_g_arr(enc.matrix, _Problem.build(j, enc.card_z), beta, log_clamp)
+    return _grad_g_arr(enc.matrix, _Problem.build(j), beta, log_clamp)
 
 
 def grad_f(enc: Encoder, j: JointXY, log_clamp: float = LOG_CLAMP) -> np.ndarray:
     """Gradient of the convex part: ``P(x) * (sum_y P(y|x) log P(z|y) + 1)``."""
-    return _grad_f_arr(enc.matrix, _Problem.build(j, enc.card_z), log_clamp)
+    return _grad_f_arr(enc.matrix, _Problem.build(j), log_clamp)
 
 
 def g_value(matrix: np.ndarray, j: JointXY, beta: float) -> float:
@@ -450,18 +463,18 @@ def g_value(matrix: np.ndarray, j: JointXY, beta: float) -> float:
 
     Exposed so derivative checks can probe off-simplex perturbations.
     """
-    return _g_value_arr(np.asarray(matrix, dtype=float), _Problem.build(j, matrix.shape[0]), beta)
+    return _g_value_arr(np.asarray(matrix, dtype=float), _Problem.build(j), beta)
 
 
 def f_value(matrix: np.ndarray, j: JointXY) -> float:
     """Natural extension of the convex part to raw non-negative matrices."""
-    return _f_value_arr(np.asarray(matrix, dtype=float), _Problem.build(j, matrix.shape[0]))
+    return _f_value_arr(np.asarray(matrix, dtype=float), _Problem.build(j))
 
 
 def compute_c(enc_k: Encoder, j: JointXY, beta: float, log_clamp: float = LOG_CLAMP) -> np.ndarray:
     """Linear-update coefficients, entry (z, x) =
     ``log p_z(z) + beta * (log P(z|x) - log p_z(z))``."""
-    return _compute_c_arr(enc_k.matrix, _Problem.build(j, enc_k.card_z), beta, log_clamp)
+    return _compute_c_arr(enc_k.matrix, _Problem.build(j), beta, log_clamp)
 
 
 def compute_target(enc_k: Encoder, j: JointXY, beta: float, log_clamp: float = LOG_CLAMP) -> CondDist:
@@ -485,7 +498,7 @@ def project_columns_to_simplex(m: np.ndarray) -> CondDist:
 def inner_ridge_solve(target: CondDist, j: JointXY, alpha: float, cfg: DcaConfig, warm: Encoder) -> Encoder:
     """Approximately minimize ``0.5*||A v - target||^2 + alpha*||v||^2``
     over column-stochastic encoders, warm-started projected gradient."""
-    prob = _Problem.build(j, warm.card_z)
+    prob = _Problem.build(j)
     V, _ = _ridge_descent(warm.matrix.copy(), target.matrix, prob, alpha, cfg.inner_tol, cfg.inner_max_iter)
     return Encoder.from_matrix(V)
 
@@ -493,7 +506,7 @@ def inner_ridge_solve(target: CondDist, j: JointXY, alpha: float, cfg: DcaConfig
 def inner_sparse_solve(target: CondDist, j: JointXY, alpha: float, cfg: DcaConfig, warm: Encoder) -> Encoder:
     """Log-domain sparse inner solve; returns the softmax projection of
     the optimized log-likelihoods."""
-    prob = _Problem.build(j, warm.card_z)
+    prob = _Problem.build(j)
     lo, hi = -cfg.box_M, -cfg.box_m
     l_xy = _clog(prob.pxcy, cfg.log_clamp)
     log_target = _clog(target.matrix, cfg.log_clamp)
@@ -524,7 +537,7 @@ def stationarity_gap(
     is subtracted, playing the role of the simplex multiplier, and
     coordinates at the active lower bound are zeroed.
     """
-    return _stationarity_gap_arr(enc.matrix, _Problem.build(j, enc.card_z), beta, support_tol, log_clamp)
+    return _stationarity_gap_arr(enc.matrix, _Problem.build(j), beta, support_tol, log_clamp)
 
 
 def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None) -> DcaResult:
@@ -545,7 +558,10 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
         rng = np.random.default_rng(cfg.seed)
         V = random_encoder(rng, card_z, j.n_x).matrix.copy()
 
-    prob = _Problem.build(j, card_z)
+    prob = _Problem.build(j)
+    # The relaxed target needs the backward block at full row rank:
+    # refuse a source below it before the first iteration.
+    b_pinv_t = prob.b_pinv_t
     beta, alpha, clamp = cfg.beta, cfg.alpha, cfg.log_clamp
     lo, hi = -cfg.box_M, -cfg.box_m
     sparse = cfg.inner_kind is InnerKind.SPARSE_LOG
@@ -576,7 +592,7 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
             consecutive_rejects < _PROBATION_AFTER or it % _PROBATION_PERIOD == 0
         ):
             c = _compute_c_arr(V, prob, beta, clamp)
-            target = _softmax_cols(c @ prob.b_pinv_t)
+            target = _softmax_cols(c @ b_pinv_t)
             if sparse:
                 L0 = np.clip(_clog(V, clamp), lo, hi)
                 L, _ = _sparse_descent(

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dca
 from .dca import DESCENT_SLACK, DcaConfig, DcaResult, InnerKind, dca_run
-from .probability import CondDist, DiscreteDist, JointXY, random_interior_encoder
+from .probability import CondDist, DiscreteDist, JointXY, _plogp, random_interior_encoder
 
 FD_STEP = 1e-6
 GRAD_TOL = 1e-6
@@ -77,7 +77,7 @@ def check_grad_g_fd(
     Violations are relative to the largest gradient entry per encoder.
     """
     rng = np.random.default_rng(seed)
-    prob = dca._Problem.build(j, 2)
+    prob = dca._Problem.build(j)
     worst = 0.0
     for _ in range(n):
         card_z = int(rng.integers(2, j.n_x + 2))
@@ -97,7 +97,7 @@ def check_grad_f_fd(
 ) -> CheckReport:
     """Analytic gradient of the convex term vs central differences."""
     rng = np.random.default_rng(seed)
-    prob = dca._Problem.build(j, 2)
+    prob = dca._Problem.build(j)
     worst = 0.0
     for _ in range(n):
         card_z = int(rng.integers(2, j.n_x + 2))
@@ -106,10 +106,6 @@ def check_grad_f_fd(
         fd = _fd_gradient(lambda m: dca._f_value_arr(m, prob), enc.matrix, step)
         worst = max(worst, float(np.max(np.abs(analytic - fd)) / np.max(np.abs(analytic))))
     return CheckReport("grad_f_vs_fd", n, worst, tolerance)
-
-
-def _plogp(p):
-    return np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
 
 
 def check_expectation_identities(
@@ -126,7 +122,7 @@ def check_expectation_identities(
     ``-H(Z) - KL(p_z || p_z_prev)``.
     """
     rng = np.random.default_rng(seed)
-    prob = dca._Problem.build(j, 2)
+    prob = dca._Problem.build(j)
     px, py = prob.px, prob.py
     worst = 0.0
     for _ in range(n):
@@ -168,7 +164,7 @@ def _exact_update_residual(j: JointXY, enc_k: np.ndarray, beta: float):
     ``I(Z;Y) + KL(p_z || p_z_prev) - beta * E[log(P_prev(x|z) / p(x))]``
     evaluated under the new encoder.
     """
-    prob = dca._Problem.build(j, enc_k.shape[0])
+    prob = dca._Problem.build(j)
     px, py = prob.px, prob.py
     b_blk = prob.pycx.T
     c = (1.0 - beta) * np.log(enc_k @ px)[:, None] + beta * np.log(enc_k)
@@ -196,7 +192,7 @@ def _solve_exact_instance(j: JointXY, beta: float, u0: np.ndarray):
 
     def norm_gap(u):
         enc_k = np.array([u, 1.0 - u])
-        prob = dca._Problem.build(j, 2)
+        prob = dca._Problem.build(j)
         c = (1.0 - beta) * np.log(enc_k @ prob.px)[:, None] + beta * np.log(enc_k)
         logits = np.linalg.solve(prob.pycx.T, c.T).T
         return np.exp(logits).sum(axis=0) - 1.0
@@ -280,7 +276,7 @@ def check_restricted_convexity(
     ``g(p) - g(q) - <grad g(q), p - q> - 0.5 * ||marginal(p - q)||^2``.
     """
     rng = np.random.default_rng(seed)
-    prob = dca._Problem.build(j, 2)
+    prob = dca._Problem.build(j)
     px = prob.px
     min_slack = np.inf
     for _ in range(n_pairs):

@@ -11,6 +11,7 @@ Conventions used throughout:
   optimization step are floored at ``LOG_CLAMP`` before any log.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -132,8 +133,9 @@ class JointXY:
     def n_y(self) -> int:
         return self.y_given_x.n_out
 
-    @property
+    @functools.cached_property
     def p_y(self) -> DiscreteDist:
+        # Computed once: the source is immutable.
         return DiscreteDist(self.y_given_x.matrix @ self.p_x.probs)
 
     def joint_matrix(self) -> np.ndarray:
@@ -210,10 +212,19 @@ def random_interior_encoder(rng: np.random.Generator, card_z: int, n_x: int) -> 
     return Encoder.from_matrix(m)
 
 
+def _plogp(a: np.ndarray) -> np.ndarray:
+    """Entrywise ``a * log(a)``, with 0 for zero cells, in the memory
+    layout of ``a`` (sums over it then run in the same order). The one
+    entropy kernel of the package."""
+    out = np.zeros_like(a)
+    np.log(a, out=out, where=a > 0.0)
+    out *= a
+    return out
+
+
 def entropy_nats(probs: np.ndarray) -> float:
     """Shannon entropy of a raw probability vector, 0*log(0) = 0."""
-    p = np.asarray(probs, dtype=float)
-    h = -float(np.sum(np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)))
+    h = -float(np.sum(_plogp(np.asarray(probs, dtype=float))))
     return max(h, 0.0)
 
 
@@ -223,9 +234,7 @@ def entropy(d: DiscreteDist) -> float:
 
 
 def column_entropies_nats(matrix: np.ndarray) -> np.ndarray:
-    m = np.asarray(matrix, dtype=float)
-    terms = np.where(m > 0.0, m * np.log(np.where(m > 0.0, m, 1.0)), 0.0)
-    return -terms.sum(axis=0)
+    return -_plogp(np.asarray(matrix, dtype=float)).sum(axis=0)
 
 
 def mutual_information(marginal_cond: CondDist, cond_on: DiscreteDist) -> float:

@@ -9,9 +9,26 @@ the safeguarded spectral step, as the package does.
 ``surrogate_descent`` is the exact step as it was before its searches
 started at the spectral step: every search starts at 1. Tests use it as
 a baseline for the quality of the package's exact step, not for bits.
+
+``baseline_points`` evaluates the greedy and exhaustive baselines the
+way they were evaluated before each source got one problem object: a
+fresh Bayes inverse and a fresh P(Y) for every clustering and every
+greedy candidate. Tests assert that the package's baselines write the
+same CSV bytes.
 """
 
 import numpy as np
+
+from pfdca.baseline import HardClustering, _merge, clustering_to_encoder, iter_partitions
+from pfdca.dca import stationarity_gap
+from pfdca.probability import (
+    NATS_TO_BITS,
+    DiscreteDist,
+    bayes_invert,
+    markov_compose,
+    mutual_information,
+)
+from pfdca.sweep import Solver, TradeoffPoint
 
 ARMIJO_SHRINK = 0.5
 ARMIJO_DECREASE = 1e-4
@@ -20,12 +37,20 @@ SPECTRAL_MIN = 1e-6
 SPECTRAL_MAX = 1e6
 
 
+def plogp(a):
+    return np.where(a > 0.0, a * np.log(np.where(a > 0.0, a, 1.0)), 0.0)
+
+
 def col_entropies(m):
-    return -np.where(m > 0.0, m * np.log(np.where(m > 0.0, m, 1.0)), 0.0).sum(axis=0)
+    return -plogp(m).sum(axis=0)
 
 
 def neg_plogp_sum(a):
-    return -float(np.sum(np.where(a > 0.0, a * np.log(np.where(a > 0.0, a, 1.0)), 0.0)))
+    return -float(np.sum(plogp(a)))
+
+
+def entropy_nats(p):
+    return max(neg_plogp_sum(p), 0.0)
 
 
 def simplex_project_columns(m):
@@ -130,3 +155,54 @@ def surrogate_descent(V, grad_g_k, pxcy, pycx, px, py, clamp, tol, max_iter):
         if done:
             break
     return V
+
+
+def _information(enc, j):
+    """(I(Z;Y), I(Z;X)) in nats, with a fresh P(X|Y) and P(Y)."""
+    p_y = DiscreteDist(j.y_given_x.matrix @ j.p_x.probs)
+    return (
+        mutual_information(markov_compose(enc, bayes_invert(j)), p_y),
+        mutual_information(enc.z_given_x, j.p_x),
+    )
+
+
+def baseline_point(j, c, beta, solver, iterations):
+    enc = clustering_to_encoder(c)
+    i_zy, i_zx = _information(enc, j)
+    return TradeoffPoint(
+        solver=solver,
+        beta=beta,
+        alpha=0.0,
+        card_z=c.n_clusters,
+        restart=0,
+        seed=0,
+        i_zx_bits=i_zx * NATS_TO_BITS,
+        i_zy_bits=i_zy * NATS_TO_BITS,
+        loss_nats=i_zy - beta * i_zx,
+        converged=True,
+        iterations=iterations,
+        stationarity_gap=stationarity_gap(enc, j, beta),
+    )
+
+
+def baseline_points(j, beta):
+    """The greedy trajectory followed by every set partition of X."""
+    current = HardClustering(tuple(range(j.n_x)))
+    points = [baseline_point(j, current, beta, Solver.GREEDY, 0)]
+    step = 0
+    while current.n_clusters > 1:
+        step += 1
+        best = None
+        k = current.n_clusters
+        for a in range(k):
+            for b in range(a + 1, k):
+                cand = _merge(current, a, b)
+                i_zy, i_zx = _information(clustering_to_encoder(cand), j)
+                loss = i_zy - beta * i_zx
+                if best is None or loss < best[0]:
+                    best = (loss, cand)
+        current = best[1]
+        points.append(baseline_point(j, current, beta, Solver.GREEDY, step))
+    for idx, assignment in enumerate(iter_partitions(j.n_x)):
+        points.append(baseline_point(j, HardClustering(assignment), beta, Solver.EXHAUSTIVE, idx))
+    return points

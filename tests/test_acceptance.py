@@ -199,7 +199,7 @@ def test_criterion_8_inner_solver_oracles():
     ok = True
     for idx, j in enumerate(make_instances()):
         rng = np.random.default_rng(300 + idx)
-        prob = _Problem.build(j, 2)
+        prob = _Problem.build(j)
         target = compute_target(random_encoder(rng, 2, 2), j, beta=1.5).matrix
         grid = np.linspace(0.0, 1.0, 1001)
         a, b = np.meshgrid(grid, grid, indexing="ij")

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import reference_kernels as ref
 from conftest import entropy_oracle, mi_bruteforce_oracle
-from pfdca import CondDist, DiscreteDist, JointXY
+from pfdca import CondDist, DiscreteDist, JointXY, stationarity_gap
 from pfdca.baseline import (
     EXHAUSTIVE_MAX_SYMBOLS,
     HardClustering,
@@ -11,7 +14,8 @@ from pfdca.baseline import (
     greedy_merge_run,
     iter_partitions,
 )
-from pfdca.sweep import Solver, geomspace
+from pfdca.probability import random_encoder
+from pfdca.sweep import Solver, geomspace, points_to_csv
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
@@ -121,3 +125,49 @@ class TestExhaustive:
     def test_deterministic_encoders_have_zero_gap(self, demo_joint):
         for p in exhaustive_partitions(demo_joint):
             assert p.stationarity_gap == 0.0
+
+
+def random_joint(seed: int, nx: int, ny: int) -> JointXY:
+    """Seeded source; some channel cells are exactly zero, every y keeps mass."""
+    rng = np.random.default_rng(seed)
+    channel = rng.dirichlet(np.full(ny, 0.7), nx).T
+    small = channel < 0.05
+    small[np.arange(ny), channel.argmax(axis=1)] = False
+    channel[small] = 0.0
+    return JointXY(DiscreteDist(rng.dirichlet(np.ones(nx))), CondDist(channel / channel.sum(axis=0)))
+
+
+BASELINE_SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@BASELINE_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nx=st.integers(2, 6),
+    extra_y=st.integers(0, 3),
+    beta=st.sampled_from([0.1, 0.7, 1.0, 3.0, 10.0]),
+)
+def test_baseline_csv_matches_reference(seed, nx, extra_y, beta):
+    # One P(X|Y) per call and one problem object per source write the
+    # same bytes as a fresh Bayes inverse per clustering.
+    j = random_joint(seed, nx, nx + extra_y)
+    points = greedy_merge_run(j, beta) + exhaustive_partitions(j, beta)
+    want = ref.baseline_points(j, beta)
+    assert points == want   # every field, bit for bit
+    assert points_to_csv(points) == points_to_csv(want)
+
+
+@BASELINE_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), nx=st.integers(2, 6), ny=st.integers(1, 5), beta=st.floats(0.1, 10.0))
+def test_baselines_accept_fewer_outputs_than_inputs(seed, nx, ny, beta):
+    # |Y| < |X| leaves the backward block below rank |X|; the baselines
+    # never use its pseudo-inverse.
+    ny = min(ny, nx - 1)
+    j = random_joint(seed, nx, ny)
+    greedy = greedy_merge_run(j, beta)
+    exhaustive = exhaustive_partitions(j, beta)
+    assert len(greedy) == nx and len(exhaustive) == BELL[nx]
+    for p in greedy + exhaustive:
+        assert np.isfinite([p.i_zx_bits, p.i_zy_bits, p.loss_nats, p.stationarity_gap]).all()
+    enc = random_encoder(np.random.default_rng(seed), 2, nx)
+    assert np.isfinite(stationarity_gap(enc, j, beta))

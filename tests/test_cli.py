@@ -202,7 +202,8 @@ class TestReport:
 class TestExitCodes:
     @pytest.fixture
     def rank_deficient_file(self, tmp_path):
-        # |Y| < |X|: the solver refuses the source (rank below |X|).
+        # |Y| < |X|: the DC solver refuses the source (rank below |X|);
+        # the baselines never use the pseudo-inverse and accept it.
         path = tmp_path / "short.json"
         path.write_text(
             json.dumps({"p_x": [1 / 3] * 3, "p_y_given_x": [[0.6, 0.5, 0.4], [0.4, 0.5, 0.6]]})
@@ -241,7 +242,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", [("solve",), ("baseline", "--solver", "exhaustive"), ("baseline",)])
     def test_rank_deficient_source_is_input_error(self, tmp_path, rank_deficient_file, command):
         rc = run_cli(command[0], "--dist", rank_deficient_file, "--out", tmp_path / "o", *command[1:])
-        assert rc == EXIT_BAD_INPUT
+        if command[0] == "solve":
+            assert rc == EXIT_BAD_INPUT
+            return
+        assert rc == 0
+        points = read_points_csv(tmp_path / "o")
+        assert points
+        h_x = np.log2(3.0)
+        for p in points:
+            assert -1e-9 <= p.i_zy_bits <= p.i_zx_bits + 1e-9 <= h_x + 2e-9
 
     def test_baseline_negative_beta_is_flag_error(self, tmp_path, demo_dist_file):
         rc = run_cli("baseline", "--dist", demo_dist_file, "--out", tmp_path / "o.csv", "--beta", -1.0)

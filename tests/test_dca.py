@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from pfdca import (
 from pfdca.dca import (
     DESCENT_SLACK,
     InnerKind,
+    _Problem,
     _sparse_gradient,
     _sparse_objective,
     compute_c,
@@ -153,6 +157,42 @@ class TestTarget:
             compute_target(Encoder.uniform(2, 3), j, beta=1.0)
         with pytest.raises(RankDeficiencyError):
             dca_run(j, 2, DcaConfig(beta=1.0, alpha=1.0))
+
+
+class TestProblem:
+    @staticmethod
+    def fields(prob):
+        return (prob.px, prob.py, prob.pycx, prob.pxcy, prob.b_pinv_t)
+
+    def test_built_once_per_source(self, demo_joint):
+        prob = _Problem.build(demo_joint)
+        assert _Problem.build(demo_joint) is prob
+        # An equal but distinct source gets its own, uncached build.
+        fresh = _Problem.build(JointXY(demo_joint.p_x, demo_joint.y_given_x))
+        assert fresh is not prob
+        for got, want in zip(self.fields(prob), self.fields(fresh)):
+            assert np.array_equal(got, want)
+        assert prob.a_smax == fresh.a_smax
+
+    def test_shared_arrays_are_read_only(self, demo_joint):
+        for arr in self.fields(_Problem.build(demo_joint)):
+            assert not arr.flags.writeable
+
+    def test_released_with_its_source(self):
+        j = JointXY(DiscreteDist.uniform(3), CondDist(np.full((2, 3), 0.5)))
+        prob = weakref.ref(_Problem.build(j))
+        assert prob() is not None
+        del j
+        gc.collect()
+        assert prob() is None
+
+    def test_pseudo_inverse_only_for_the_relaxed_step(self):
+        # |Y| < |X|: only the pseudo-inverse needs rank |X|.
+        j = JointXY(DiscreteDist.uniform(3), CondDist(np.array([[0.6, 0.5, 0.4], [0.4, 0.5, 0.6]])))
+        prob = _Problem.build(j)
+        assert np.isfinite(stationarity_gap(Encoder.uniform(2, 3), j, beta=1.0))
+        with pytest.raises(RankDeficiencyError):
+            prob.b_pinv_t
 
 
 class TestSimplexProjection:

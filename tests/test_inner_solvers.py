@@ -40,7 +40,7 @@ def ridge_objective_grid(pxcy, target, alpha, a, b):
 def test_ridge_matches_exhaustive_grid(alpha):
     for idx, j in enumerate(make_instances()):
         rng = np.random.default_rng(100 + idx)
-        prob = _Problem.build(j, 2)
+        prob = _Problem.build(j)
         target = compute_target(random_encoder(rng, 2, 2), j, beta=1.5).matrix
         grid = np.linspace(0.0, 1.0, 1001)  # resolution 1e-3 over the simplex faces
         a, b = np.meshgrid(grid, grid, indexing="ij")
@@ -86,7 +86,7 @@ def sparse_bruteforce(l_xy, log_t, alpha, lo, hi):
 def test_sparse_matches_exhaustive_grid(alpha):
     for idx, j in enumerate(make_instances()):
         rng = np.random.default_rng(200 + idx)
-        prob = _Problem.build(j, 2)
+        prob = _Problem.build(j)
         target = compute_target(random_encoder(rng, 2, 2), j, beta=1.5).matrix
         l_xy = np.log(prob.pxcy)
         log_t = np.log(target)

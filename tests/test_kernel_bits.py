@@ -24,6 +24,7 @@ from pfdca.dca import (
     _sparse_terms,
     _spectral_step,
 )
+from pfdca.probability import _plogp, column_entropies_nats, entropy_nats
 
 LO, HI = -30.0, -1e-6
 LOG_CLAMP = 1e-12
@@ -218,3 +219,7 @@ def test_entropies_match_reference(m):
     assert _neg_plogp_sum(m) == ref.neg_plogp_sum(m)
     column = m[:, 0]
     assert _neg_plogp_sum(column) == ref.neg_plogp_sum(column)
+    # The information measures and the certificates share the kernel.
+    assert np.array_equal(_plogp(m), ref.plogp(m))
+    assert np.array_equal(column_entropies_nats(m), ref.col_entropies(m))
+    assert entropy_nats(column) == ref.entropy_nats(column)

@@ -44,7 +44,7 @@ def subproblem(seed, concentration=1.0):
     nx = int(rng.integers(2, 7))
     ny = int(rng.integers(nx, 9))
     nz = int(rng.integers(2, 8))
-    prob = _Problem.build(full_rank_joint(rng, nx, ny), nz)
+    prob = _Problem.build(full_rank_joint(rng, nx, ny))
     V = rng.dirichlet(np.full(nz, concentration), nx).T
     if concentration < 1.0:
         V[V < 1e-3] = 0.0
