@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dca import stationarity_gap
+from .dca import _finite_positive, stationarity_gap
 from .probability import (
     NATS_TO_BITS,
     CondDist,
@@ -100,8 +100,8 @@ def greedy_merge_run(j: JointXY, beta: float) -> list:
     smallest pair. One point is recorded per clustering, including the
     all-singletons start, so the trajectory has |X| points.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not _finite_positive(beta):
+        raise ValueError("beta must be finite and positive")
     pxcy = bayes_invert(j)
     current = HardClustering(tuple(range(j.n_x)))
     points = [_point(j, pxcy, current, beta, Solver.GREEDY, 0)]
@@ -143,6 +143,8 @@ def exhaustive_partitions(j: JointXY, beta: float = 1.0) -> list:
     Guarded by the Bell-number growth: |X| above
     ``EXHAUSTIVE_MAX_SYMBOLS`` is rejected.
     """
+    if not _finite_positive(beta):
+        raise ValueError("beta must be finite and positive")
     if j.n_x > EXHAUSTIVE_MAX_SYMBOLS:
         raise ValueError(
             f"|X|={j.n_x} exceeds exhaustive enumeration guard ({EXHAUSTIVE_MAX_SYMBOLS})"

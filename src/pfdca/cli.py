@@ -4,8 +4,9 @@ and merge result files into an information-plane report.
 
 Exit codes: 0 success; 1 malformed input file, unreadable records, or
 a source whose channel is rank deficient (the DC solver needs rank |X|;
-the baselines accept such sources); 2 bad flags or unknown
-``--set`` override keys; 3 solve hit the iteration cap without
+the baselines accept such sources); 2 bad flags (including a number
+that is not finite), unknown ``--set`` override keys, or a
+``PF_THREADS`` that is not an integer; 3 solve hit the iteration cap without
 converging; 4 exhaustive baseline guard exceeded; 5 a verification
 check failed; 6 internal error (a bug, not bad input; set
 ``PFDCA_DEBUG`` to print its traceback).
@@ -19,7 +20,7 @@ import sys
 import numpy as np
 
 from .baseline import exhaustive_partitions, greedy_merge_run
-from .dca import DcaConfig, InnerKind, dca_run
+from .dca import DcaConfig, InnerKind, _finite_positive, dca_run
 from .diagnostics import run_verification
 from .linops import RankDeficiencyError
 from .probability import InvalidDistributionError, load_joint
@@ -186,7 +187,11 @@ def cmd_sweep(args) -> int:
         )
     except ValueError as exc:
         raise CliError(EXIT_BAD_FLAGS, f"bad sweep configuration: {exc}") from exc
-    points = run_sweep(j, cfg, n_jobs=resolve_jobs(args.jobs))
+    try:
+        jobs = resolve_jobs(args.jobs)
+    except ValueError as exc:
+        raise CliError(EXIT_BAD_FLAGS, str(exc)) from exc
+    points = run_sweep(j, cfg, n_jobs=jobs)
     write_points_csv(points, args.out)
     write_points_json(points, str(args.out) + ".json")
     write_points_csv(pareto_frontier(points), str(args.out) + ".frontier.csv")
@@ -196,8 +201,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_baseline(args) -> int:
     j = _load_dist(args.dist)
-    if args.beta <= 0:
-        raise CliError(EXIT_BAD_FLAGS, "--beta must be positive")
+    if not _finite_positive(args.beta):
+        raise CliError(EXIT_BAD_FLAGS, "--beta must be finite and positive")
     points = []
     if args.solver in ("greedy", "both"):
         points.extend(greedy_merge_run(j, args.beta))

@@ -33,28 +33,31 @@ stalls at the relaxed update's biased fixed point has not reached a
 stationary point of the loss. The outer loop therefore guards every
 step with the decrease guarantee of the exact linearized update: a
 candidate is accepted only if the loss drops by at least half the
-squared movement of the code marginal (up to slack). A relaxed
-candidate failing the guard is replaced by a direct projected-gradient
-descent step on the linearized objective ``f(p) - <grad g(p_k), p>``
-(any decrease of which certifies a decrease of the true loss), and once
-relaxed steps stop making progress the run finishes on those exact
-steps alone, declaring convergence only when a full-budget exact step
-cannot improve the loss beyond the outer tolerance (an exact step that
-stopped before its budget already is the full-budget one). This
-preserves the monotone-descent certificate and leaves the final encoder
-approximately stationary. Fallback steps are counted on the result; an accepted
-ascent beyond ``DESCENT_SLACK`` (never produced by the guard) would be
-flagged as a defect.
+squared movement of the code marginal (up to slack). The schedule has
+one rule: the relaxed step is tried every iteration until the guard
+first rejects it or it first stalls (its loss drop is at most the outer
+tolerance; a stalled step is still taken). From then on the run takes
+exact steps alone: direct projected-gradient descent on the linearized
+objective ``f(p) - <grad g(p_k), p>``, any decrease of which certifies
+a decrease of the true loss. It declares convergence only when a
+full-budget exact step cannot improve the loss beyond the outer
+tolerance (an exact step that stopped before its budget already is the
+full-budget one). This preserves the monotone-descent certificate and
+leaves the final encoder approximately stationary. Exact (fallback)
+steps are counted on the result; an accepted ascent beyond
+``DESCENT_SLACK`` (never produced by the guard) would be flagged as a
+defect.
 """
 
 import functools
+import math
 import weakref
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .linops import MarkovOperator, RankDeficiencyError, make_b_operator, pinv_apply, softmax_over_z
+from .linops import MarkovOperator, RankDeficiencyError
 from .probability import (
     LOG_CLAMP,
     NATS_TO_BITS,
@@ -73,9 +76,6 @@ _ACCEPT_SLACK = 1e-12
 # Slack on the quadratic decrease certificate enforced per accepted step:
 # loss drop >= 0.5 * ||marginal movement||^2 - _CERT_SLACK.
 _CERT_SLACK = 1e-6
-# Retry schedule once the relaxed step keeps getting rejected.
-_PROBATION_AFTER = 3
-_PROBATION_PERIOD = 8
 # Iteration cap for one guarded descent step on the linearized objective.
 _SURROGATE_STEP_ITERS = 60
 # P(z|x) above which a code counts as supported in the stationarity gap.
@@ -126,6 +126,11 @@ def _spectral_step(s: np.ndarray, y: np.ndarray) -> float:
     return min(max(float((s * s).sum()) / sy, _SPECTRAL_MIN), _SPECTRAL_MAX)
 
 
+def _finite_positive(*values) -> bool:
+    """Whether every value is a finite number above zero; NaN is not."""
+    return all(math.isfinite(v) and v > 0 for v in values)
+
+
 class InnerKind(str, Enum):
     """Which relaxed inner problem drives the update."""
 
@@ -148,12 +153,12 @@ class DcaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.beta <= 0 or self.alpha <= 0:
-            raise ValueError("beta and alpha must be positive")
-        if not (0 < self.box_m < self.box_M):
-            raise ValueError("box bounds must satisfy 0 < box_m < box_M")
-        if min(self.outer_tol, self.inner_tol, self.log_clamp) <= 0:
-            raise ValueError("tolerances must be positive")
+        if not _finite_positive(self.beta, self.alpha):
+            raise ValueError("beta and alpha must be finite and positive")
+        if not (_finite_positive(self.box_m, self.box_M) and self.box_m < self.box_M):
+            raise ValueError("box bounds must be finite and satisfy 0 < box_m < box_M")
+        if not _finite_positive(self.outer_tol, self.inner_tol, self.log_clamp):
+            raise ValueError("tolerances must be finite and positive")
         if self.outer_max_iter < 1 or self.inner_max_iter < 1:
             raise ValueError("iteration limits must be >= 1")
         object.__setattr__(self, "inner_kind", InnerKind(self.inner_kind))
@@ -202,7 +207,7 @@ class _Problem:
         which only the relaxed target reads. Raises RankDeficiencyError
         when the block is below full row rank |X|, which that target's
         linear update needs."""
-        b_op = MarkovOperator(self.pycx.T, 1)
+        b_op = MarkovOperator(self.pycx.T)
         if b_op.effective_rank() < len(self.px):
             raise RankDeficiencyError(
                 f"backward block rank {b_op.effective_rank()} below |X|={len(self.px)}"
@@ -480,11 +485,8 @@ def compute_c(enc_k: Encoder, j: JointXY, beta: float, log_clamp: float = LOG_CL
 def compute_target(enc_k: Encoder, j: JointXY, beta: float, log_clamp: float = LOG_CLAMP) -> CondDist:
     """Closed-form update target for P(Z|Y): softmax over codes of the
     block pseudo-inverse applied to the update coefficients."""
-    n_z = enc_k.card_z
-    b_op = make_b_operator(j, n_z)
-    c = compute_c(enc_k, j, beta, log_clamp)
-    logits = pinv_apply(b_op, c, min_rank=j.n_x)
-    return CondDist(softmax_over_z(logits))
+    prob = _Problem.build(j)
+    return CondDist(_softmax_cols(_compute_c_arr(enc_k.matrix, prob, beta, log_clamp) @ prob.b_pinv_t))
 
 
 def project_columns_to_simplex(m: np.ndarray) -> CondDist:
@@ -543,10 +545,10 @@ def stationarity_gap(
 def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None) -> DcaResult:
     """Run the guarded difference-of-convex iteration to convergence.
 
-    Stops once the loss change of an accepted step falls to
-    ``cfg.outer_tol`` or after ``cfg.outer_max_iter`` iterations; the
-    reported trace holds the loss after every accepted step, starting
-    at the initial encoder.
+    Stops once a full-budget exact step cannot lower the loss by more
+    than ``cfg.outer_tol``, or after ``cfg.outer_max_iter`` iterations;
+    the reported trace holds the loss after every accepted step,
+    starting at the initial encoder.
     """
     if card_z < 1:
         raise ValueError("card_z must be >= 1")
@@ -571,7 +573,6 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
     trace = [loss]
     converged = False
     fallback_steps = 0
-    consecutive_rejects = 0
     relaxed_phase = True
     iterations = 0
 
@@ -587,10 +588,7 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
     for it in range(1, cfg.outer_max_iter + 1):
         iterations = it
         cand = None
-        exact = True
-        if relaxed_phase and (
-            consecutive_rejects < _PROBATION_AFTER or it % _PROBATION_PERIOD == 0
-        ):
+        if relaxed_phase:
             c = _compute_c_arr(V, prob, beta, clamp)
             target = _softmax_cols(c @ b_pinv_t)
             if sparse:
@@ -607,10 +605,9 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
             drop = loss - cand_loss
             if drop < -_ACCEPT_SLACK or not cert_ok(drop, cand):
                 cand = None
-                consecutive_rejects += 1
-            else:
-                exact = False
-                consecutive_rejects = 0
+            # A rejected or stalled relaxed step ends the relaxed phase; a
+            # stalled one is still taken, and exact steps polish from there.
+            relaxed_phase = cand is not None and drop > cfg.outer_tol
         if cand is None:
             # Guarded step: descend the linearization directly.
             fallback_steps += 1
@@ -629,16 +626,8 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
                         trace.append(loss)
                     converged = True
                     break
-        delta = loss - cand_loss
         V, loss = cand, cand_loss
         trace.append(loss)
-        if abs(delta) <= cfg.outer_tol:
-            if exact:
-                converged = True
-                break
-            # The relaxed update has stalled; finish on exact steps, which
-            # polish the iterate toward a stationary point before stopping.
-            relaxed_phase = False
 
     trace_arr = np.asarray(trace)
     defect = bool(np.any(np.diff(trace_arr) > DESCENT_SLACK))

@@ -1,19 +1,10 @@
-"""Block-structured Markov operators and the numerically-stable kernels
-(softmax over codes, log-sum-exp, SVD pseudo-inverse) used by the solver.
-
-Stacked code-major vectors are carried as 2-D arrays of shape
-``(n_z, n_cols)``; row z is the block for code symbol z, so the flat
-stacked vector is ``arr.reshape(-1)`` with entry ``z * n_cols + c`` at
-pair ``(z, c)``. Operators of the form ``I_{n_z} (x) block`` are never
-materialized; every application works block-wise.
-"""
+"""SVD pseudo-inverse of a channel block and its rank check, used by the
+solver's relaxed target."""
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-from .probability import JointXY, bayes_invert
 
 PINV_RCOND = 1e-12
 
@@ -22,43 +13,18 @@ class RankDeficiencyError(ValueError):
     """Raised when an operator block falls below a required rank."""
 
 
-def zmajor_flatten(arr: np.ndarray) -> np.ndarray:
-    """Stack a (n_z, n_cols) block array into the flat code-major vector."""
-    return np.asarray(arr, dtype=float).reshape(-1)
-
-
-def zmajor_split(vec: np.ndarray, n_z: int) -> np.ndarray:
-    """Inverse of :func:`zmajor_flatten`; length must divide by ``n_z``."""
-    vec = np.asarray(vec, dtype=float)
-    if vec.ndim != 1 or n_z < 1 or vec.size % n_z != 0:
-        raise ValueError(f"stacked vector of length {vec.size} does not split into {n_z} blocks")
-    return vec.reshape(n_z, -1)
-
-
 @dataclass(frozen=True, eq=False)
 class MarkovOperator:
-    """``I_{n_z} (x) block`` acting block-wise on code-major vectors."""
+    """A read-only 2-D block with its SVD, computed once on first use."""
 
     block: np.ndarray
-    n_z: int
 
     def __post_init__(self):
         block = np.array(self.block, dtype=float)
-        if block.ndim != 2 or self.n_z < 1:
-            raise ValueError("block must be 2-D and n_z >= 1")
+        if block.ndim != 2:
+            raise ValueError("block must be 2-D")
         block.setflags(write=False)
         object.__setattr__(self, "block", block)
-
-    @property
-    def block_shape(self) -> tuple:
-        return self.block.shape
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Apply the operator: (n_z, cols) -> (n_z, rows)."""
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.n_z, self.block.shape[1]):
-            raise ValueError(f"expected shape {(self.n_z, self.block.shape[1])}, got {v.shape}")
-        return v @ self.block.T
 
     @cached_property
     def _svd(self):
@@ -76,63 +42,3 @@ class MarkovOperator:
         cutoff = rcond * (s[0] if s.size else 0.0)
         inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
         return (vt.T * inv) @ u.T
-
-
-def make_b_operator(j: JointXY, n_z: int) -> MarkovOperator:
-    """Backward-averaging operator: block entry (x, y) = P(y|x).
-
-    Applied to a (z, y)-indexed array it returns the conditional
-    expectation over y, i.e. ``out(z, x) = sum_y P(y|x) v(z, y)``.
-    """
-    return MarkovOperator(j.y_given_x.matrix.T, n_z)
-
-
-def make_a_operator(j: JointXY, n_z: int) -> MarkovOperator:
-    """Markov-composition operator: block entry (y, x) = P(x|y).
-
-    Applying it to a stacked encoder yields the stacked P(Z|Y), matching
-    :func:`pfdca.probability.markov_compose`.
-    """
-    return MarkovOperator(bayes_invert(j).matrix.T, n_z)
-
-
-def pinv_apply(
-    op: MarkovOperator,
-    v: np.ndarray,
-    rcond: float = PINV_RCOND,
-    min_rank: int | None = None,
-) -> np.ndarray:
-    """Apply the block pseudo-inverse to a (n_z, rows) array.
-
-    ``min_rank`` asserts a floor on the effective rank of the block
-    (the linear update assumes full row rank); a block below the floor
-    raises :class:`RankDeficiencyError`.
-    """
-    if min_rank is not None and op.effective_rank(rcond) < min_rank:
-        raise RankDeficiencyError(
-            f"operator block rank {op.effective_rank(rcond)} below required {min_rank}"
-        )
-    v = np.asarray(v, dtype=float)
-    if v.shape != (op.n_z, op.block.shape[0]):
-        raise ValueError(f"expected shape {(op.n_z, op.block.shape[0])}, got {v.shape}")
-    return v @ op.pinv_block(rcond).T
-
-
-def softmax_over_z(v: np.ndarray) -> np.ndarray:
-    """Column-wise softmax over the code axis (axis 0), max-shifted."""
-    v = np.asarray(v, dtype=float)
-    shifted = v - v.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
-
-
-def log_sum_exp(values, axis=None):
-    """Max-shifted log(sum(exp(values))); exact on a single element."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise ValueError("log_sum_exp of an empty array")
-    m = v.max(axis=axis, keepdims=True)
-    out = m + np.log(np.exp(v - m).sum(axis=axis, keepdims=True))
-    if axis is None:
-        return float(out.reshape(()))
-    return np.squeeze(out, axis=axis)

@@ -17,7 +17,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .dca import DcaConfig, InnerKind, dca_run
+from .dca import DcaConfig, InnerKind, _finite_positive, dca_run
 from .probability import JointXY
 
 CSV_HEADER = [
@@ -105,8 +105,8 @@ class SweepConfig:
     def __post_init__(self):
         for name in ("beta_grid", "alpha_grid"):
             grid = tuple(float(v) for v in getattr(self, name))
-            if not grid or min(grid) <= 0 or list(grid) != sorted(grid):
-                raise ValueError(f"{name} must be positive and sorted ascending")
+            if not grid or not _finite_positive(*grid) or list(grid) != sorted(grid):
+                raise ValueError(f"{name} must be finite, positive and sorted ascending")
             object.__setattr__(self, name, grid)
         if self.card_z_values is not None:
             values = tuple(int(v) for v in self.card_z_values)
@@ -116,6 +116,20 @@ class SweepConfig:
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         object.__setattr__(self, "inner_kind", InnerKind(self.inner_kind))
+        # Check the solver fields here, as every cell's config will.
+        self._run_config(self.beta_grid[0], self.alpha_grid[0], self.base_seed)
+
+    def _run_config(self, beta: float, alpha: float, seed: int) -> DcaConfig:
+        return DcaConfig(
+            beta=beta,
+            alpha=alpha,
+            inner_kind=self.inner_kind,
+            outer_tol=self.outer_tol,
+            outer_max_iter=self.outer_max_iter,
+            inner_tol=self.inner_tol,
+            inner_max_iter=self.inner_max_iter,
+            seed=seed,
+        )
 
     def resolve_card_z(self, j: JointXY) -> tuple:
         if self.card_z_values is not None:
@@ -135,17 +149,7 @@ def _run_cell_full(args):
     beta = cfg.beta_grid[beta_idx]
     alpha = cfg.alpha_grid[alpha_idx]
     seed = derive_seed(cfg.base_seed, beta_idx, alpha_idx, card_z, restart)
-    run_cfg = DcaConfig(
-        beta=beta,
-        alpha=alpha,
-        inner_kind=cfg.inner_kind,
-        outer_tol=cfg.outer_tol,
-        outer_max_iter=cfg.outer_max_iter,
-        inner_tol=cfg.inner_tol,
-        inner_max_iter=cfg.inner_max_iter,
-        seed=seed,
-    )
-    res = dca_run(j, card_z, run_cfg)
+    res = dca_run(j, card_z, cfg._run_config(beta, alpha, seed))
     solver = Solver.DCA_RIDGE if cfg.inner_kind is InnerKind.RIDGE else Solver.DCA_SPARSE
     point = TradeoffPoint(
         solver=solver,
@@ -180,10 +184,14 @@ def sweep_tasks(j: JointXY, cfg: SweepConfig) -> list:
 
 
 def resolve_jobs(n_jobs: int | None = None) -> int:
-    """Worker count: explicit argument, else PF_THREADS, else 1."""
+    """Worker count: explicit argument, else PF_THREADS, else 1. A
+    PF_THREADS that is not an integer raises ValueError."""
     if n_jobs is None:
         env = os.environ.get("PF_THREADS", "").strip()
-        n_jobs = int(env) if env else 1
+        try:
+            n_jobs = int(env) if env else 1
+        except ValueError:
+            raise ValueError(f"PF_THREADS must be an integer, got {env!r}") from None
     return max(1, n_jobs)
 
 

@@ -79,8 +79,9 @@ class TestGreedy:
                 assert p.i_zx_bits <= h_x + 1e-10
 
     def test_rejects_bad_beta(self, demo_joint):
-        with pytest.raises(ValueError):
-            greedy_merge_run(demo_joint, beta=0.0)
+        for beta in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                greedy_merge_run(demo_joint, beta=beta)
 
 
 class TestExhaustive:
@@ -121,6 +122,11 @@ class TestExhaustive:
         j = JointXY(DiscreteDist.uniform(n), CondDist.identity(n))
         with pytest.raises(ValueError):
             exhaustive_partitions(j)
+
+    def test_rejects_bad_beta(self, demo_joint):
+        for beta in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                exhaustive_partitions(demo_joint, beta)
 
     def test_deterministic_encoders_have_zero_gap(self, demo_joint):
         for p in exhaustive_partitions(demo_joint):

@@ -255,3 +255,34 @@ class TestExitCodes:
     def test_baseline_negative_beta_is_flag_error(self, tmp_path, demo_dist_file):
         rc = run_cli("baseline", "--dist", demo_dist_file, "--out", tmp_path / "o.csv", "--beta", -1.0)
         assert rc == EXIT_BAD_FLAGS
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("solve", "--beta", "nan"),
+            ("solve", "--alpha", "inf"),
+            ("solve", "--tol", "nan"),
+            ("solve", "--set", "box_M=inf"),
+            ("baseline", "--beta", "nan"),
+            ("baseline", "--solver", "exhaustive", "--beta", "inf"),
+            ("sweep", "--set", "beta_grid=nan,2"),
+            ("sweep", "--set", "alpha_grid=0.5,inf"),
+            ("sweep", "--tol", "nan"),
+        ],
+    )
+    def test_non_finite_number_is_flag_error(self, tmp_path, demo_dist_file, command):
+        out = tmp_path / "o"
+        rc = run_cli(command[0], "--dist", demo_dist_file, "--out", out, *command[1:])
+        assert rc == EXIT_BAD_FLAGS
+        assert not out.exists()
+
+    def test_bad_pf_threads_is_flag_error(self, tmp_path, demo_dist_file, monkeypatch, capsys):
+        monkeypatch.setenv("PF_THREADS", "abc")
+        out = tmp_path / "o.csv"
+        rc = run_cli(
+            "sweep", "--dist", demo_dist_file, "--out", out,
+            "--set", "beta_grid=1", "--set", "alpha_grid=1", "--set", "card_z_values=2",
+        )
+        assert rc == EXIT_BAD_FLAGS
+        assert "PF_THREADS" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,18 +1,13 @@
+"""The problem object's channel blocks and pseudo-inverse, and the
+numerically stable kernels (softmax over codes, the q=1 log-sum-exp)
+that the solver builds on them."""
+
 import numpy as np
 import pytest
 
 from pfdca import CondDist, DiscreteDist, JointXY
-from pfdca.linops import (
-    MarkovOperator,
-    RankDeficiencyError,
-    log_sum_exp,
-    make_a_operator,
-    make_b_operator,
-    pinv_apply,
-    softmax_over_z,
-    zmajor_flatten,
-    zmajor_split,
-)
+from pfdca.dca import _Problem, _softmax_cols, _sparse_terms
+from pfdca.linops import MarkovOperator, RankDeficiencyError
 from pfdca.probability import bayes_invert, markov_compose, random_encoder
 
 
@@ -20,159 +15,153 @@ def identity_joint(n=3):
     return JointXY(DiscreteDist.uniform(n), CondDist.identity(n))
 
 
+def backward_block(j):
+    """The backward block of ``j``: entry (x, y) = P(y|x)."""
+    return MarkovOperator(j.y_given_x.matrix.T)
+
+
+def lse_over_x(L, l_xy):
+    """Log-sum-exp over x of ``L[z, x] + l_xy[x, y]``, per (z, y)."""
+    return _sparse_terms(np.asarray(L, dtype=float), np.asarray(l_xy, dtype=float))[1]
+
+
 class TestOperators:
     def test_b_identity_channel(self):
-        op = make_b_operator(identity_joint(), n_z=2)
-        assert np.allclose(op.block, np.eye(3))
+        prob = _Problem.build(identity_joint())
+        assert np.allclose(prob.pycx.T, np.eye(3))
         v = np.arange(6.0).reshape(2, 3)
-        assert np.allclose(op.apply(v), v)
+        assert np.allclose(v @ prob.b_pinv_t, v)
 
     def test_b_demo_block_is_channel_transpose(self, demo_joint):
-        op = make_b_operator(demo_joint, n_z=3)
-        assert np.allclose(op.block, demo_joint.y_given_x.matrix.T, atol=1e-15)
-        ones = np.ones((3, 3))
-        assert np.allclose(op.apply(ones), 1.0, atol=1e-12)
+        prob = _Problem.build(demo_joint)
+        assert np.allclose(prob.pycx.T, demo_joint.y_given_x.matrix.T, atol=1e-15)
+        # Each column P(.|x) sums to one, so averaging a constant over y keeps it.
+        assert np.allclose(np.ones((3, 3)) @ prob.pycx, 1.0, atol=1e-12)
 
     def test_block_diagonal_structure(self, demo_joint):
-        op = make_b_operator(demo_joint, n_z=2)
+        # The pseudo-inverse acts on each code's row alone.
+        b_pinv_t = _Problem.build(demo_joint).b_pinv_t
         v = np.zeros((2, 3))
         v[1] = np.array([5.0, -2.0, 7.0])
-        out = op.apply(v)
+        out = v @ b_pinv_t
         assert np.allclose(out[0], 0.0)
         v2 = v.copy()
         v2[1] = 99.0
-        assert np.allclose(op.apply(v2)[0], out[0])
+        assert np.allclose((v2 @ b_pinv_t)[0], out[0])
 
     def test_a_identity_channel(self):
-        op = make_a_operator(identity_joint(), n_z=2)
-        assert np.allclose(op.block, np.eye(3))
+        assert np.allclose(_Problem.build(identity_joint()).pxcy, np.eye(3))
 
     def test_a_uniform_encoder(self, demo_joint):
-        op = make_a_operator(demo_joint, n_z=3)
-        out = op.apply(np.full((3, 3), 1.0 / 3.0))
+        out = np.full((3, 3), 1.0 / 3.0) @ _Problem.build(demo_joint).pxcy
         assert np.allclose(out, 1.0 / 3.0, atol=1e-12)
 
     def test_a_matches_markov_compose(self, demo_joint):
         rng = np.random.default_rng(7)
         enc = random_encoder(rng, 4, 3)
-        op = make_a_operator(demo_joint, n_z=4)
         composed = markov_compose(enc, bayes_invert(demo_joint))
-        assert np.max(np.abs(op.apply(enc.matrix) - composed.matrix)) < 1e-14
+        assert np.max(np.abs(enc.matrix @ _Problem.build(demo_joint).pxcy - composed.matrix)) < 1e-14
 
     def test_operator_norm_matches_dense_kron(self, demo_joint):
-        # Power iteration on the dense Kronecker build vs the block norm.
+        # Power iteration on the dense Kronecker build of the forward
+        # operator I_{n_z} (x) P(x|y)^T against the ridge step's a_smax.
+        prob = _Problem.build(demo_joint)
         for n_z in (1, 2, 4):
-            op = make_b_operator(demo_joint, n_z=n_z)
-            dense = np.kron(np.eye(n_z), op.block)
+            dense = np.kron(np.eye(n_z), prob.pxcy.T)
             v = np.full(dense.shape[1], 1.0 / np.sqrt(dense.shape[1]))
             for _ in range(500):
                 w = dense.T @ (dense @ v)
                 v = w / np.linalg.norm(w)
             dense_norm = np.linalg.norm(dense @ v)
-            assert dense_norm == pytest.approx(np.linalg.norm(op.block, 2), abs=1e-8)
+            assert dense_norm == pytest.approx(prob.a_smax, abs=1e-8)
 
 
 class TestPinv:
     def test_identity_block(self):
-        op = MarkovOperator(np.eye(3), n_z=2)
-        v = np.arange(6.0).reshape(2, 3)
-        assert np.allclose(pinv_apply(op, v), v, atol=1e-14)
+        assert np.allclose(MarkovOperator(np.eye(3)).pinv_block(), np.eye(3), atol=1e-14)
 
     def test_demo_block_inverse(self, demo_joint):
-        op = make_b_operator(demo_joint, n_z=1)
+        op = backward_block(demo_joint)
         assert np.max(np.abs(op.pinv_block() @ op.block - np.eye(3))) < 1e-10
 
     def test_pinv_identities(self, demo_joint):
-        op = make_b_operator(demo_joint, n_z=1)
+        op = backward_block(demo_joint)
         b = op.block
         bp = op.pinv_block()
         assert np.max(np.abs(b @ bp @ b - b)) < 1e-10
         assert np.max(np.abs(bp @ b @ bp - bp)) < 1e-10
+        assert np.array_equal(_Problem.build(demo_joint).b_pinv_t, bp.T)
 
     def test_constant_vector_preserved(self, demo_joint):
-        op = make_b_operator(demo_joint, n_z=2)
         v = np.full((2, 3), 4.2)
-        assert np.allclose(pinv_apply(op, v), 4.2, atol=1e-10)
+        assert np.allclose(v @ _Problem.build(demo_joint).b_pinv_t, 4.2, atol=1e-10)
 
     def test_forward_pinv_is_projection(self, demo_joint):
         rng = np.random.default_rng(5)
-        op = make_b_operator(demo_joint, n_z=2)
+        prob = _Problem.build(demo_joint)
         v = rng.normal(size=(2, 3))
-        once = op.apply(pinv_apply(op, v))
-        twice = op.apply(pinv_apply(op, once))
+        once = v @ prob.b_pinv_t @ prob.pycx
+        twice = once @ prob.b_pinv_t @ prob.pycx
         assert np.max(np.abs(twice - once)) < 1e-10
 
     def test_rank_guard(self):
-        op = MarkovOperator(np.ones((2, 2)) * 0.5, n_z=1)
+        # |Y| < |X|: the backward block has rank 2 < |X| = 3.
+        j = JointXY(DiscreteDist.uniform(3), CondDist(np.array([[0.6, 0.5, 0.4], [0.4, 0.5, 0.6]])))
         with pytest.raises(RankDeficiencyError):
-            pinv_apply(op, np.ones((1, 2)), min_rank=2)
-        # Without the floor the rank-deficient application still works.
-        out = pinv_apply(op, np.ones((1, 2)))
-        assert np.all(np.isfinite(out))
+            _Problem.build(j).b_pinv_t
+        # Without the floor the rank-deficient pseudo-inverse still works.
+        op = MarkovOperator(np.ones((2, 2)) * 0.5)
+        assert op.effective_rank() == 1
+        assert np.all(np.isfinite(op.pinv_block()))
 
-    def test_shape_check(self, demo_joint):
-        op = make_b_operator(demo_joint, n_z=2)
+    def test_shape_check(self):
         with pytest.raises(ValueError):
-            pinv_apply(op, np.ones((2, 4)))
+            MarkovOperator(np.ones(3))
 
 
 class TestSoftmax:
     def test_all_equal_gives_uniform(self):
-        out = softmax_over_z(np.full((4, 3), 2.5))
+        out = _softmax_cols(np.full((4, 3), 2.5))
         assert np.allclose(out, 0.25, atol=1e-15)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
         v = rng.normal(size=(3, 5))
         shifted = v + rng.normal(size=(1, 5))
-        assert np.max(np.abs(softmax_over_z(v) - softmax_over_z(shifted))) < 1e-12
+        assert np.max(np.abs(_softmax_cols(v) - _softmax_cols(shifted))) < 1e-12
 
     def test_recovers_probabilities_from_logs(self):
         rng = np.random.default_rng(2)
         m = rng.random((4, 3)) + 0.1
         m /= m.sum(axis=0, keepdims=True)
-        assert np.max(np.abs(softmax_over_z(np.log(m)) - m)) < 1e-12
+        assert np.max(np.abs(_softmax_cols(np.log(m)) - m)) < 1e-12
 
     def test_positive_and_normalized_on_random(self):
         rng = np.random.default_rng(3)
         for _ in range(1000):
             v = rng.normal(scale=rng.uniform(0.1, 50), size=(int(rng.integers(1, 6)), int(rng.integers(1, 6))))
-            out = softmax_over_z(v)
+            out = _softmax_cols(v)
             assert np.all(out > 0)
             assert np.allclose(out.sum(axis=0), 1.0, atol=1e-12)
 
 
 class TestLogSumExp:
     def test_single_element_exact(self):
-        assert log_sum_exp(np.array([-3.7])) == -3.7
+        assert lse_over_x([[-3.7]], [[0.0]]) == -3.7
 
     def test_two_zeros(self):
-        assert log_sum_exp(np.array([0.0, 0.0])) == pytest.approx(np.log(2), abs=1e-15)
+        assert lse_over_x([[0.0, 0.0]], [[0.0], [0.0]]) == pytest.approx(np.log(2), abs=1e-15)
 
     def test_extreme_spread_is_stable(self):
-        out = log_sum_exp(np.array([-745.0, 0.0]))
-        assert np.isfinite(out)
+        out = lse_over_x([[-745.0, 0.0]], [[0.0], [0.0]])
+        assert np.all(np.isfinite(out))
         assert out == pytest.approx(0.0, abs=1e-12)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            log_sum_exp(np.array([]))
-
     def test_axis_variant(self):
-        v = np.array([[0.0, 1.0], [0.0, 1.0]])
-        assert np.allclose(log_sum_exp(v, axis=0), np.array([np.log(2), 1 + np.log(2)]))
-
-
-class TestZMajor:
-    def test_round_trip(self):
-        arr = np.arange(12.0).reshape(3, 4)
-        assert np.allclose(zmajor_split(zmajor_flatten(arr), 3), arr)
-
-    def test_indexing_convention(self):
-        arr = np.arange(6.0).reshape(2, 3)
-        flat = zmajor_flatten(arr)
-        assert flat[1 * 3 + 2] == arr[1, 2]
-
-    def test_divisibility_guard(self):
-        with pytest.raises(ValueError):
-            zmajor_split(np.arange(7.0), 2)
+        # The sum runs over x for each (z, y), and per slice of a stack.
+        l_xy = np.array([[0.0, 1.0], [0.0, 1.0]])
+        expected = np.array([np.log(2), 1 + np.log(2)])
+        assert np.allclose(lse_over_x(np.zeros((1, 2)), l_xy), expected)
+        stacked = lse_over_x(np.zeros((3, 1, 2)), l_xy)
+        assert stacked.shape == (3, 1, 2)
+        assert np.allclose(stacked, expected)

@@ -4,19 +4,24 @@ The exact step starts each backtracking search at a spectral
 (Barzilai-Borwein) step. These tests check that it still reaches the
 subproblem's optimum at the full budget, that it stays on the simplex
 and never ascends at any budget, and that a step which stops before its
-budget is exactly the full-budget step. The last test runs the guarded
-solver on random full-rank sources.
+budget is exactly the full-budget step. The last tests run the guarded
+solver on random full-rank sources: its outputs stay valid, and its
+relaxed step follows the one-rule schedule.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pfdca.dca
 import reference_kernels as ref
+from conftest import DEMO_CHANNEL, DEMO_PX
 from pfdca import CondDist, DcaConfig, DiscreteDist, JointXY, dca_run
 from pfdca.dca import (
     _ACCEPT_SLACK,
     _SURROGATE_STEP_ITERS,
+    _compute_c_arr,
     _f_value_arr,
     _grad_g_arr,
     _Problem,
@@ -123,3 +128,36 @@ def test_dca_run_on_random_sources(seed, nx, extra_y, card_z, beta, alpha, inner
     # Every accepted step: an exact step descends, a relaxed one ascends by
     # at most the guard's slack.
     assert np.all(np.diff(res.loss_trace) <= _ACCEPT_SLACK)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    demo=st.booleans(),
+    card_z=st.integers(2, 4),
+    beta=st.sampled_from([0.3, 1.0, 3.0, 10.0]),
+    alpha=st.sampled_from([0.1, 1.0, 10.0]),
+    inner_kind=st.sampled_from(["ridge", "sparse_log"]),
+)
+def test_relaxed_step_is_rejected_at_most_once(seed, demo, card_z, beta, alpha, inner_kind):
+    # The relaxed step is tried every iteration until its first rejection
+    # or stall, so at most one attempt is not an accepted step. Each
+    # attempt computes the update coefficients once.
+    rng = np.random.default_rng(seed)
+    if demo:
+        j = JointXY(DiscreteDist(DEMO_PX.copy()), CondDist(DEMO_CHANNEL.copy()))
+    else:
+        nx = int(rng.integers(2, 5))
+        j = full_rank_joint(rng, nx, nx + int(rng.integers(0, 3)), concentration=float(rng.choice([0.3, 1.0, 10.0])))
+    cfg = DcaConfig(beta=beta, alpha=alpha, inner_kind=inner_kind, outer_max_iter=300, seed=seed % 1000)
+    attempts = 0
+
+    def counted(*args):
+        nonlocal attempts
+        attempts += 1
+        return _compute_c_arr(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pfdca.dca, "_compute_c_arr", counted)
+        res = dca_run(j, card_z, cfg)
+    assert attempts - (res.iterations - res.fallback_steps) in (0, 1)
