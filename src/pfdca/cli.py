@@ -2,13 +2,12 @@
 grid, run deterministic baselines, verify the numerical certificates,
 and merge result files into an information-plane report.
 
-Exit codes: 0 success; 1 malformed input file, unreadable records, or
-a source whose channel is rank deficient (the DC solver needs rank |X|;
-the baselines accept such sources); 2 bad flags (including a number
-that is not finite), unknown ``--set`` override keys, or a
-``PF_THREADS`` that is not an integer; 3 solve hit the iteration cap without
-converging; 4 exhaustive baseline guard exceeded; 5 a verification
-check failed; 6 internal error (a bug, not bad input; set
+Exit codes: 0 success; 1 malformed input (a bad distribution file, or a
+result CSV with a bad row or a number that is not finite); 2 bad flags
+(including a number or a verification tolerance that is not finite),
+unknown ``--set`` keys, or a ``PF_THREADS`` that is not an integer; 3
+solve hit the iteration cap; 4 exhaustive baseline guard exceeded; 5 a
+verification check failed; 6 internal error (a bug, not bad input; set
 ``PFDCA_DEBUG`` to print its traceback).
 """
 
@@ -22,7 +21,6 @@ import numpy as np
 from .baseline import exhaustive_partitions, greedy_merge_run
 from .dca import DcaConfig, InnerKind, _finite_positive, dca_run
 from .diagnostics import run_verification
-from .linops import RankDeficiencyError
 from .probability import InvalidDistributionError, load_joint
 from .sweep import (
     Solver,
@@ -219,7 +217,10 @@ def cmd_baseline(args) -> int:
 def cmd_verify(args) -> int:
     j = _load_dist(args.dist)
     overrides = _parse_overrides(args.set, _VERIFY_FIELD_PARSERS)
-    reports = run_verification(j, seed=args.seed, tolerances=overrides or None)
+    try:
+        reports = run_verification(j, seed=args.seed, tolerances=overrides or None)
+    except ValueError as exc:
+        raise CliError(EXIT_BAD_FLAGS, f"bad verification tolerance: {exc}") from exc
     with open(args.out, "w", encoding="utf-8") as fh:
         for report in reports:
             fh.write(json.dumps(report.to_record()) + "\n")
@@ -362,10 +363,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except RankDeficiencyError as exc:
-        # The solver refuses sources whose channel has rank below |X|.
-        print(f"error: unsupported source: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except Exception as exc:
         if os.environ.get("PFDCA_DEBUG"):
             import traceback  # only debug runs pay for the import

@@ -57,7 +57,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linops import MarkovOperator, RankDeficiencyError
+from .linops import MarkovOperator
 from .probability import (
     LOG_CLAMP,
     NATS_TO_BITS,
@@ -203,16 +203,11 @@ class _Problem:
 
     @functools.cached_property
     def b_pinv_t(self) -> np.ndarray:
-        """(nx, ny) transpose of the pseudo-inverse of the backward block,
-        which only the relaxed target reads. Raises RankDeficiencyError
-        when the block is below full row rank |X|, which that target's
-        linear update needs."""
-        b_op = MarkovOperator(self.pycx.T)
-        if b_op.effective_rank() < len(self.px):
-            raise RankDeficiencyError(
-                f"backward block rank {b_op.effective_rank()} below |X|={len(self.px)}"
-            )
-        out = b_op.pinv_block().T
+        """(nx, ny) transpose of the SVD pseudo-inverse of the backward
+        block, which only the relaxed target reads. It is defined at any
+        rank, so sources with |Y| < |X| or with repeated channel columns
+        get the least-squares update."""
+        out = MarkovOperator(self.pycx.T).pinv_block().T
         out.flags.writeable = False
         return out
 
@@ -273,6 +268,13 @@ def _compute_c_arr(V: np.ndarray, prob: _Problem, beta: float, clamp: float) -> 
 def _softmax_cols(logits: np.ndarray) -> np.ndarray:
     e = np.exp(logits - logits.max(axis=0, keepdims=True))
     return e / e.sum(axis=0, keepdims=True)
+
+
+def _relaxed_target(V: np.ndarray, prob: _Problem, beta: float, clamp: float) -> np.ndarray:
+    """Closed-form update target for P(Z|Y): softmax over codes of the
+    block pseudo-inverse applied to the update coefficients, entry (z, x)
+    ``log p_z(z) + beta * (log P(z|x) - log p_z(z))``."""
+    return _softmax_cols(_compute_c_arr(V, prob, beta, clamp) @ prob.b_pinv_t)
 
 
 @functools.lru_cache(maxsize=64)
@@ -476,45 +478,12 @@ def f_value(matrix: np.ndarray, j: JointXY) -> float:
     return _f_value_arr(np.asarray(matrix, dtype=float), _Problem.build(j))
 
 
-def compute_c(enc_k: Encoder, j: JointXY, beta: float, log_clamp: float = LOG_CLAMP) -> np.ndarray:
-    """Linear-update coefficients, entry (z, x) =
-    ``log p_z(z) + beta * (log P(z|x) - log p_z(z))``."""
-    return _compute_c_arr(enc_k.matrix, _Problem.build(j), beta, log_clamp)
-
-
-def compute_target(enc_k: Encoder, j: JointXY, beta: float, log_clamp: float = LOG_CLAMP) -> CondDist:
-    """Closed-form update target for P(Z|Y): softmax over codes of the
-    block pseudo-inverse applied to the update coefficients."""
-    prob = _Problem.build(j)
-    return CondDist(_softmax_cols(_compute_c_arr(enc_k.matrix, prob, beta, log_clamp) @ prob.b_pinv_t))
-
-
 def project_columns_to_simplex(m: np.ndarray) -> CondDist:
     """Euclidean projection of each column onto the probability simplex."""
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         raise ValueError("projection input must be finite")
     return CondDist(_simplex_project_columns(m))
-
-
-def inner_ridge_solve(target: CondDist, j: JointXY, alpha: float, cfg: DcaConfig, warm: Encoder) -> Encoder:
-    """Approximately minimize ``0.5*||A v - target||^2 + alpha*||v||^2``
-    over column-stochastic encoders, warm-started projected gradient."""
-    prob = _Problem.build(j)
-    V, _ = _ridge_descent(warm.matrix.copy(), target.matrix, prob, alpha, cfg.inner_tol, cfg.inner_max_iter)
-    return Encoder.from_matrix(V)
-
-
-def inner_sparse_solve(target: CondDist, j: JointXY, alpha: float, cfg: DcaConfig, warm: Encoder) -> Encoder:
-    """Log-domain sparse inner solve; returns the softmax projection of
-    the optimized log-likelihoods."""
-    prob = _Problem.build(j)
-    lo, hi = -cfg.box_M, -cfg.box_m
-    l_xy = _clog(prob.pxcy, cfg.log_clamp)
-    log_target = _clog(target.matrix, cfg.log_clamp)
-    L0 = np.clip(_clog(warm.matrix, cfg.log_clamp), lo, hi)
-    L, _ = _sparse_descent(L0, l_xy, log_target, alpha, lo, hi, cfg.inner_tol, cfg.inner_max_iter)
-    return Encoder.from_matrix(_softmax_cols(L))
 
 
 def _stationarity_gap_arr(V: np.ndarray, prob: _Problem, beta: float, support_tol: float, clamp: float) -> float:
@@ -561,9 +530,6 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
         V = random_encoder(rng, card_z, j.n_x).matrix.copy()
 
     prob = _Problem.build(j)
-    # The relaxed target needs the backward block at full row rank:
-    # refuse a source below it before the first iteration.
-    b_pinv_t = prob.b_pinv_t
     beta, alpha, clamp = cfg.beta, cfg.alpha, cfg.log_clamp
     lo, hi = -cfg.box_M, -cfg.box_m
     sparse = cfg.inner_kind is InnerKind.SPARSE_LOG
@@ -589,8 +555,7 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
         iterations = it
         cand = None
         if relaxed_phase:
-            c = _compute_c_arr(V, prob, beta, clamp)
-            target = _softmax_cols(c @ b_pinv_t)
+            target = _relaxed_target(V, prob, beta, clamp)
             if sparse:
                 L0 = np.clip(_clog(V, clamp), lo, hi)
                 L, _ = _sparse_descent(

@@ -315,6 +315,8 @@ def run_verification(j: JointXY, seed: int = 0, tolerances: dict | None = None) 
         if unknown:
             raise KeyError(f"unknown tolerance overrides: {sorted(unknown)}")
         tol.update(tolerances)
+    if not all(np.isfinite(v) and v >= 0 for v in tol.values()):
+        raise ValueError(f"tolerances must be finite and non-negative, got {tol}")
     reports = [
         check_grad_g_fd(j, beta=1.0, n=100, seed=seed, tolerance=tol["grad_tol"]),
         check_grad_f_fd(j, n=100, seed=seed + 1, tolerance=tol["grad_tol"]),

@@ -46,8 +46,8 @@ def check_symbols(X, n_x: int) -> np.ndarray:
         return rows
     if arr.ndim == 2 and arr.shape[1] == n_x:
         rows = np.asarray(arr, dtype=float)
-        if np.any(rows < 0):
-            raise ValueError("row weights must be non-negative")
+        if not np.all(np.isfinite(rows) & (rows >= 0)):
+            raise ValueError("row weights must be finite and non-negative")
         sums = rows.sum(axis=1, keepdims=True)
         if np.any(sums <= 0):
             raise ValueError("every row needs positive total weight")

@@ -1,5 +1,6 @@
-"""SVD pseudo-inverse of a channel block and its rank check, used by the
-solver's relaxed target."""
+"""SVD pseudo-inverse of a channel block, used by the solver's relaxed
+target. It is defined at any rank: singular values at or below
+``PINV_RCOND`` times the largest are dropped."""
 
 from dataclasses import dataclass
 from functools import cached_property
@@ -7,10 +8,6 @@ from functools import cached_property
 import numpy as np
 
 PINV_RCOND = 1e-12
-
-
-class RankDeficiencyError(ValueError):
-    """Raised when an operator block falls below a required rank."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,12 +26,6 @@ class MarkovOperator:
     @cached_property
     def _svd(self):
         return np.linalg.svd(self.block, full_matrices=False)
-
-    def effective_rank(self, rcond: float = PINV_RCOND) -> int:
-        s = self._svd[1]
-        if s.size == 0 or s[0] == 0.0:
-            return 0
-        return int(np.count_nonzero(s > rcond * s[0]))
 
     def pinv_block(self, rcond: float = PINV_RCOND) -> np.ndarray:
         """Moore-Penrose pseudo-inverse of the block via SVD truncation."""

@@ -288,7 +288,8 @@ def write_points_json(points: list, path) -> None:
 def read_points_csv(path) -> list:
     """Parse a sweep/baseline CSV back into trade-off points.
 
-    Raises ValueError on any schema mismatch.
+    Raises ValueError on any schema mismatch or a number that is not
+    finite.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -303,20 +304,23 @@ def read_points_csv(path) -> list:
             if len(row) != len(CSV_HEADER):
                 raise ValueError(f"{path}: row with {len(row)} fields")
             try:
+                beta, alpha, i_zx, i_zy, loss, gap = (float(row[k]) for k in (2, 3, 7, 8, 9, 12))
+                if not np.all(np.isfinite([beta, alpha, i_zx, i_zy, loss, gap])):
+                    raise ValueError("a number is not finite")
                 points.append(
                     TradeoffPoint(
                         solver=Solver(row[0]),
-                        beta=float(row[2]),
-                        alpha=float(row[3]),
+                        beta=beta,
+                        alpha=alpha,
                         card_z=int(row[4]),
                         restart=int(row[5]),
                         seed=int(row[6]),
-                        i_zx_bits=float(row[7]),
-                        i_zy_bits=float(row[8]),
-                        loss_nats=float(row[9]),
+                        i_zx_bits=i_zx,
+                        i_zy_bits=i_zy,
+                        loss_nats=loss,
                         converged=row[10] == "true",
                         iterations=int(row[11]),
-                        stationarity_gap=float(row[12]),
+                        stationarity_gap=gap,
                     )
                 )
             except ValueError as exc:

@@ -35,7 +35,7 @@ from pfdca import (
 )
 from pfdca.baseline import exhaustive_partitions
 from pfdca.cli import main as cli_main
-from pfdca.dca import _Problem, _ridge_descent, _sparse_descent, compute_target
+from pfdca.dca import _Problem, _relaxed_target, _ridge_descent, _sparse_descent
 from pfdca.diagnostics import (
     check_expectation_identities,
     check_grad_f_fd,
@@ -43,7 +43,7 @@ from pfdca.diagnostics import (
     check_restricted_convexity,
     check_update_residual,
 )
-from pfdca.probability import NATS_TO_BITS, random_encoder
+from pfdca.probability import LOG_CLAMP, NATS_TO_BITS, random_encoder
 from pfdca.sweep import SweepConfig, _run_cell_full, pareto_frontier, sweep_tasks
 
 SWEEP_BUDGET_SECONDS = 300.0
@@ -200,7 +200,7 @@ def test_criterion_8_inner_solver_oracles():
     for idx, j in enumerate(make_instances()):
         rng = np.random.default_rng(300 + idx)
         prob = _Problem.build(j)
-        target = compute_target(random_encoder(rng, 2, 2), j, beta=1.5).matrix
+        target = _relaxed_target(random_encoder(rng, 2, 2).matrix, prob, 1.5, LOG_CLAMP)
         grid = np.linspace(0.0, 1.0, 1001)
         a, b = np.meshgrid(grid, grid, indexing="ij")
         alpha = 0.3

@@ -167,7 +167,7 @@ def test_baseline_csv_matches_reference(seed, nx, extra_y, beta):
 @given(seed=st.integers(0, 2**32 - 1), nx=st.integers(2, 6), ny=st.integers(1, 5), beta=st.floats(0.1, 10.0))
 def test_baselines_accept_fewer_outputs_than_inputs(seed, nx, ny, beta):
     # |Y| < |X| leaves the backward block below rank |X|; the baselines
-    # never use its pseudo-inverse.
+    # score deterministic clusterings and never read its pseudo-inverse.
     ny = min(ny, nx - 1)
     j = random_joint(seed, nx, ny)
     greedy = greedy_merge_run(j, beta)

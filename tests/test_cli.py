@@ -202,8 +202,7 @@ class TestReport:
 class TestExitCodes:
     @pytest.fixture
     def rank_deficient_file(self, tmp_path):
-        # |Y| < |X|: the DC solver refuses the source (rank below |X|);
-        # the baselines never use the pseudo-inverse and accept it.
+        # |Y| < |X|: the backward block has rank 2 < |X| = 3.
         path = tmp_path / "short.json"
         path.write_text(
             json.dumps({"p_x": [1 / 3] * 3, "p_y_given_x": [[0.6, 0.5, 0.4], [0.4, 0.5, 0.6]]})
@@ -239,14 +238,26 @@ class TestExitCodes:
         rc = run_cli("solve", "--dist", demo_dist_file, "--out", tmp_path / "o.json")
         assert rc == EXIT_INTERNAL
 
-    @pytest.mark.parametrize("command", [("solve",), ("baseline", "--solver", "exhaustive"), ("baseline",)])
-    def test_rank_deficient_source_is_input_error(self, tmp_path, rank_deficient_file, command):
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("solve",),
+            ("baseline", "--solver", "exhaustive"),
+            ("baseline",),
+            ("solve", "--q", "1"),
+            ("sweep", "--restarts", "1", "--set", "beta_grid=0.5,2", "--set", "alpha_grid=1"),
+        ],
+    )
+    def test_rank_deficient_source_is_solved(self, tmp_path, rank_deficient_file, command):
         rc = run_cli(command[0], "--dist", rank_deficient_file, "--out", tmp_path / "o", *command[1:])
-        if command[0] == "solve":
-            assert rc == EXIT_BAD_INPUT
-            return
         assert rc == 0
-        points = read_points_csv(tmp_path / "o")
+        if command[0] == "solve":
+            payload = json.loads((tmp_path / "o").read_text())
+            enc = np.array(payload["encoder"])
+            assert np.all(enc >= 0.0) and np.allclose(enc.sum(axis=0), 1.0, atol=1e-9)
+            points = [SimpleNamespace(**payload)]
+        else:
+            points = read_points_csv(tmp_path / "o")
         assert points
         h_x = np.log2(3.0)
         for p in points:
@@ -273,6 +284,26 @@ class TestExitCodes:
     def test_non_finite_number_is_flag_error(self, tmp_path, demo_dist_file, command):
         out = tmp_path / "o"
         rc = run_cli(command[0], "--dist", demo_dist_file, "--out", out, *command[1:])
+        assert rc == EXIT_BAD_FLAGS
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["i_zx_bits", "stationarity_gap"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_number_is_input_error(self, tmp_path, demo_dist_file, field, value):
+        base = tmp_path / "base.csv"
+        assert run_cli("baseline", "--dist", demo_dist_file, "--out", base, "--solver", "greedy") == 0
+        header, first, *rest = base.read_text().splitlines()
+        row = first.split(",")
+        row[CSV_HEADER.index(field)] = value
+        base.write_text("\n".join([header, ",".join(row), *rest]) + "\n")
+        out = tmp_path / "o.csv"
+        assert run_cli("report", "--inputs", base, "--out", out) == EXIT_BAD_INPUT
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", ["grad_tol=nan", "grad_tol=inf", "grad_tol=-1", "descent_tol=nan"])
+    def test_unusable_verify_tolerance_is_flag_error(self, tmp_path, demo_dist_file, setting):
+        out = tmp_path / "checks.jsonl"
+        rc = run_cli("verify", "--dist", demo_dist_file, "--out", out, "--set", setting)
         assert rc == EXIT_BAD_FLAGS
         assert not out.exists()
 

@@ -18,21 +18,25 @@ from pfdca import (
 from pfdca.dca import (
     DESCENT_SLACK,
     InnerKind,
+    _clog,
+    _compute_c_arr,
     _Problem,
+    _relaxed_target,
+    _ridge_descent,
+    _softmax_cols,
+    _sparse_descent,
     _sparse_gradient,
     _sparse_objective,
-    compute_c,
-    compute_target,
     f_value,
     g_value,
     grad_f,
     grad_g,
-    inner_ridge_solve,
-    inner_sparse_solve,
     project_columns_to_simplex,
 )
-from pfdca.linops import RankDeficiencyError
-from pfdca.probability import bayes_invert, random_encoder, random_interior_encoder
+from pfdca.probability import LOG_CLAMP, bayes_invert, random_encoder, random_interior_encoder
+
+# |Y| < |X|: the backward block has rank 2 < |X| = 3.
+SHORT_CHANNEL = np.array([[0.6, 0.5, 0.4], [0.4, 0.5, 0.6]])
 
 
 def fd_gradient(value, matrix, step=1e-6):
@@ -94,20 +98,20 @@ class TestGradients:
 
 class TestUpdateCoefficients:
     def test_uniform_encoder_constant(self, demo_joint):
-        c = compute_c(Encoder.uniform(3, 3), demo_joint, beta=2.5)
+        c = _compute_c_arr(Encoder.uniform(3, 3).matrix, _Problem.build(demo_joint), 2.5, LOG_CLAMP)
         assert np.allclose(c, np.log(1.0 / 3.0), atol=1e-12)
 
     def test_beta_one_reduces_to_log_encoder(self, demo_joint):
         rng = np.random.default_rng(4)
         enc = random_interior_encoder(rng, 3, 3)
-        c = compute_c(enc, demo_joint, beta=1.0)
+        c = _compute_c_arr(enc.matrix, _Problem.build(demo_joint), 1.0, LOG_CLAMP)
         assert np.allclose(c, np.log(enc.matrix), atol=1e-12)
 
     def test_scalar_recomputation(self, demo_joint):
         rng = np.random.default_rng(5)
         enc = random_interior_encoder(rng, 3, 3)
         beta = 2.0
-        c = compute_c(enc, demo_joint, beta=beta)
+        c = _compute_c_arr(enc.matrix, _Problem.build(demo_joint), beta, LOG_CLAMP)
         px = demo_joint.p_x.probs
         for z in range(3):
             p_z = sum(enc.matrix[z, x] * px[x] for x in range(3))
@@ -118,18 +122,18 @@ class TestUpdateCoefficients:
 
 class TestTarget:
     def test_uniform_encoder_gives_uniform_target(self, demo_joint):
-        target = compute_target(Encoder.uniform(3, 3), demo_joint, beta=1.7)
-        assert np.allclose(target.matrix, 1.0 / 3.0, atol=1e-12)
+        target = _relaxed_target(Encoder.uniform(3, 3).matrix, _Problem.build(demo_joint), 1.7, LOG_CLAMP)
+        assert np.allclose(target, 1.0 / 3.0, atol=1e-12)
         # Linear-solve oracle: constant coefficients solve to a constant,
         # and the softmax of a constant is uniform.
-        c = compute_c(Encoder.uniform(3, 3), demo_joint, beta=1.7)
+        c = _compute_c_arr(Encoder.uniform(3, 3).matrix, _Problem.build(demo_joint), 1.7, LOG_CLAMP)
         solved = np.linalg.solve(demo_joint.y_given_x.matrix.T, c.T).T
         assert np.allclose(solved, solved[0, 0], atol=1e-10)
 
     def test_columns_stochastic(self, demo_joint):
         rng = np.random.default_rng(6)
-        target = compute_target(random_encoder(rng, 4, 3), demo_joint, beta=0.4)
-        assert np.allclose(target.matrix.sum(axis=0), 1.0, atol=1e-12)
+        target = _relaxed_target(random_encoder(rng, 4, 3).matrix, _Problem.build(demo_joint), 0.4, LOG_CLAMP)
+        assert np.allclose(target.sum(axis=0), 1.0, atol=1e-12)
 
     def test_fixed_point_matches_markov_composition(self, fixed_point_joint):
         beta = FIXED_POINT_BETA
@@ -138,25 +142,30 @@ class TestTarget:
         assert fixed is not None
         assert abs(fixed[0, 0] - fixed[0, 1]) > 0.05  # genuinely non-constant
         enc = Encoder.from_matrix(fixed)
-        target = compute_target(enc, fixed_point_joint, beta=beta)
+        target = _relaxed_target(enc.matrix, _Problem.build(fixed_point_joint), beta, LOG_CLAMP)
         composed = markov_compose(enc, bayes_invert(fixed_point_joint))
-        assert np.max(np.abs(target.matrix - composed.matrix)) < 1e-8
+        assert np.max(np.abs(target - composed.matrix)) < 1e-8
 
     def test_constant_encoder_is_exact_fixed_point_at_unit_beta(self, tiny_joint):
         col = np.array([0.35, 0.65])
         enc = Encoder.from_matrix(np.tile(col[:, None], (1, 2)))
-        target = compute_target(enc, tiny_joint, beta=1.0)
+        target = _relaxed_target(enc.matrix, _Problem.build(tiny_joint), 1.0, LOG_CLAMP)
         composed = markov_compose(enc, bayes_invert(tiny_joint))
-        assert np.max(np.abs(target.matrix - composed.matrix)) < 1e-12
+        assert np.max(np.abs(target - composed.matrix)) < 1e-12
 
-    def test_rank_deficient_channel_rejected(self):
-        # |Y| < |X| makes the backward block short of full row rank.
-        channel = np.array([[0.6, 0.5, 0.4], [0.4, 0.5, 0.6]])
-        j = JointXY(DiscreteDist.uniform(3), CondDist(channel))
-        with pytest.raises(RankDeficiencyError):
-            compute_target(Encoder.uniform(2, 3), j, beta=1.0)
-        with pytest.raises(RankDeficiencyError):
-            dca_run(j, 2, DcaConfig(beta=1.0, alpha=1.0))
+    def test_rank_deficient_channel_solved(self):
+        # The pseudo-inverse is defined below full rank, so the relaxed
+        # target and the solver take the source as it is.
+        j = JointXY(DiscreteDist.uniform(3), CondDist(SHORT_CHANNEL))
+        rng = np.random.default_rng(14)
+        target = _relaxed_target(random_encoder(rng, 2, 3).matrix, _Problem.build(j), 1.0, LOG_CLAMP)
+        assert np.all(target >= 0.0) and np.allclose(target.sum(axis=0), 1.0, atol=1e-12)
+        h_x = np.log2(3.0)
+        for inner_kind in InnerKind:
+            res = dca_run(j, 2, DcaConfig(beta=1.0, alpha=1.0, inner_kind=inner_kind))
+            enc = res.encoder.matrix
+            assert np.all(enc >= 0.0) and np.allclose(enc.sum(axis=0), 1.0, atol=1e-12)
+            assert -1e-12 <= res.i_zy_bits <= res.i_zx_bits + 1e-12 <= h_x + 2e-12
 
 
 class TestProblem:
@@ -187,12 +196,18 @@ class TestProblem:
         assert prob() is None
 
     def test_pseudo_inverse_only_for_the_relaxed_step(self):
-        # |Y| < |X|: only the pseudo-inverse needs rank |X|.
-        j = JointXY(DiscreteDist.uniform(3), CondDist(np.array([[0.6, 0.5, 0.4], [0.4, 0.5, 0.6]])))
+        # Built on first read, which only the relaxed target makes; below
+        # full rank it is the Moore-Penrose pseudo-inverse of P(y|x).
+        j = JointXY(DiscreteDist.uniform(3), CondDist(SHORT_CHANNEL))
         prob = _Problem.build(j)
         assert np.isfinite(stationarity_gap(Encoder.uniform(2, 3), j, beta=1.0))
-        with pytest.raises(RankDeficiencyError):
-            prob.b_pinv_t
+        assert "b_pinv_t" not in vars(prob)
+        a, p = prob.pycx, prob.b_pinv_t
+        assert p.shape == (3, 2) and np.all(np.isfinite(p)) and not p.flags.writeable
+        assert np.max(np.abs(a @ p @ a - a)) < 1e-12
+        assert np.max(np.abs(p @ a @ p - p)) < 1e-12
+        assert np.max(np.abs((a @ p).T - a @ p)) < 1e-12
+        assert np.max(np.abs((p @ a).T - p @ a)) < 1e-12
 
 
 class TestSimplexProjection:
@@ -228,16 +243,23 @@ class TestInnerRidge:
         enc_true = random_encoder(rng, 3, 3)
         target = markov_compose(enc_true, bayes_invert(demo_joint))
         cfg = DcaConfig(beta=1.0, alpha=1.0, inner_tol=1e-16, inner_max_iter=20000)
-        got = inner_ridge_solve(target, demo_joint, 1e-12, cfg, Encoder.uniform(3, 3))
+        V, _ = _ridge_descent(
+            Encoder.uniform(3, 3).matrix, target.matrix, _Problem.build(demo_joint), 1e-12,
+            cfg.inner_tol, cfg.inner_max_iter,
+        )
+        got = Encoder.from_matrix(V)
         achieved = markov_compose(got, bayes_invert(demo_joint))
         assert np.linalg.norm(achieved.matrix - target.matrix) <= 1e-6
 
     def test_huge_penalty_gives_uniform(self, demo_joint):
         rng = np.random.default_rng(9)
-        target = compute_target(random_encoder(rng, 3, 3), demo_joint, beta=1.0)
+        prob = _Problem.build(demo_joint)
+        target = _relaxed_target(random_encoder(rng, 3, 3).matrix, prob, 1.0, LOG_CLAMP)
         cfg = DcaConfig(beta=1.0, alpha=1.0)
-        got = inner_ridge_solve(target, demo_joint, 1e6, cfg, random_encoder(rng, 3, 3))
-        assert np.max(np.abs(got.matrix - 1.0 / 3.0)) < 1e-4
+        got, _ = _ridge_descent(
+            random_encoder(rng, 3, 3).matrix, target, prob, 1e6, cfg.inner_tol, cfg.inner_max_iter
+        )
+        assert np.max(np.abs(got - 1.0 / 3.0)) < 1e-4
 
     def test_objective_never_worse_than_warm(self, demo_joint):
         rng = np.random.default_rng(10)
@@ -248,12 +270,13 @@ class TestInnerRidge:
             return 0.5 * np.sum(r * r) + alpha * np.sum(V * V)
 
         cfg = DcaConfig(beta=1.0, alpha=1.0)
+        prob = _Problem.build(demo_joint)
         for alpha in (0.1, 1.0, 10.0):
             warm = random_encoder(rng, 3, 3)
-            target = compute_target(random_encoder(rng, 3, 3), demo_joint, beta=2.0)
-            got = inner_ridge_solve(target, demo_joint, alpha, cfg, warm)
-            assert objective(got.matrix, target.matrix, alpha) <= (
-                objective(warm.matrix, target.matrix, alpha) + 1e-12
+            target = _relaxed_target(random_encoder(rng, 3, 3).matrix, prob, 2.0, LOG_CLAMP)
+            got, _ = _ridge_descent(warm.matrix, target, prob, alpha, cfg.inner_tol, cfg.inner_max_iter)
+            assert objective(got, target, alpha) <= (
+                objective(warm.matrix, target, alpha) + 1e-12
             )
 
 
@@ -268,14 +291,14 @@ class TestInnerSparse:
         log_t = np.log(target.matrix)
         grad, _ = _sparse_gradient(L_star, l_xy, log_t, 0.0)
         assert np.max(np.abs(grad)) <= 1e-10
-        got = inner_sparse_solve(target, demo_joint, 0.0, cfg, Encoder.from_matrix(V))
-        assert np.max(np.abs(got.matrix - V)) < 1e-9
+        L, _ = _sparse_descent(L_star, l_xy, log_t, 0.0, -cfg.box_M, -cfg.box_m, cfg.inner_tol, cfg.inner_max_iter)
+        assert np.max(np.abs(_softmax_cols(L) - V)) < 1e-9
 
     def test_l1_term_is_negated_sum(self, demo_joint):
         rng = np.random.default_rng(12)
         L = -rng.uniform(0.5, 5.0, size=(3, 3))
         l_xy = np.log(bayes_invert(demo_joint).matrix)
-        log_t = np.log(compute_target(Encoder.uniform(3, 3), demo_joint, 1.0).matrix)
+        log_t = np.log(_relaxed_target(Encoder.uniform(3, 3).matrix, _Problem.build(demo_joint), 1.0, LOG_CLAMP))
         alpha = 0.7
         with_pen = _sparse_objective(L, l_xy, log_t, alpha)
         without = _sparse_objective(L, l_xy, log_t, 0.0)
@@ -287,10 +310,17 @@ class TestInnerSparse:
     def test_solution_feasible(self, demo_joint):
         rng = np.random.default_rng(13)
         cfg = DcaConfig(beta=1.0, alpha=1.0, inner_kind=InnerKind.SPARSE_LOG)
-        target = compute_target(random_encoder(rng, 3, 3), demo_joint, beta=3.0)
-        got = inner_sparse_solve(target, demo_joint, 0.5, cfg, random_encoder(rng, 3, 3))
-        assert np.allclose(got.matrix.sum(axis=0), 1.0, atol=1e-12)
-        assert np.min(got.matrix) >= 0.0
+        prob = _Problem.build(demo_joint)
+        target = _relaxed_target(random_encoder(rng, 3, 3).matrix, prob, 3.0, LOG_CLAMP)
+        lo, hi = -cfg.box_M, -cfg.box_m
+        L0 = np.clip(_clog(random_encoder(rng, 3, 3).matrix, cfg.log_clamp), lo, hi)
+        L, _ = _sparse_descent(
+            L0, _clog(prob.pxcy, cfg.log_clamp), _clog(target, cfg.log_clamp), 0.5, lo, hi,
+            cfg.inner_tol, cfg.inner_max_iter,
+        )
+        got = _softmax_cols(L)
+        assert np.allclose(got.sum(axis=0), 1.0, atol=1e-12)
+        assert np.min(got) >= 0.0
 
 
 class TestDcaRun:

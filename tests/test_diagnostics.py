@@ -132,3 +132,17 @@ class TestRunVerification:
     def test_unknown_override_rejected(self, demo_joint):
         with pytest.raises(KeyError):
             run_verification(demo_joint, tolerances={"nope": 1.0})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_unusable_tolerance_rejected(self, demo_joint, value):
+        # A NaN or negative tolerance fails every check and an infinite one
+        # passes every check, so neither certifies anything.
+        with pytest.raises(ValueError, match="grad_tol"):
+            run_verification(demo_joint, tolerances={"grad_tol": value})
+
+    def test_rank_deficient_source_passes(self):
+        # |Y| < |X|: the solver's descent audits run on it like any source.
+        j = JointXY(DiscreteDist.uniform(3), CondDist(np.array([[0.6, 0.5, 0.4], [0.4, 0.5, 0.6]])))
+        reports = run_verification(j, seed=0)
+        assert len(reports) == 9
+        assert all(r.passed for r in reports)

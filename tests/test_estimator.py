@@ -47,6 +47,14 @@ class TestFit:
         b = DcaPrivacyFunnel(card_z=3, seed=5).fit(demo_joint).encoder_.matrix
         assert np.array_equal(a, b)
 
+    def test_fits_fewer_outputs_than_inputs(self):
+        # |Y| = 2 < |X| = 3: a joint pmf of shape (|X|, |Y|) = (3, 2).
+        joint = np.array([[0.6, 0.4], [0.5, 0.5], [0.4, 0.6]]) / 3.0
+        est = DcaPrivacyFunnel(card_z=2, seed=0).fit(joint)
+        assert est.converged_
+        assert np.allclose(est.encoder_.matrix.sum(axis=0), 1.0, atol=1e-12)
+        assert -1e-12 <= est.i_zy_bits_ <= est.i_zx_bits_ + 1e-12
+
     def test_rejects_bad_matrix(self):
         with pytest.raises(ValueError):
             DcaPrivacyFunnel().fit(np.array([[0.5, 0.4], [0.4, 0.5]]))
@@ -75,6 +83,15 @@ class TestTransform:
         labels = est.predict(np.arange(3))
         assert labels.shape == (3,)
         assert set(labels) <= {0, 1, 2}
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, demo_joint, weight):
+        est = DcaPrivacyFunnel(card_z=3, seed=0).fit(demo_joint)
+        rows = np.array([[weight, 1.0, 0.0]])
+        with pytest.raises(ValueError):
+            est.transform(rows)
+        with pytest.raises(ValueError):
+            est.predict(rows)
 
     def test_unfitted_raises(self):
         with pytest.raises(NotFittedError):

@@ -9,11 +9,11 @@ import pytest
 from pfdca import CondDist, DcaConfig, DiscreteDist, Encoder, JointXY
 from pfdca.dca import (
     _Problem,
+    _relaxed_target,
     _ridge_descent,
     _sparse_descent,
-    compute_target,
 )
-from pfdca.probability import random_encoder
+from pfdca.probability import LOG_CLAMP, random_encoder
 
 RIDGE_TOL = 1e-6
 SPARSE_TOL = 1e-5
@@ -41,7 +41,7 @@ def test_ridge_matches_exhaustive_grid(alpha):
     for idx, j in enumerate(make_instances()):
         rng = np.random.default_rng(100 + idx)
         prob = _Problem.build(j)
-        target = compute_target(random_encoder(rng, 2, 2), j, beta=1.5).matrix
+        target = _relaxed_target(random_encoder(rng, 2, 2).matrix, prob, 1.5, LOG_CLAMP)
         grid = np.linspace(0.0, 1.0, 1001)  # resolution 1e-3 over the simplex faces
         a, b = np.meshgrid(grid, grid, indexing="ij")
         j_grid = float(ridge_objective_grid(prob.pxcy, target, alpha, a, b).min())
@@ -87,7 +87,7 @@ def test_sparse_matches_exhaustive_grid(alpha):
     for idx, j in enumerate(make_instances()):
         rng = np.random.default_rng(200 + idx)
         prob = _Problem.build(j)
-        target = compute_target(random_encoder(rng, 2, 2), j, beta=1.5).matrix
+        target = _relaxed_target(random_encoder(rng, 2, 2).matrix, prob, 1.5, LOG_CLAMP)
         l_xy = np.log(prob.pxcy)
         log_t = np.log(target)
         lo, hi = -30.0, -1e-6

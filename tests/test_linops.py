@@ -7,7 +7,7 @@ import pytest
 
 from pfdca import CondDist, DiscreteDist, JointXY
 from pfdca.dca import _Problem, _softmax_cols, _sparse_terms
-from pfdca.linops import MarkovOperator, RankDeficiencyError
+from pfdca.linops import MarkovOperator
 from pfdca.probability import bayes_invert, markov_compose, random_encoder
 
 
@@ -104,15 +104,16 @@ class TestPinv:
         twice = once @ prob.b_pinv_t @ prob.pycx
         assert np.max(np.abs(twice - once)) < 1e-10
 
-    def test_rank_guard(self):
-        # |Y| < |X|: the backward block has rank 2 < |X| = 3.
-        j = JointXY(DiscreteDist.uniform(3), CondDist(np.array([[0.6, 0.5, 0.4], [0.4, 0.5, 0.6]])))
-        with pytest.raises(RankDeficiencyError):
-            _Problem.build(j).b_pinv_t
-        # Without the floor the rank-deficient pseudo-inverse still works.
+    def test_rank_deficient_block(self):
+        # Rank 1 < 2: the truncated SVD still gives the Moore-Penrose
+        # pseudo-inverse, which meets all four of its identities.
         op = MarkovOperator(np.ones((2, 2)) * 0.5)
-        assert op.effective_rank() == 1
-        assert np.all(np.isfinite(op.pinv_block()))
+        b, bp = op.block, op.pinv_block()
+        assert np.all(np.isfinite(bp))
+        assert np.max(np.abs(b @ bp @ b - b)) < 1e-12
+        assert np.max(np.abs(bp @ b @ bp - bp)) < 1e-12
+        assert np.max(np.abs((b @ bp).T - b @ bp)) < 1e-12
+        assert np.max(np.abs((bp @ b).T - bp @ b)) < 1e-12
 
     def test_shape_check(self):
         with pytest.raises(ValueError):

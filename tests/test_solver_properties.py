@@ -5,8 +5,8 @@ The exact step starts each backtracking search at a spectral
 subproblem's optimum at the full budget, that it stays on the simplex
 and never ascends at any budget, and that a step which stops before its
 budget is exactly the full-budget step. The last tests run the guarded
-solver on random full-rank sources: its outputs stay valid, and its
-relaxed step follows the one-rule schedule.
+solver on random sources, full rank or not: its outputs stay valid, and
+its relaxed step follows the one-rule schedule.
 """
 
 import numpy as np
@@ -39,6 +39,28 @@ def full_rank_joint(rng, nx, ny, concentration=1.0):
     noise = rng.dirichlet(np.full(ny, concentration), nx).T
     channel = 0.5 * np.eye(ny, nx) + 0.5 * noise
     return JointXY(DiscreteDist(rng.dirichlet(np.full(nx, 2.0))), CondDist(channel))
+
+
+def rank_deficient_joint(rng, nx, ny, concentration=1.0):
+    """A source whose backward block has rank below |X|: |Y| < |X|, or
+    |Y| = |X| with the channel column of x = 1 a copy of that of x = 0."""
+    channel = rng.dirichlet(np.full(ny, concentration), nx).T
+    if ny == nx:
+        channel[:, 1] = channel[:, 0]
+    return JointXY(DiscreteDist(rng.dirichlet(np.full(nx, 2.0))), CondDist(channel))
+
+
+def check_run(res):
+    """What every run must give: finite, column-stochastic output with no
+    defect, and every accepted step (an exact step descends, a relaxed
+    one ascends by at most the guard's slack) within the guard."""
+    enc = res.encoder.matrix
+    scalars = (res.i_zx_bits, res.i_zy_bits, res.loss_nats, res.stationarity_gap)
+    assert np.all(np.isfinite(enc)) and np.all(np.isfinite(res.loss_trace)) and np.all(np.isfinite(scalars))
+    assert np.all(enc >= 0.0)
+    assert np.allclose(enc.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+    assert not res.defect
+    assert np.all(np.diff(res.loss_trace) <= _ACCEPT_SLACK)
 
 
 def subproblem(seed, concentration=1.0):
@@ -118,34 +140,50 @@ def test_dca_run_on_random_sources(seed, nx, extra_y, card_z, beta, alpha, inner
     rng = np.random.default_rng(seed)
     j = full_rank_joint(rng, nx, nx + extra_y, concentration=float(rng.choice([0.3, 1.0, 10.0])))
     cfg = DcaConfig(beta=beta, alpha=alpha, inner_kind=inner_kind, outer_max_iter=300, seed=seed % 1000)
-    res = dca_run(j, card_z, cfg)
-    enc = res.encoder.matrix
-    scalars = (res.i_zx_bits, res.i_zy_bits, res.loss_nats, res.stationarity_gap)
-    assert np.all(np.isfinite(enc)) and np.all(np.isfinite(res.loss_trace)) and np.all(np.isfinite(scalars))
-    assert np.all(enc >= 0.0)
-    assert np.allclose(enc.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
-    assert not res.defect
-    # Every accepted step: an exact step descends, a relaxed one ascends by
-    # at most the guard's slack.
-    assert np.all(np.diff(res.loss_trace) <= _ACCEPT_SLACK)
+    check_run(dca_run(j, card_z, cfg))
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     seed=st.integers(0, 2**32 - 1),
-    demo=st.booleans(),
+    nx=st.integers(2, 5),
+    ny_short=st.integers(0, 4),
+    card_z=st.integers(2, 4),
+    beta=st.sampled_from([0.3, 1.0, 3.0, 10.0]),
+    alpha=st.sampled_from([0.3, 1.0, 10.0]),
+    inner_kind=st.sampled_from(["ridge", "sparse_log"]),
+)
+def test_dca_run_on_rank_deficient_sources(seed, nx, ny_short, card_z, beta, alpha, inner_kind):
+    # |Y| in 1..|X|-1, or |Y| = |X| with a duplicated channel column when
+    # ny_short is 0. The relaxed step reads the truncated pseudo-inverse.
+    rng = np.random.default_rng(seed)
+    ny = nx - min(ny_short, nx - 1)
+    j = rank_deficient_joint(rng, nx, ny, concentration=float(rng.choice([0.3, 1.0, 10.0])))
+    cfg = DcaConfig(beta=beta, alpha=alpha, inner_kind=inner_kind, seed=seed % 1000)
+    res = dca_run(j, card_z, cfg)
+    check_run(res)
+    assert res.converged
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    source=st.sampled_from(["random", "demo", "short"]),
     card_z=st.integers(2, 4),
     beta=st.sampled_from([0.3, 1.0, 3.0, 10.0]),
     alpha=st.sampled_from([0.1, 1.0, 10.0]),
     inner_kind=st.sampled_from(["ridge", "sparse_log"]),
 )
-def test_relaxed_step_is_rejected_at_most_once(seed, demo, card_z, beta, alpha, inner_kind):
+def test_relaxed_step_is_rejected_at_most_once(seed, source, card_z, beta, alpha, inner_kind):
     # The relaxed step is tried every iteration until its first rejection
     # or stall, so at most one attempt is not an accepted step. Each
     # attempt computes the update coefficients once.
     rng = np.random.default_rng(seed)
-    if demo:
+    if source == "demo":
         j = JointXY(DiscreteDist(DEMO_PX.copy()), CondDist(DEMO_CHANNEL.copy()))
+    elif source == "short":
+        # |Y| = 2 < |X| = 3.
+        j = JointXY(DiscreteDist.uniform(3), CondDist(np.array([[0.6, 0.5, 0.4], [0.4, 0.5, 0.6]])))
     else:
         nx = int(rng.integers(2, 5))
         j = full_rank_joint(rng, nx, nx + int(rng.integers(0, 3)), concentration=float(rng.choice([0.3, 1.0, 10.0])))
