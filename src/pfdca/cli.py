@@ -90,9 +90,6 @@ _DCA_FIELD_PARSERS = {
     "outer_max_iter": int,
     "inner_tol": float,
     "inner_max_iter": int,
-    "box_m": float,
-    "box_M": float,
-    "log_clamp": float,
 }
 
 _SWEEP_FIELD_PARSERS = {

@@ -39,14 +39,15 @@ first rejects it or it first stalls (its loss drop is at most the outer
 tolerance; a stalled step is still taken). From then on the run takes
 exact steps alone: direct projected-gradient descent on the linearized
 objective ``f(p) - <grad g(p_k), p>``, any decrease of which certifies
-a decrease of the true loss. It declares convergence only when a
-full-budget exact step cannot improve the loss beyond the outer
-tolerance (an exact step that stopped before its budget already is the
-full-budget one). This preserves the monotone-descent certificate and
-leaves the final encoder approximately stationary. Exact (fallback)
-steps are counted on the result; an accepted ascent beyond
-``DESCENT_SLACK`` (never produced by the guard) would be flagged as a
-defect.
+a decrease of the true loss. Every exact step runs at the one budget
+``_SURROGATE_STEP_ITERS``; ``inner_max_iter`` caps only the relaxed
+inner solves. The run declares convergence when an exact step stops
+before its budget, and so is the step any larger budget would give,
+without improving the loss beyond the outer tolerance. This preserves
+the monotone-descent certificate and leaves the final encoder
+approximately stationary. Exact (fallback) steps are counted on the
+result; an accepted ascent beyond ``DESCENT_SLACK`` (never produced by
+the guard) would be flagged as a defect.
 """
 
 import functools
@@ -61,7 +62,6 @@ from .linops import MarkovOperator
 from .probability import (
     LOG_CLAMP,
     NATS_TO_BITS,
-    CondDist,
     Encoder,
     JointXY,
     _plogp,
@@ -78,6 +78,9 @@ _ACCEPT_SLACK = 1e-12
 _CERT_SLACK = 1e-6
 # Iteration cap for one guarded descent step on the linearized objective.
 _SURROGATE_STEP_ITERS = 60
+# Box on the q=1 log-likelihoods: every entry lies in [_BOX_LO, _BOX_HI].
+_BOX_LO = -30.0
+_BOX_HI = -1e-6
 # P(z|x) above which a code counts as supported in the stationarity gap.
 _SUPPORT_TOL = 1e-8
 
@@ -104,15 +107,7 @@ def _armijo_steps() -> tuple:
     return tuple(steps)
 
 
-# Step factors the q=1 inner solve tries per batch. Backtracking from the
-# spectral step takes about 1.3 trials per iteration on average and rarely
-# more than 4, so one batch settles almost every iteration.
-_SPARSE_TRIAL_CHUNK = 4
 _ARMIJO_STEPS = _armijo_steps()
-_ARMIJO_STEP_CHUNKS = tuple(
-    np.array(_ARMIJO_STEPS[i:i + _SPARSE_TRIAL_CHUNK])[:, None, None]
-    for i in range(0, len(_ARMIJO_STEPS), _SPARSE_TRIAL_CHUNK)
-)
 
 
 def _spectral_step(s: np.ndarray, y: np.ndarray) -> float:
@@ -147,17 +142,12 @@ class DcaConfig:
     outer_max_iter: int = 10000
     inner_tol: float = 1e-9
     inner_max_iter: int = 5000
-    box_m: float = 1e-6
-    box_M: float = 30.0
-    log_clamp: float = LOG_CLAMP
     seed: int = 0
 
     def __post_init__(self):
         if not _finite_positive(self.beta, self.alpha):
             raise ValueError("beta and alpha must be finite and positive")
-        if not (_finite_positive(self.box_m, self.box_M) and self.box_m < self.box_M):
-            raise ValueError("box bounds must be finite and satisfy 0 < box_m < box_M")
-        if not _finite_positive(self.outer_tol, self.inner_tol, self.log_clamp):
+        if not _finite_positive(self.outer_tol, self.inner_tol):
             raise ValueError("tolerances must be finite and positive")
         if self.outer_max_iter < 1 or self.inner_max_iter < 1:
             raise ValueError("iteration limits must be >= 1")
@@ -339,33 +329,26 @@ def _ridge_descent(V, target, prob: _Problem, alpha, tol, max_iter):
 
 
 def _sparse_terms(L, l_xy):
-    """``(s, lse)`` of the q=1 inner problem at ``L`` of shape (|Z|, |X|)
-    or at each slice of a C-ordered stack of shape (k, |Z|, |X|):
+    """``(s, lse)`` of the q=1 inner problem at ``L`` of shape (|Z|, |X|):
     ``s[z, x, y] = L[z, x] + l_xy[x, y]`` and its log-sum-exp over x."""
-    s = L[..., :, :, None] + l_xy
-    mx = s.max(axis=-2)
-    return s, mx + np.log(np.exp(s - mx[..., None, :]).sum(axis=-2))
+    s = L[:, :, None] + l_xy
+    mx = s.max(axis=1)
+    return s, mx + np.log(np.exp(s - mx[:, None, :]).sum(axis=1))
 
 
 def _sparse_objective(L, l_xy, log_target, alpha, lse=None):
-    """Objective of the q=1 inner problem at ``L`` of shape (|Z|, |X|),
-    or at each slice of a C-ordered stack of shape (k, |Z|, |X|); a slice
-    gives exactly the value a 2-D call on it gives. ``lse`` is the
-    log-sum-exp of ``_sparse_terms(L, l_xy)`` when already computed."""
+    """Objective of the q=1 inner problem at ``L`` of shape (|Z|, |X|).
+    ``lse`` is the log-sum-exp of ``_sparse_terms(L, l_xy)`` when already
+    computed."""
     if lse is None:
         _, lse = _sparse_terms(L, l_xy)
     resid = lse - log_target
-    sq = resid * resid
-    if L.ndim == 2:
-        return 0.5 * float(sq.sum()) - alpha * float(L.sum())
-    k = len(L)
-    return 0.5 * sq.reshape(k, -1).sum(axis=1) - alpha * L.reshape(k, -1).sum(axis=1)
+    return 0.5 * float((resid * resid).sum()) - alpha * float(L.sum())
 
 
 def _sparse_gradient(L, l_xy, log_target, alpha, terms=None):
-    """Gradient and residual of the q=1 objective at a 2-D ``L``; ``terms``
-    is ``_sparse_terms(L, l_xy)`` (or a slice of a stacked call) when
-    already computed."""
+    """Gradient and residual of the q=1 objective at ``L``; ``terms`` is
+    ``_sparse_terms(L, l_xy)`` when already computed."""
     s, lse = _sparse_terms(L, l_xy) if terms is None else terms
     resid = lse - log_target
     weights = np.exp(s - lse[:, None, :])
@@ -376,12 +359,12 @@ def _sparse_descent(L, l_xy, log_target, alpha, lo, hi, tol, max_iter):
     """Armijo projected gradient on the box of log-likelihoods.
 
     Each backtracking search starts at the spectral step of the last
-    accepted move. Its step sizes are tried a chunk at a time, and the
-    first that passes the Armijo test in sequential order is taken, so
-    the iterates are those of one-at-a-time backtracking.
+    accepted move and tries it times each factor of ``_ARMIJO_STEPS`` in
+    turn. The accepted trial's log-sum-exp is reused for the next
+    gradient.
     """
-    # The stacked trials are C-ordered; a C-ordered start keeps every
-    # objective summed in that same order.
+    # Iterates keep the start's memory layout, which sets the order of
+    # every sum; a C-ordered start gives every caller the same bits.
     L = np.ascontiguousarray(L)
     terms = _sparse_terms(L, l_xy)
     obj = _sparse_objective(L, l_xy, log_target, alpha, terms[1])
@@ -390,22 +373,18 @@ def _sparse_descent(L, l_xy, log_target, alpha, lo, hi, tol, max_iter):
         grad, _ = _sparse_gradient(L, l_xy, log_target, alpha, terms)
         if prev is not None:
             first = _spectral_step(L - prev[0], grad - prev[1])
-        for steps in _ARMIJO_STEP_CHUNKS:
-            trials = np.maximum(L - (first * steps) * grad, lo)
-            np.minimum(trials, hi, out=trials)
-            trial_s, trial_lse = _sparse_terms(trials, l_xy)
-            trial_objs = _sparse_objective(trials, l_xy, log_target, alpha, trial_lse)
-            slopes = (grad * (trials - L)).reshape(len(steps), -1).sum(axis=1)
-            passed = trial_objs <= obj + _ARMIJO_DECREASE * slopes
-            k = passed.argmax()
-            if passed[k]:
+        for step in _ARMIJO_STEPS:
+            trial = np.maximum(L - (first * step) * grad, lo)
+            np.minimum(trial, hi, out=trial)
+            trial_terms = _sparse_terms(trial, l_xy)
+            trial_obj = _sparse_objective(trial, l_xy, log_target, alpha, trial_terms[1])
+            if trial_obj <= obj + _ARMIJO_DECREASE * float((grad * (trial - L)).sum()):
                 break
         else:
             break
-        trial_obj = float(trial_objs[k])
         done = abs(obj - trial_obj) <= tol * max(1.0, abs(obj))
         prev = L, grad
-        L, obj, terms = trials[k], trial_obj, (trial_s[k], trial_lse[k])
+        L, obj, terms = trial, trial_obj, trial_terms
         if done:
             break
     return L, obj
@@ -416,12 +395,12 @@ def _surrogate_descent(V, grad_g_k, prob: _Problem, clamp, tol, max_iter):
     ``f(p) - <grad_g_k, p>`` starting from the current iterate.
 
     Any decrease here certifies a decrease of the true loss, so this is
-    the guard's fallback when a relaxed candidate ascends. Each
-    backtracking search starts at the spectral step of the last accepted
-    move, taken over the coordinates positive before and after it.
-    Returns the iterate and whether the loop stopped before using
-    its whole budget, in which case any larger budget returns the same
-    iterate.
+    the exact step that the guard falls back on. Each backtracking search
+    starts at the spectral step of the last accepted move, taken over the
+    coordinates positive before and after it, and tries it times each
+    factor of ``_ARMIJO_STEPS`` in turn. Returns the iterate and whether
+    the loop stopped before using its whole budget, in which case any
+    larger budget returns the same iterate.
     """
     obj = _f_value_arr(V, prob) - float((grad_g_k * V).sum())
     first, prev = _SPECTRAL_FALLBACK, None
@@ -452,72 +431,32 @@ def _surrogate_descent(V, grad_g_k, prob: _Problem, clamp, tol, max_iter):
 # public operations
 
 
-def grad_g(enc: Encoder, j: JointXY, beta: float, log_clamp: float = LOG_CLAMP) -> np.ndarray:
-    """Gradient of the linearized part w.r.t. P(z|x), shape (|Z|, |X|).
-
-    Entry (z, x) is ``P(x) * (log P(z) + 1 + beta * log(P(z|x)/P(z)))``.
-    """
-    return _grad_g_arr(enc.matrix, _Problem.build(j), beta, log_clamp)
-
-
-def grad_f(enc: Encoder, j: JointXY, log_clamp: float = LOG_CLAMP) -> np.ndarray:
-    """Gradient of the convex part: ``P(x) * (sum_y P(y|x) log P(z|y) + 1)``."""
-    return _grad_f_arr(enc.matrix, _Problem.build(j), log_clamp)
-
-
-def g_value(matrix: np.ndarray, j: JointXY, beta: float) -> float:
-    """Natural extension of the linearized part to raw non-negative matrices.
-
-    Exposed so derivative checks can probe off-simplex perturbations.
-    """
-    return _g_value_arr(np.asarray(matrix, dtype=float), _Problem.build(j), beta)
-
-
-def f_value(matrix: np.ndarray, j: JointXY) -> float:
-    """Natural extension of the convex part to raw non-negative matrices."""
-    return _f_value_arr(np.asarray(matrix, dtype=float), _Problem.build(j))
-
-
-def project_columns_to_simplex(m: np.ndarray) -> CondDist:
-    """Euclidean projection of each column onto the probability simplex."""
-    m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("projection input must be finite")
-    return CondDist(_simplex_project_columns(m))
-
-
-def _stationarity_gap_arr(V: np.ndarray, prob: _Problem, beta: float, support_tol: float, clamp: float) -> float:
-    diff = _grad_f_arr(V, prob, clamp) - _grad_g_arr(V, prob, beta, clamp)
-    mask = V > support_tol
+def _stationarity_gap_arr(V: np.ndarray, prob: _Problem, beta: float) -> float:
+    diff = _grad_f_arr(V, prob, LOG_CLAMP) - _grad_g_arr(V, prob, beta, LOG_CLAMP)
+    mask = V > _SUPPORT_TOL
     counts = mask.sum(axis=0)
     mean = np.where(counts > 0, (diff * mask).sum(axis=0) / np.maximum(counts, 1), 0.0)
     residual = (diff - mean[None, :]) * mask
     return float(np.max(np.abs(residual)))
 
 
-def stationarity_gap(
-    enc: Encoder,
-    j: JointXY,
-    beta: float,
-    support_tol: float = _SUPPORT_TOL,
-    log_clamp: float = LOG_CLAMP,
-) -> float:
+def stationarity_gap(enc: Encoder, j: JointXY, beta: float) -> float:
     """Interior-restricted first-order residual ``max |grad f - grad g|``.
 
-    Per column the mean over supported codes (P(z|x) > ``support_tol``)
-    is subtracted, playing the role of the simplex multiplier, and
+    Per column the mean over supported codes (P(z|x) above 1e-8) is
+    subtracted, playing the role of the simplex multiplier, and
     coordinates at the active lower bound are zeroed.
     """
-    return _stationarity_gap_arr(enc.matrix, _Problem.build(j), beta, support_tol, log_clamp)
+    return _stationarity_gap_arr(enc.matrix, _Problem.build(j), beta)
 
 
 def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None) -> DcaResult:
     """Run the guarded difference-of-convex iteration to convergence.
 
-    Stops once a full-budget exact step cannot lower the loss by more
-    than ``cfg.outer_tol``, or after ``cfg.outer_max_iter`` iterations;
-    the reported trace holds the loss after every accepted step,
-    starting at the initial encoder.
+    Stops once an exact step that stopped before its budget cannot lower
+    the loss by more than ``cfg.outer_tol``, or after
+    ``cfg.outer_max_iter`` iterations; the reported trace holds the loss
+    after every accepted step, starting at the initial encoder.
     """
     if card_z < 1:
         raise ValueError("card_z must be >= 1")
@@ -530,8 +469,7 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
         V = random_encoder(rng, card_z, j.n_x).matrix.copy()
 
     prob = _Problem.build(j)
-    beta, alpha, clamp = cfg.beta, cfg.alpha, cfg.log_clamp
-    lo, hi = -cfg.box_M, -cfg.box_m
+    beta, alpha, clamp = cfg.beta, cfg.alpha, LOG_CLAMP
     sparse = cfg.inner_kind is InnerKind.SPARSE_LOG
     l_xy = _clog(prob.pxcy, clamp) if sparse else None
 
@@ -542,24 +480,15 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
     relaxed_phase = True
     iterations = 0
 
-    def exact_step(V, max_iter):
-        grad_g_k = _grad_g_arr(V, prob, beta, clamp)
-        cand, stopped = _surrogate_descent(V, grad_g_k, prob, clamp, cfg.inner_tol, max_iter)
-        return cand, _loss(cand, prob, beta), stopped
-
-    def cert_ok(drop, cand):
-        move = (cand - V) @ prob.px
-        return drop >= 0.5 * float(move @ move) - _CERT_SLACK
-
     for it in range(1, cfg.outer_max_iter + 1):
         iterations = it
         cand = None
         if relaxed_phase:
             target = _relaxed_target(V, prob, beta, clamp)
             if sparse:
-                L0 = np.clip(_clog(V, clamp), lo, hi)
+                L0 = np.clip(_clog(V, clamp), _BOX_LO, _BOX_HI)
                 L, _ = _sparse_descent(
-                    L0, l_xy, _clog(target, clamp), alpha, lo, hi, cfg.inner_tol, cfg.inner_max_iter
+                    L0, l_xy, _clog(target, clamp), alpha, _BOX_LO, _BOX_HI, cfg.inner_tol, cfg.inner_max_iter
                 )
                 cand = _softmax_cols(L)
             else:
@@ -568,29 +497,28 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
                 )
             cand_loss = _loss(cand, prob, beta)
             drop = loss - cand_loss
-            if drop < -_ACCEPT_SLACK or not cert_ok(drop, cand):
+            # The decrease certificate is written so that a NaN fails it.
+            move = (cand - V) @ prob.px
+            if drop < -_ACCEPT_SLACK or not drop >= 0.5 * float(move @ move) - _CERT_SLACK:
                 cand = None
             # A rejected or stalled relaxed step ends the relaxed phase; a
             # stalled one is still taken, and exact steps polish from there.
             relaxed_phase = cand is not None and drop > cfg.outer_tol
         if cand is None:
-            # Guarded step: descend the linearization directly.
+            # Guarded step: descend the linearization directly. A step that
+            # stopped before its budget is the one any larger budget gives,
+            # so if it cannot improve past the outer tolerance the run has
+            # converged.
             fallback_steps += 1
-            cand, cand_loss, stopped = exact_step(V, _SURROGATE_STEP_ITERS)
-            if loss - cand_loss <= cfg.outer_tol or not cert_ok(loss - cand_loss, cand):
-                # Escalate to a full-budget solve of the linearized problem;
-                # at its minimizer the quadratic certificate holds up to the
-                # solver tolerance, and failure to improve past the outer
-                # tolerance certifies convergence. A plain step that stopped
-                # before its budget already is that solve.
-                if not stopped or cfg.inner_max_iter < _SURROGATE_STEP_ITERS:
-                    cand, cand_loss, _ = exact_step(V, cfg.inner_max_iter)
-                if loss - cand_loss <= cfg.outer_tol:
-                    if cand_loss <= loss:
-                        V, loss = cand, cand_loss
-                        trace.append(loss)
-                    converged = True
-                    break
+            grad_g_k = _grad_g_arr(V, prob, beta, clamp)
+            cand, stopped = _surrogate_descent(V, grad_g_k, prob, clamp, cfg.inner_tol, _SURROGATE_STEP_ITERS)
+            cand_loss = _loss(cand, prob, beta)
+            if stopped and loss - cand_loss <= cfg.outer_tol:
+                if cand_loss <= loss:
+                    V, loss = cand, cand_loss
+                    trace.append(loss)
+                converged = True
+                break
         V, loss = cand, cand_loss
         trace.append(loss)
 
@@ -603,7 +531,7 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
         loss_trace=trace_arr,
         converged=converged,
         iterations=iterations,
-        stationarity_gap=_stationarity_gap_arr(enc.matrix, prob, beta, _SUPPORT_TOL, clamp),
+        stationarity_gap=_stationarity_gap_arr(enc.matrix, prob, beta),
         i_zx_bits=izx * NATS_TO_BITS,
         i_zy_bits=izy * NATS_TO_BITS,
         loss_nats=loss,

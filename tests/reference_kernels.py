@@ -1,9 +1,9 @@
 """Sequential reference kernels of the DC solver.
 
-These are one-trial-at-a-time implementations of the solver's kernels,
-as they were before the q=1 line search was batched and the kernels
-trimmed. Tests assert that the package's kernels return exactly the same
-arrays, bit for bit. The q=1 descent starts each backtracking search at
+These are plain implementations of the solver's kernels, as they were
+before the kernels were trimmed: one trial at a time, with every
+objective and gradient computed from scratch. Tests assert that the
+package's kernels return exactly the same arrays, bit for bit. The q=1 descent starts each backtracking search at
 the safeguarded spectral step, as the package does.
 
 ``surrogate_descent`` is the exact step as it was before its searches

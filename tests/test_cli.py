@@ -273,7 +273,7 @@ class TestExitCodes:
             ("solve", "--beta", "nan"),
             ("solve", "--alpha", "inf"),
             ("solve", "--tol", "nan"),
-            ("solve", "--set", "box_M=inf"),
+            ("solve", "--set", "inner_tol=inf"),
             ("baseline", "--beta", "nan"),
             ("baseline", "--solver", "exhaustive", "--beta", "inf"),
             ("sweep", "--set", "beta_grid=nan,2"),

@@ -16,22 +16,24 @@ from pfdca import (
     stationarity_gap,
 )
 from pfdca.dca import (
+    _BOX_HI,
+    _BOX_LO,
     DESCENT_SLACK,
     InnerKind,
     _clog,
     _compute_c_arr,
+    _f_value_arr,
+    _g_value_arr,
+    _grad_f_arr,
+    _grad_g_arr,
     _Problem,
     _relaxed_target,
     _ridge_descent,
+    _simplex_project_columns,
     _softmax_cols,
     _sparse_descent,
     _sparse_gradient,
     _sparse_objective,
-    f_value,
-    g_value,
-    grad_f,
-    grad_g,
-    project_columns_to_simplex,
 )
 from pfdca.probability import LOG_CLAMP, bayes_invert, random_encoder, random_interior_encoder
 
@@ -55,35 +57,35 @@ class TestGradients:
     def test_grad_g_uniform_closed_form(self):
         j = JointXY(DiscreteDist.uniform(3), CondDist.identity(3))
         for beta in (0.3, 1.0, 4.0):
-            got = grad_g(Encoder.uniform(3, 3), j, beta)
+            got = _grad_g_arr(Encoder.uniform(3, 3).matrix, _Problem.build(j), beta, LOG_CLAMP)
             assert np.allclose(got, (1.0 / 3.0) * (np.log(1.0 / 3.0) + 1.0), atol=1e-12)
 
     def test_grad_g_matches_fd(self, demo_joint):
         rng = np.random.default_rng(0)
         for beta in (0.5, 1.0, 3.0):
             enc = random_interior_encoder(rng, 3, 3)
-            analytic = grad_g(enc, demo_joint, beta)
-            fd = fd_gradient(lambda m: g_value(m, demo_joint, beta), enc.matrix)
+            analytic = _grad_g_arr(enc.matrix, _Problem.build(demo_joint), beta, LOG_CLAMP)
+            fd = fd_gradient(lambda m: _g_value_arr(m, _Problem.build(demo_joint), beta), enc.matrix)
             rel = np.max(np.abs(analytic - fd)) / np.max(np.abs(analytic))
             assert rel < 1e-6
 
     def test_grad_g_beta_zero_is_entropy_gradient(self, demo_joint):
         rng = np.random.default_rng(1)
         enc = random_interior_encoder(rng, 3, 3)
-        got = grad_g(enc, demo_joint, 0.0)
+        got = _grad_g_arr(enc.matrix, _Problem.build(demo_joint), 0.0, LOG_CLAMP)
         pz = enc.matrix @ demo_joint.p_x.probs
         expected = demo_joint.p_x.probs[None, :] * (np.log(pz)[:, None] + 1.0)
         assert np.allclose(got, expected, atol=1e-12)
 
     def test_grad_f_single_code(self, demo_joint):
-        got = grad_f(Encoder.uniform(1, 3), demo_joint)
+        got = _grad_f_arr(Encoder.uniform(1, 3).matrix, _Problem.build(demo_joint), LOG_CLAMP)
         assert np.allclose(got, demo_joint.p_x.probs[None, :], atol=1e-12)
 
     def test_grad_f_matches_fd(self, demo_joint):
         rng = np.random.default_rng(2)
         enc = random_interior_encoder(rng, 4, 3)
-        analytic = grad_f(enc, demo_joint)
-        fd = fd_gradient(lambda m: f_value(m, demo_joint), enc.matrix)
+        analytic = _grad_f_arr(enc.matrix, _Problem.build(demo_joint), LOG_CLAMP)
+        fd = fd_gradient(lambda m: _f_value_arr(m, _Problem.build(demo_joint)), enc.matrix)
         rel = np.max(np.abs(analytic - fd)) / np.max(np.abs(analytic))
         assert rel < 1e-6
 
@@ -91,7 +93,7 @@ class TestGradients:
         j = JointXY(DiscreteDist(np.array([0.2, 0.8])), CondDist.identity(2))
         rng = np.random.default_rng(3)
         enc = random_interior_encoder(rng, 2, 2)
-        got = grad_f(enc, j)
+        got = _grad_f_arr(enc.matrix, _Problem.build(j), LOG_CLAMP)
         expected = j.p_x.probs[None, :] * (np.log(enc.matrix) + 1.0)
         assert np.allclose(got, expected, atol=1e-10)
 
@@ -213,28 +215,24 @@ class TestProblem:
 class TestSimplexProjection:
     def test_stochastic_column_unchanged(self):
         m = np.array([[0.2, 0.7], [0.8, 0.3]])
-        assert np.allclose(project_columns_to_simplex(m).matrix, m, atol=1e-15)
+        assert np.allclose(_simplex_project_columns(m), m, atol=1e-15)
 
     def test_axis_point(self):
-        out = project_columns_to_simplex(np.array([[2.0], [0.0]]))
-        assert np.allclose(out.matrix[:, 0], [1.0, 0.0], atol=1e-15)
+        out = _simplex_project_columns(np.array([[2.0], [0.0]]))
+        assert np.allclose(out[:, 0], [1.0, 0.0], atol=1e-15)
 
     def test_equal_shift(self):
-        out = project_columns_to_simplex(np.array([[0.6], [0.6]]))
-        assert np.allclose(out.matrix[:, 0], [0.5, 0.5], atol=1e-15)
+        out = _simplex_project_columns(np.array([[0.6], [0.6]]))
+        assert np.allclose(out[:, 0], [0.5, 0.5], atol=1e-15)
 
     def test_idempotent_on_random(self):
         rng = np.random.default_rng(7)
         m = rng.normal(size=(5, 40))
-        once = project_columns_to_simplex(m).matrix
-        twice = project_columns_to_simplex(once).matrix
+        once = _simplex_project_columns(m)
+        twice = _simplex_project_columns(once)
         assert np.max(np.abs(twice - once)) < 1e-12
         assert np.allclose(once.sum(axis=0), 1.0, atol=1e-12)
         assert np.min(once) >= 0.0
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            project_columns_to_simplex(np.array([[np.inf], [0.0]]))
 
 
 class TestInnerRidge:
@@ -286,12 +284,12 @@ class TestInnerSparse:
         V = random_interior_encoder(rng, 3, 3).matrix
         cfg = DcaConfig(beta=1.0, alpha=1.0)
         l_xy = np.log(bayes_invert(demo_joint).matrix)
-        L_star = np.clip(np.log(V), -cfg.box_M, -cfg.box_m)
+        L_star = np.clip(np.log(V), _BOX_LO, _BOX_HI)
         target = markov_compose(Encoder.from_matrix(V), bayes_invert(demo_joint))
         log_t = np.log(target.matrix)
         grad, _ = _sparse_gradient(L_star, l_xy, log_t, 0.0)
         assert np.max(np.abs(grad)) <= 1e-10
-        L, _ = _sparse_descent(L_star, l_xy, log_t, 0.0, -cfg.box_M, -cfg.box_m, cfg.inner_tol, cfg.inner_max_iter)
+        L, _ = _sparse_descent(L_star, l_xy, log_t, 0.0, _BOX_LO, _BOX_HI, cfg.inner_tol, cfg.inner_max_iter)
         assert np.max(np.abs(_softmax_cols(L) - V)) < 1e-9
 
     def test_l1_term_is_negated_sum(self, demo_joint):
@@ -312,10 +310,10 @@ class TestInnerSparse:
         cfg = DcaConfig(beta=1.0, alpha=1.0, inner_kind=InnerKind.SPARSE_LOG)
         prob = _Problem.build(demo_joint)
         target = _relaxed_target(random_encoder(rng, 3, 3).matrix, prob, 3.0, LOG_CLAMP)
-        lo, hi = -cfg.box_M, -cfg.box_m
-        L0 = np.clip(_clog(random_encoder(rng, 3, 3).matrix, cfg.log_clamp), lo, hi)
+        lo, hi = _BOX_LO, _BOX_HI
+        L0 = np.clip(_clog(random_encoder(rng, 3, 3).matrix, LOG_CLAMP), lo, hi)
         L, _ = _sparse_descent(
-            L0, _clog(prob.pxcy, cfg.log_clamp), _clog(target, cfg.log_clamp), 0.5, lo, hi,
+            L0, _clog(prob.pxcy, LOG_CLAMP), _clog(target, LOG_CLAMP), 0.5, lo, hi,
             cfg.inner_tol, cfg.inner_max_iter,
         )
         got = _softmax_cols(L)
@@ -417,8 +415,8 @@ class TestStationarityGap:
         enc = random_interior_encoder(rng, 3, 3)
         beta = 1.4
         got = stationarity_gap(enc, demo_joint, beta=beta)
-        fd_f = fd_gradient(lambda m: f_value(m, demo_joint), enc.matrix)
-        fd_g = fd_gradient(lambda m: g_value(m, demo_joint, beta), enc.matrix)
+        fd_f = fd_gradient(lambda m: _f_value_arr(m, _Problem.build(demo_joint)), enc.matrix)
+        fd_g = fd_gradient(lambda m: _g_value_arr(m, _Problem.build(demo_joint), beta), enc.matrix)
         diff = fd_f - fd_g
         worst = 0.0
         for x in range(3):
@@ -437,12 +435,13 @@ class TestRestrictedConvexityDirect:
     def test_lemma_inequality_on_random_pairs(self, demo_joint):
         rng = np.random.default_rng(16)
         px = demo_joint.p_x.probs
+        prob = _Problem.build(demo_joint)
         for _ in range(200):
             p = random_interior_encoder(rng, 3, 3).matrix
             q = random_interior_encoder(rng, 3, 3).matrix
             for beta in (0.1, 1.0, 10.0):
-                lhs = g_value(p, demo_joint, beta) - g_value(q, demo_joint, beta)
-                grad_q = grad_g(Encoder.from_matrix(q), demo_joint, beta)
+                lhs = _g_value_arr(p, prob, beta) - _g_value_arr(q, prob, beta)
+                grad_q = _grad_g_arr(Encoder.from_matrix(q).matrix, prob, beta, LOG_CLAMP)
                 inner = float(np.sum(grad_q * (p - q)))
                 move = (p - q) @ px
                 assert lhs - inner - 0.5 * float(move @ move) >= -1e-9

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,14 @@ class TestValidationHelpers:
     def test_check_symbols_bad_index(self):
         with pytest.raises(ValueError):
             check_symbols(np.array([3]), 3)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_check_symbols_non_finite_index(self, value):
+        # The check runs before the cast to int, which would only warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                check_symbols(np.array([0.0, value]), 3)
 
     def test_check_symbols_negative_weight(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,10 @@
 """The solver's kernels return exactly what the sequential reference
 kernels return: same arrays, same bits.
 
-The q=1 line search tries its step sizes a chunk at a time, reuses the
-accepted trial's log-sum-exp for the next gradient, and the projection
-and entropy kernels use fewer NumPy calls; none of this may change a
-single output bit, so every comparison here is exact.
+The q=1 line search reuses the accepted trial's log-sum-exp for the
+next gradient, and the projection and entropy kernels use fewer NumPy
+calls; none of this may change a single output bit, so every comparison
+here is exact.
 """
 
 import numpy as np
@@ -19,9 +19,6 @@ from pfdca.dca import (
     _neg_plogp_sum,
     _simplex_project_columns,
     _sparse_descent,
-    _sparse_gradient,
-    _sparse_objective,
-    _sparse_terms,
     _spectral_step,
 )
 from pfdca.probability import _plogp, column_entropies_nats, entropy_nats
@@ -104,9 +101,9 @@ def test_sparse_descent_matches_sequential(seed, nz, nx, ny, alpha, kind, zero_c
     assert_same_solve(L0, l_xy, log_t, alpha, tol, 150)
 
 
-def test_sparse_descent_past_first_chunk():
-    # A solve in which one iteration backtracks at least 8 times, so no step
-    # of the first two chunks of 4 passes the Armijo test.
+def test_sparse_descent_with_long_backtracking():
+    # A solve in which one iteration backtracks at least 8 times before a
+    # step passes the Armijo test.
     L0, l_xy, log_t = sparse_instance(72, 5, 4, 8)
     halvings = []
     ref.sparse_descent(L0, l_xy, log_t, 10.0, LO, HI, 1e-9, 100, halvings)
@@ -125,56 +122,6 @@ def test_sparse_descent_no_step_passes():
     assert halvings == [47]
     assert np.array_equal(got_L, want_L) and np.array_equal(got_L, L0)
     assert np.isnan(got_obj)
-
-
-@SETTINGS
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    k=st.integers(1, 6),
-    nz=st.integers(1, 7),
-    nx=st.integers(1, 6),
-    ny=st.integers(1, 8),
-    alpha=st.floats(0.01, 100.0),
-)
-def test_stacked_objective_equals_slices(seed, k, nz, nx, ny, alpha):
-    rng = np.random.default_rng(seed)
-    stack = rng.uniform(LO, HI, (k, nz, nx))
-    l_xy = rng.uniform(LO, 0.0, (nx, ny))
-    log_t = rng.uniform(LO, 0.0, (nz, ny))
-    got = _sparse_objective(stack, l_xy, log_t, alpha)
-    assert got.shape == (k,)
-    for i in range(k):
-        single = _sparse_objective(stack[i], l_xy, log_t, alpha)
-        assert type(single) is float
-        assert got[i] == single == ref.sparse_objective(stack[i], l_xy, log_t, alpha)
-
-
-@SETTINGS
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    k=st.integers(1, 6),
-    nz=st.integers(1, 7),
-    nx=st.integers(1, 9),
-    ny=st.integers(1, 9),
-    alpha=st.floats(0.0, 100.0),
-    fortran=st.booleans(),
-)
-def test_gradient_from_stacked_terms_matches_reference(seed, k, nz, nx, ny, alpha, fortran):
-    # The q=1 descent takes the gradient at the accepted trial from that
-    # trial's slice of the stacked objective's terms.
-    rng = np.random.default_rng(seed)
-    stack = rng.uniform(LO, HI, (k, nz, nx))
-    l_xy = rng.uniform(LO, 0.0, (nx, ny))
-    if fortran:
-        l_xy = np.asfortranarray(l_xy)
-    log_t = rng.uniform(LO, 0.0, (nz, ny))
-    s, lse = _sparse_terms(stack, l_xy)
-    for i in range(k):
-        want_grad, want_resid = ref.sparse_gradient(stack[i], l_xy, log_t, alpha)
-        for terms in ((s[i], lse[i]), None):
-            grad, resid = _sparse_gradient(stack[i], l_xy, log_t, alpha, terms)
-            assert np.array_equal(grad, want_grad)
-            assert np.array_equal(resid, want_resid)
 
 
 def test_spectral_step_safeguards():

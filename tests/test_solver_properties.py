@@ -5,8 +5,9 @@ The exact step starts each backtracking search at a spectral
 subproblem's optimum at the full budget, that it stays on the simplex
 and never ascends at any budget, and that a step which stops before its
 budget is exactly the full-budget step. The last tests run the guarded
-solver on random sources, full rank or not: its outputs stay valid, and
-its relaxed step follows the one-rule schedule.
+solver on random sources, full rank or not: every exact step runs at
+one budget, its outputs stay valid, and its relaxed step follows the
+one-rule schedule.
 """
 
 import numpy as np
@@ -124,6 +125,34 @@ def test_plain_step_that_stops_early_is_the_full_budget_step():
         assert full_stopped
         assert np.array_equal(plain, full)
     assert stopped_early >= 20
+
+
+@pytest.mark.parametrize("inner_kind", ["ridge", "sparse_log"])
+@pytest.mark.parametrize("beta", [0.5, 3.0])
+@pytest.mark.parametrize("seed", range(10))
+def test_every_exact_step_runs_at_the_one_budget(seed, beta, inner_kind):
+    # With the budget cut to 1, most exact steps use all of it. Each is
+    # still taken at that budget, never re-run at a larger one, and the
+    # run converges, on a step that stopped before its budget.
+    rng = np.random.default_rng(seed)
+    nx, ny = int(rng.integers(2, 6)), int(rng.integers(1, 7))
+    j = JointXY(DiscreteDist(rng.dirichlet(np.full(nx, 2.0))), CondDist(rng.dirichlet(np.full(ny, 0.3), nx).T))
+    cfg = DcaConfig(beta=beta, alpha=1.0, inner_kind=inner_kind, outer_max_iter=3000, seed=seed)
+    calls = []
+
+    def recorded(*args):
+        out = _surrogate_descent(*args)
+        calls.append((args[5], out[1]))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pfdca.dca, "_SURROGATE_STEP_ITERS", 1)
+        mp.setattr(pfdca.dca, "_surrogate_descent", recorded)
+        res = dca_run(j, 3, cfg)
+    assert all(budget == 1 for budget, _ in calls)
+    assert len(calls) == res.fallback_steps
+    assert res.converged and calls[-1][1]
+    assert not res.defect
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
