@@ -4,11 +4,12 @@ and merge result files into an information-plane report.
 
 Exit codes: 0 success; 1 malformed input (a bad distribution file, or a
 result CSV with a bad row or a number that is not finite); 2 bad flags
-(including a number or a verification tolerance that is not finite),
-unknown ``--set`` keys, or a ``PF_THREADS`` that is not an integer; 3
-solve hit the iteration cap; 4 exhaustive baseline guard exceeded; 5 a
-verification check failed; 6 internal error (a bug, not bad input; set
-``PFDCA_DEBUG`` to print its traceback).
+(including a flag the command does not take, and a number or a
+verification tolerance that is not finite), unknown ``--set`` keys, or a
+``PF_THREADS`` that is not an integer; 3 solve hit the iteration cap; 4
+exhaustive baseline guard exceeded; 5 a verification check failed; 6
+internal error (a bug, not bad input; set ``PFDCA_DEBUG`` to print its
+traceback).
 """
 
 import argparse
@@ -85,21 +86,10 @@ def _int_tuple(text: str) -> tuple:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
-_DCA_FIELD_PARSERS = {
-    "outer_tol": float,
-    "outer_max_iter": int,
-    "inner_tol": float,
-    "inner_max_iter": int,
-}
-
 _SWEEP_FIELD_PARSERS = {
     "beta_grid": _float_tuple,
     "alpha_grid": _float_tuple,
     "card_z_values": _int_tuple,
-    "outer_tol": float,
-    "outer_max_iter": int,
-    "inner_tol": float,
-    "inner_max_iter": int,
 }
 
 _VERIFY_FIELD_PARSERS = {
@@ -122,16 +112,14 @@ def _load_dist(path):
 
 def cmd_solve(args) -> int:
     j = _load_dist(args.dist)
-    overrides = _parse_overrides(args.set, _DCA_FIELD_PARSERS)
     try:
         cfg = DcaConfig(
             beta=args.beta,
             alpha=args.alpha,
             inner_kind=_q_to_kind(args.q),
-            outer_tol=overrides.pop("outer_tol", args.tol),
-            outer_max_iter=overrides.pop("outer_max_iter", args.max_iter),
+            outer_tol=args.tol,
+            outer_max_iter=args.max_iter,
             seed=args.seed,
-            **overrides,
         )
     except ValueError as exc:
         raise CliError(EXIT_BAD_FLAGS, f"bad solver configuration: {exc}") from exc
@@ -176,8 +164,8 @@ def cmd_sweep(args) -> int:
             restarts=args.restarts,
             inner_kind=_q_to_kind(args.q),
             base_seed=args.seed,
-            outer_tol=overrides.pop("outer_tol", args.tol),
-            outer_max_iter=overrides.pop("outer_max_iter", args.max_iter),
+            outer_tol=args.tol,
+            outer_max_iter=args.max_iter,
             **overrides,
         )
     except ValueError as exc:
@@ -297,10 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, out_required=True):
+    def add_common(p):
         p.add_argument("--dist", required=True, help="joint distribution JSON file")
-        p.add_argument("--out", required=out_required, help="output file path")
-        p.add_argument("--seed", type=int, default=0, help="base random seed")
+        p.add_argument("--out", required=True, help="output file path")
+
+    def add_set(p):
         p.add_argument(
             "--set",
             action="append",
@@ -310,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run one solver instance")
     add_common(p_solve)
+    p_solve.add_argument("--seed", type=int, default=0, help="base random seed")
     p_solve.add_argument("--beta", type=float, default=1.0, help="trade-off multiplier")
     p_solve.add_argument("--alpha", type=float, default=1.0, help="relaxation coefficient")
     p_solve.add_argument("--card-z", type=int, default=3, dest="card_z", help="code alphabet size")
@@ -320,6 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="hyperparameter grid sweep")
     add_common(p_sweep)
+    p_sweep.add_argument("--seed", type=int, default=0, help="base random seed")
+    add_set(p_sweep)
     p_sweep.add_argument("--restarts", type=int, default=10)
     p_sweep.add_argument("--q", type=int, choices=(1, 2), default=2)
     p_sweep.add_argument("--max-iter", type=int, default=10000, dest="max_iter")
@@ -339,6 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the numerical certificate suite")
     add_common(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0, help="base random seed")
+    add_set(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_report = sub.add_parser("report", help="merge result CSVs into a frontier report")

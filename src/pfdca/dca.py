@@ -40,7 +40,7 @@ tolerance; a stalled step is still taken). From then on the run takes
 exact steps alone: direct projected-gradient descent on the linearized
 objective ``f(p) - <grad g(p_k), p>``, any decrease of which certifies
 a decrease of the true loss. Every exact step runs at the one budget
-``_SURROGATE_STEP_ITERS``; ``inner_max_iter`` caps only the relaxed
+``_SURROGATE_STEP_ITERS``; ``_INNER_MAX_ITER`` caps only the relaxed
 inner solves. The run declares convergence when an exact step stops
 before its budget, and so is the step any larger budget would give,
 without improving the loss beyond the outer tolerance. This preserves
@@ -78,6 +78,10 @@ _ACCEPT_SLACK = 1e-12
 _CERT_SLACK = 1e-6
 # Iteration cap for one guarded descent step on the linearized objective.
 _SURROGATE_STEP_ITERS = 60
+# Relative-decrease tolerance of every inner solve, and the iteration cap
+# of the relaxed (ridge and sparse_log) inner solves.
+_INNER_TOL = 1e-9
+_INNER_MAX_ITER = 5000
 # Box on the q=1 log-likelihoods: every entry lies in [_BOX_LO, _BOX_HI].
 _BOX_LO = -30.0
 _BOX_HI = -1e-6
@@ -140,17 +144,15 @@ class DcaConfig:
     inner_kind: InnerKind = InnerKind.RIDGE
     outer_tol: float = 1e-6
     outer_max_iter: int = 10000
-    inner_tol: float = 1e-9
-    inner_max_iter: int = 5000
     seed: int = 0
 
     def __post_init__(self):
         if not _finite_positive(self.beta, self.alpha):
             raise ValueError("beta and alpha must be finite and positive")
-        if not _finite_positive(self.outer_tol, self.inner_tol):
-            raise ValueError("tolerances must be finite and positive")
-        if self.outer_max_iter < 1 or self.inner_max_iter < 1:
-            raise ValueError("iteration limits must be >= 1")
+        if not _finite_positive(self.outer_tol):
+            raise ValueError("outer_tol must be finite and positive")
+        if self.outer_max_iter < 1:
+            raise ValueError("outer_max_iter must be >= 1")
         object.__setattr__(self, "inner_kind", InnerKind(self.inner_kind))
 
 
@@ -488,13 +490,11 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
             if sparse:
                 L0 = np.clip(_clog(V, clamp), _BOX_LO, _BOX_HI)
                 L, _ = _sparse_descent(
-                    L0, l_xy, _clog(target, clamp), alpha, _BOX_LO, _BOX_HI, cfg.inner_tol, cfg.inner_max_iter
+                    L0, l_xy, _clog(target, clamp), alpha, _BOX_LO, _BOX_HI, _INNER_TOL, _INNER_MAX_ITER
                 )
                 cand = _softmax_cols(L)
             else:
-                cand, _ = _ridge_descent(
-                    V.copy(), target, prob, alpha, cfg.inner_tol, cfg.inner_max_iter
-                )
+                cand, _ = _ridge_descent(V.copy(), target, prob, alpha, _INNER_TOL, _INNER_MAX_ITER)
             cand_loss = _loss(cand, prob, beta)
             drop = loss - cand_loss
             # The decrease certificate is written so that a NaN fails it.
@@ -511,7 +511,7 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
             # converged.
             fallback_steps += 1
             grad_g_k = _grad_g_arr(V, prob, beta, clamp)
-            cand, stopped = _surrogate_descent(V, grad_g_k, prob, clamp, cfg.inner_tol, _SURROGATE_STEP_ITERS)
+            cand, stopped = _surrogate_descent(V, grad_g_k, prob, clamp, _INNER_TOL, _SURROGATE_STEP_ITERS)
             cand_loss = _loss(cand, prob, beta)
             if stopped and loss - cand_loss <= cfg.outer_tol:
                 if cand_loss <= loss:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dca
 from .dca import DESCENT_SLACK, DcaConfig, DcaResult, InnerKind, dca_run
-from .probability import CondDist, DiscreteDist, JointXY, _plogp, random_interior_encoder
+from .probability import LOG_CLAMP, CondDist, DiscreteDist, JointXY, _plogp, random_interior_encoder
 
 FD_STEP = 1e-6
 GRAD_TOL = 1e-6
@@ -82,7 +82,7 @@ def check_grad_g_fd(
     for _ in range(n):
         card_z = int(rng.integers(2, j.n_x + 2))
         enc = random_interior_encoder(rng, card_z, j.n_x)
-        analytic = dca._grad_g_arr(enc.matrix, prob, beta, 1e-12)
+        analytic = dca._grad_g_arr(enc.matrix, prob, beta, LOG_CLAMP)
         fd = _fd_gradient(lambda m: dca._g_value_arr(m, prob, beta), enc.matrix, step)
         worst = max(worst, float(np.max(np.abs(analytic - fd)) / np.max(np.abs(analytic))))
     return CheckReport("grad_g_vs_fd", n, worst, tolerance)
@@ -102,7 +102,7 @@ def check_grad_f_fd(
     for _ in range(n):
         card_z = int(rng.integers(2, j.n_x + 2))
         enc = random_interior_encoder(rng, card_z, j.n_x)
-        analytic = dca._grad_f_arr(enc.matrix, prob, 1e-12)
+        analytic = dca._grad_f_arr(enc.matrix, prob, LOG_CLAMP)
         fd = _fd_gradient(lambda m: dca._f_value_arr(m, prob), enc.matrix, step)
         worst = max(worst, float(np.max(np.abs(analytic - fd)) / np.max(np.abs(analytic))))
     return CheckReport("grad_f_vs_fd", n, worst, tolerance)
@@ -285,7 +285,7 @@ def check_restricted_convexity(
         q = random_interior_encoder(rng, card_z, j.n_x).matrix
         gp = dca._g_value_arr(p, prob, beta)
         gq = dca._g_value_arr(q, prob, beta)
-        grad_q = dca._grad_g_arr(q, prob, beta, 1e-12)
+        grad_q = dca._grad_g_arr(q, prob, beta, LOG_CLAMP)
         marginal_gap = (p - q) @ px
         slack = gp - gq - float(np.sum(grad_q * (p - q))) - 0.5 * float(marginal_gap @ marginal_gap)
         min_slack = min(min_slack, slack)

@@ -76,8 +76,6 @@ class DcaPrivacyFunnel:
         inner_kind: str = "ridge",
         outer_tol: float = 1e-6,
         outer_max_iter: int = 10000,
-        inner_tol: float = 1e-9,
-        inner_max_iter: int = 5000,
         seed: int = 0,
     ):
         self.card_z = card_z
@@ -86,8 +84,6 @@ class DcaPrivacyFunnel:
         self.inner_kind = inner_kind
         self.outer_tol = outer_tol
         self.outer_max_iter = outer_max_iter
-        self.inner_tol = inner_tol
-        self.inner_max_iter = inner_max_iter
         self.seed = seed
 
     @classmethod
@@ -113,8 +109,6 @@ class DcaPrivacyFunnel:
             inner_kind=self.inner_kind,
             outer_tol=self.outer_tol,
             outer_max_iter=self.outer_max_iter,
-            inner_tol=self.inner_tol,
-            inner_max_iter=self.inner_max_iter,
             seed=self.seed,
         )
 

@@ -27,9 +27,9 @@ class MarkovOperator:
     def _svd(self):
         return np.linalg.svd(self.block, full_matrices=False)
 
-    def pinv_block(self, rcond: float = PINV_RCOND) -> np.ndarray:
+    def pinv_block(self) -> np.ndarray:
         """Moore-Penrose pseudo-inverse of the block via SVD truncation."""
         u, s, vt = self._svd
-        cutoff = rcond * (s[0] if s.size else 0.0)
+        cutoff = PINV_RCOND * (s[0] if s.size else 0.0)
         inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
         return (vt.T * inv) @ u.T

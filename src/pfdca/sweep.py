@@ -99,8 +99,6 @@ class SweepConfig:
     base_seed: int = 0
     outer_tol: float = 1e-6
     outer_max_iter: int = 10000
-    inner_tol: float = 1e-9
-    inner_max_iter: int = 5000
 
     def __post_init__(self):
         for name in ("beta_grid", "alpha_grid"):
@@ -126,8 +124,6 @@ class SweepConfig:
             inner_kind=self.inner_kind,
             outer_tol=self.outer_tol,
             outer_max_iter=self.outer_max_iter,
-            inner_tol=self.inner_tol,
-            inner_max_iter=self.inner_max_iter,
             seed=seed,
         )
 
@@ -202,7 +198,7 @@ def run_sweep(j: JointXY, cfg: SweepConfig, n_jobs: int | None = None) -> list[T
     count used to compute it.
     """
     tasks = sweep_tasks(j, cfg)
-    jobs = resolve_jobs(n_jobs)
+    jobs = min(resolve_jobs(n_jobs), len(tasks))   # no worker without a task
     if jobs == 1 or len(tasks) < 4:
         return [_run_cell(t) for t in tasks]
     with get_context("fork").Pool(processes=jobs) as pool:
@@ -210,19 +206,17 @@ def run_sweep(j: JointXY, cfg: SweepConfig, n_jobs: int | None = None) -> list[T
     return points
 
 
-def pareto_frontier(points: list, bin_width_bits: float = PARETO_BIN_BITS) -> list:
+def pareto_frontier(points: list) -> list:
     """Lower frontier of the information plane.
 
-    Points are binned by utility ``i_zx_bits``; the minimum-leakage
-    point per bin survives, then any point beaten by another with
-    strictly higher utility and no more leakage is dropped. Every
-    returned point is one of the inputs.
+    Points are binned by utility ``i_zx_bits`` in bins of
+    ``PARETO_BIN_BITS``; the minimum-leakage point per bin survives,
+    then any point beaten by another with strictly higher utility and no
+    more leakage is dropped. Every returned point is one of the inputs.
     """
-    if bin_width_bits <= 0:
-        raise ValueError("bin_width_bits must be positive")
     best: dict = {}
     for p in points:
-        key = int(np.floor(p.i_zx_bits / bin_width_bits))
+        key = int(np.floor(p.i_zx_bits / PARETO_BIN_BITS))
         cur = best.get(key)
         if cur is None or p.i_zy_bits < cur.i_zy_bits:
             best[key] = p

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pfdca.cli
+from pfdca import DcaConfig, InnerKind, dca_run, load_joint
 from pfdca.cli import EXIT_BAD_FLAGS, EXIT_BAD_INPUT, EXIT_INTERNAL, main
 from pfdca.sweep import CSV_HEADER, read_points_csv
 
@@ -60,6 +61,18 @@ class TestSolve:
             "--set", "not_a_field=1",
         )
         assert rc == 2
+
+    def test_matches_library_run_bit_for_bit(self, tmp_path, demo_dist_file):
+        out = tmp_path / "o.json"
+        rc = run_cli(
+            "solve", "--dist", demo_dist_file, "--out", out, "--tol", 1e-5, "--max-iter", 40, "--q", 1
+        )
+        cfg = DcaConfig(beta=1.0, alpha=1.0, inner_kind=InnerKind.SPARSE_LOG, outer_tol=1e-5, outer_max_iter=40)
+        res = dca_run(load_joint(demo_dist_file), 3, cfg)
+        assert rc == 0 and res.converged
+        payload = json.loads(out.read_text())
+        assert np.array_equal(np.array(payload["encoder"]), res.encoder.matrix)
+        assert np.array_equal(np.array(payload["loss_trace"]), res.loss_trace)
 
     def test_iteration_cap_exit_code(self, tmp_path, demo_dist_file):
         rc = run_cli(
@@ -273,7 +286,7 @@ class TestExitCodes:
             ("solve", "--beta", "nan"),
             ("solve", "--alpha", "inf"),
             ("solve", "--tol", "nan"),
-            ("solve", "--set", "inner_tol=inf"),
+            ("solve", "--tol", "inf"),
             ("baseline", "--beta", "nan"),
             ("baseline", "--solver", "exhaustive", "--beta", "inf"),
             ("sweep", "--set", "beta_grid=nan,2"),
@@ -282,6 +295,22 @@ class TestExitCodes:
         ],
     )
     def test_non_finite_number_is_flag_error(self, tmp_path, demo_dist_file, command):
+        out = tmp_path / "o"
+        rc = run_cli(command[0], "--dist", demo_dist_file, "--out", out, *command[1:])
+        assert rc == EXIT_BAD_FLAGS
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("solve", "--set", "inner_tol=1e-9"),
+            ("sweep", "--set", "outer_tol=1e-6"),
+            ("sweep", "--set", "inner_max_iter=10"),
+            ("baseline", "--set", "x=1"),
+            ("baseline", "--seed", "3"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_flag_error(self, tmp_path, demo_dist_file, command):
         out = tmp_path / "o"
         rc = run_cli(command[0], "--dist", demo_dist_file, "--out", out, *command[1:])
         assert rc == EXIT_BAD_FLAGS

@@ -18,6 +18,8 @@ from pfdca import (
 from pfdca.dca import (
     _BOX_HI,
     _BOX_LO,
+    _INNER_MAX_ITER,
+    _INNER_TOL,
     DESCENT_SLACK,
     InnerKind,
     _clog,
@@ -240,10 +242,11 @@ class TestInnerRidge:
         rng = np.random.default_rng(8)
         enc_true = random_encoder(rng, 3, 3)
         target = markov_compose(enc_true, bayes_invert(demo_joint))
-        cfg = DcaConfig(beta=1.0, alpha=1.0, inner_tol=1e-16, inner_max_iter=20000)
+        # Oracle settings, far tighter than the solver's own.
+        tol, max_iter = 1e-16, 20000
         V, _ = _ridge_descent(
             Encoder.uniform(3, 3).matrix, target.matrix, _Problem.build(demo_joint), 1e-12,
-            cfg.inner_tol, cfg.inner_max_iter,
+            tol, max_iter,
         )
         got = Encoder.from_matrix(V)
         achieved = markov_compose(got, bayes_invert(demo_joint))
@@ -253,9 +256,8 @@ class TestInnerRidge:
         rng = np.random.default_rng(9)
         prob = _Problem.build(demo_joint)
         target = _relaxed_target(random_encoder(rng, 3, 3).matrix, prob, 1.0, LOG_CLAMP)
-        cfg = DcaConfig(beta=1.0, alpha=1.0)
         got, _ = _ridge_descent(
-            random_encoder(rng, 3, 3).matrix, target, prob, 1e6, cfg.inner_tol, cfg.inner_max_iter
+            random_encoder(rng, 3, 3).matrix, target, prob, 1e6, _INNER_TOL, _INNER_MAX_ITER
         )
         assert np.max(np.abs(got - 1.0 / 3.0)) < 1e-4
 
@@ -267,12 +269,11 @@ class TestInnerRidge:
             r = V @ a_t - T
             return 0.5 * np.sum(r * r) + alpha * np.sum(V * V)
 
-        cfg = DcaConfig(beta=1.0, alpha=1.0)
         prob = _Problem.build(demo_joint)
         for alpha in (0.1, 1.0, 10.0):
             warm = random_encoder(rng, 3, 3)
             target = _relaxed_target(random_encoder(rng, 3, 3).matrix, prob, 2.0, LOG_CLAMP)
-            got, _ = _ridge_descent(warm.matrix, target, prob, alpha, cfg.inner_tol, cfg.inner_max_iter)
+            got, _ = _ridge_descent(warm.matrix, target, prob, alpha, _INNER_TOL, _INNER_MAX_ITER)
             assert objective(got, target, alpha) <= (
                 objective(warm.matrix, target, alpha) + 1e-12
             )
@@ -282,14 +283,13 @@ class TestInnerSparse:
     def test_zero_residual_is_stationary(self, demo_joint):
         rng = np.random.default_rng(11)
         V = random_interior_encoder(rng, 3, 3).matrix
-        cfg = DcaConfig(beta=1.0, alpha=1.0)
         l_xy = np.log(bayes_invert(demo_joint).matrix)
         L_star = np.clip(np.log(V), _BOX_LO, _BOX_HI)
         target = markov_compose(Encoder.from_matrix(V), bayes_invert(demo_joint))
         log_t = np.log(target.matrix)
         grad, _ = _sparse_gradient(L_star, l_xy, log_t, 0.0)
         assert np.max(np.abs(grad)) <= 1e-10
-        L, _ = _sparse_descent(L_star, l_xy, log_t, 0.0, _BOX_LO, _BOX_HI, cfg.inner_tol, cfg.inner_max_iter)
+        L, _ = _sparse_descent(L_star, l_xy, log_t, 0.0, _BOX_LO, _BOX_HI, _INNER_TOL, _INNER_MAX_ITER)
         assert np.max(np.abs(_softmax_cols(L) - V)) < 1e-9
 
     def test_l1_term_is_negated_sum(self, demo_joint):
@@ -307,14 +307,13 @@ class TestInnerSparse:
 
     def test_solution_feasible(self, demo_joint):
         rng = np.random.default_rng(13)
-        cfg = DcaConfig(beta=1.0, alpha=1.0, inner_kind=InnerKind.SPARSE_LOG)
         prob = _Problem.build(demo_joint)
         target = _relaxed_target(random_encoder(rng, 3, 3).matrix, prob, 3.0, LOG_CLAMP)
         lo, hi = _BOX_LO, _BOX_HI
         L0 = np.clip(_clog(random_encoder(rng, 3, 3).matrix, LOG_CLAMP), lo, hi)
         L, _ = _sparse_descent(
             L0, _clog(prob.pxcy, LOG_CLAMP), _clog(target, LOG_CLAMP), 0.5, lo, hi,
-            cfg.inner_tol, cfg.inner_max_iter,
+            _INNER_TOL, _INNER_MAX_ITER,
         )
         got = _softmax_cols(L)
         assert np.allclose(got.sum(axis=0), 1.0, atol=1e-12)

@@ -21,6 +21,8 @@ from conftest import DEMO_CHANNEL, DEMO_PX
 from pfdca import CondDist, DcaConfig, DiscreteDist, JointXY, dca_run
 from pfdca.dca import (
     _ACCEPT_SLACK,
+    _INNER_MAX_ITER,
+    _INNER_TOL,
     _SURROGATE_STEP_ITERS,
     _compute_c_arr,
     _f_value_arr,
@@ -30,8 +32,8 @@ from pfdca.dca import (
 )
 from pfdca.probability import LOG_CLAMP
 
-FULL_BUDGET = DcaConfig(beta=1.0, alpha=1.0).inner_max_iter
-INNER_TOL = DcaConfig(beta=1.0, alpha=1.0).inner_tol
+FULL_BUDGET = _INNER_MAX_ITER
+INNER_TOL = _INNER_TOL
 
 
 def full_rank_joint(rng, nx, ny, concentration=1.0):

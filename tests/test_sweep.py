@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pfdca.sweep
 from pfdca.sweep import (
     CSV_HEADER,
     Solver,
@@ -107,6 +108,31 @@ class TestRunSweep:
         parallel = run_sweep(demo_joint, cfg, n_jobs=2)
         assert serial == parallel
 
+    def test_pool_has_no_more_workers_than_cells(self, demo_joint, monkeypatch):
+        started = []
+
+        class FakePool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, tasks, chunksize=1):
+                return [func(t) for t in tasks]
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr(pfdca.sweep, "get_context", lambda method: FakeContext())
+        cfg = SweepConfig(beta_grid=(1.0,), alpha_grid=(1.0,), card_z_values=(2, 3, 4, 5, 6), restarts=1)
+        points = run_sweep(demo_joint, cfg, n_jobs=16)
+        assert started == [5]
+        assert points == run_sweep(demo_joint, cfg, n_jobs=1)
+
     def test_information_plane_invariants(self, demo_joint):
         for p in run_sweep(demo_joint, SweepConfig(**SMALL)):
             assert p.i_zy_bits <= p.i_zx_bits + 1e-9
@@ -162,10 +188,6 @@ class TestParetoFrontier:
         # The achievable lower frontier rises with utility: no point on it
         # may offer more utility at no more leakage than a predecessor.
         assert all(y2 > y1 for y1, y2 in zip(ys, ys[1:]))
-
-    def test_bin_width_validation(self):
-        with pytest.raises(ValueError):
-            pareto_frontier([point(1.0, 0.5)], bin_width_bits=0.0)
 
 
 class TestCsv:
