@@ -119,10 +119,10 @@ def _spectral_step(s: np.ndarray, y: np.ndarray) -> float:
     Numer. Anal. 1988), from the last accepted move ``s`` and the change
     ``y`` of the gradient along it, clipped to the safeguards;
     ``_SPECTRAL_FALLBACK`` when ``<s,y>`` is not positive."""
-    sy = float((s * y).sum())
+    sy = float(np.add.reduce(s * y, axis=None))
     if not sy > 0.0:
         return _SPECTRAL_FALLBACK
-    return min(max(float((s * s).sum()) / sy, _SPECTRAL_MIN), _SPECTRAL_MAX)
+    return min(max(float(np.add.reduce(s * s, axis=None)) / sy, _SPECTRAL_MIN), _SPECTRAL_MAX)
 
 
 def _finite_positive(*values) -> bool:
@@ -216,26 +216,32 @@ _PROBLEMS: "weakref.WeakKeyDictionary[JointXY, _Problem]" = weakref.WeakKeyDicti
 
 
 def _neg_plogp_sum(a: np.ndarray) -> float:
-    return -float(_plogp(a).sum())
+    return -float(np.add.reduce(_plogp(a), axis=None))
 
 
 def _col_entropies(m: np.ndarray) -> np.ndarray:
-    return -_plogp(m).sum(axis=0)
+    return -np.add.reduce(_plogp(m), axis=0)
+
+
+def _code_terms(V: np.ndarray, prob: _Problem):
+    """(H(Z), I(Z;X)) in nats for a raw encoder matrix."""
+    hz = _neg_plogp_sum(V @ prob.px)
+    return hz, hz - float(_col_entropies(V) @ prob.px)
 
 
 def _metrics(V: np.ndarray, prob: _Problem):
     """(I(Z;Y), I(Z;X)) in nats for a raw encoder matrix."""
-    pz = V @ prob.px
-    hz = _neg_plogp_sum(pz)
-    izx = hz - float(_col_entropies(V) @ prob.px)
-    pzy = V @ prob.pxcy
-    izy = hz - float(_col_entropies(pzy) @ prob.py)
-    return izy, izx
+    hz, izx = _code_terms(V, prob)
+    return hz + _f_value_arr(V, prob), izx
 
 
-def _loss(V: np.ndarray, prob: _Problem, beta: float) -> float:
-    izy, izx = _metrics(V, prob)
-    return izy - beta * izx
+def _loss(V: np.ndarray, prob: _Problem, beta: float, f: float | None = None) -> float:
+    """The loss at ``V``; ``f`` is ``_f_value_arr(V, prob)`` when already
+    computed."""
+    hz, izx = _code_terms(V, prob)
+    if f is None:
+        f = _f_value_arr(V, prob)
+    return (hz + f) - beta * izx
 
 
 def _clog(a: np.ndarray, clamp: float) -> np.ndarray:
@@ -259,7 +265,7 @@ def _compute_c_arr(V: np.ndarray, prob: _Problem, beta: float, clamp: float) -> 
 
 def _softmax_cols(logits: np.ndarray) -> np.ndarray:
     e = np.exp(logits - logits.max(axis=0, keepdims=True))
-    return e / e.sum(axis=0, keepdims=True)
+    return e / np.add.reduce(e, axis=0, keepdims=True)
 
 
 def _relaxed_target(V: np.ndarray, prob: _Problem, beta: float, clamp: float) -> np.ndarray:
@@ -284,12 +290,14 @@ def _simplex_project_columns(m: np.ndarray) -> np.ndarray:
     probability simplex (Duchi et al., ICML 2008). ``m`` is not modified."""
     n, cols = m.shape
     counts, col_idx = _project_indices(n, cols)
-    u = np.sort(m, axis=0)[::-1]
-    shifted = np.cumsum(u, axis=0)
+    u = m.copy(order="K")
+    u.sort(axis=0)
+    u = u[::-1]
+    shifted = u.cumsum(axis=0)
     shifted -= 1.0
     active = np.divide(shifted, counts)
     np.subtract(u, active, out=active)
-    rho = n - 1 - np.argmax(active[::-1] > 0.0, axis=0)
+    rho = n - 1 - (active[::-1] > 0.0).argmax(axis=0)
     theta = shifted[rho, col_idx]
     theta /= rho + 1.0
     out = m - theta
@@ -305,9 +313,7 @@ def _f_value_arr(V: np.ndarray, prob: _Problem) -> float:
 
 def _g_value_arr(V: np.ndarray, prob: _Problem, beta: float) -> float:
     """Linearized part -H(Z) + beta * I(Z;X), natural extension."""
-    pz = V @ prob.px
-    hz = _neg_plogp_sum(pz)
-    izx = hz - float(_col_entropies(V) @ prob.px)
+    hz, izx = _code_terms(V, prob)
     return -hz + beta * izx
 
 
@@ -317,12 +323,12 @@ def _ridge_descent(V, target, prob: _Problem, alpha, tol, max_iter):
     a = prob.pxcy.T
     lip = prob.a_smax ** 2 + 2.0 * alpha
     resid = V @ a_t - target
-    obj = 0.5 * float((resid * resid).sum()) + alpha * float((V * V).sum())
+    obj = 0.5 * float(np.add.reduce(resid * resid, axis=None)) + alpha * float(np.add.reduce(V * V, axis=None))
     for _ in range(max_iter):
         grad = resid @ a + 2.0 * alpha * V
         V = _simplex_project_columns(V - grad / lip)
         resid = V @ a_t - target
-        new_obj = 0.5 * float((resid * resid).sum()) + alpha * float((V * V).sum())
+        new_obj = 0.5 * float(np.add.reduce(resid * resid, axis=None)) + alpha * float(np.add.reduce(V * V, axis=None))
         done = abs(obj - new_obj) <= tol * max(1.0, abs(obj))
         obj = new_obj
         if done:
@@ -335,7 +341,7 @@ def _sparse_terms(L, l_xy):
     ``s[z, x, y] = L[z, x] + l_xy[x, y]`` and its log-sum-exp over x."""
     s = L[:, :, None] + l_xy
     mx = s.max(axis=1)
-    return s, mx + np.log(np.exp(s - mx[:, None, :]).sum(axis=1))
+    return s, mx + np.log(np.add.reduce(np.exp(s - mx[:, None, :]), axis=1))
 
 
 def _sparse_objective(L, l_xy, log_target, alpha, lse=None):
@@ -345,7 +351,7 @@ def _sparse_objective(L, l_xy, log_target, alpha, lse=None):
     if lse is None:
         _, lse = _sparse_terms(L, l_xy)
     resid = lse - log_target
-    return 0.5 * float((resid * resid).sum()) - alpha * float(L.sum())
+    return 0.5 * float(np.add.reduce(resid * resid, axis=None)) - alpha * float(np.add.reduce(L, axis=None))
 
 
 def _sparse_gradient(L, l_xy, log_target, alpha, terms=None):
@@ -380,7 +386,7 @@ def _sparse_descent(L, l_xy, log_target, alpha, lo, hi, tol, max_iter):
             np.minimum(trial, hi, out=trial)
             trial_terms = _sparse_terms(trial, l_xy)
             trial_obj = _sparse_objective(trial, l_xy, log_target, alpha, trial_terms[1])
-            if trial_obj <= obj + _ARMIJO_DECREASE * float((grad * (trial - L)).sum()):
+            if trial_obj <= obj + _ARMIJO_DECREASE * float(np.add.reduce(grad * (trial - L), axis=None)):
                 break
         else:
             break
@@ -400,11 +406,12 @@ def _surrogate_descent(V, grad_g_k, prob: _Problem, clamp, tol, max_iter):
     the exact step that the guard falls back on. Each backtracking search
     starts at the spectral step of the last accepted move, taken over the
     coordinates positive before and after it, and tries it times each
-    factor of ``_ARMIJO_STEPS`` in turn. Returns the iterate and whether
-    the loop stopped before using its whole budget, in which case any
-    larger budget returns the same iterate.
+    factor of ``_ARMIJO_STEPS`` in turn. Returns the iterate, whether the
+    loop stopped before using its whole budget, in which case any larger
+    budget returns the same iterate, and ``f`` at the iterate.
     """
-    obj = _f_value_arr(V, prob) - float((grad_g_k * V).sum())
+    f = _f_value_arr(V, prob)
+    obj = f - float(np.add.reduce(grad_g_k * V, axis=None))
     first, prev = _SPECTRAL_FALLBACK, None
     for _ in range(max_iter):
         grad = _grad_f_arr(V, prob, clamp) - grad_g_k
@@ -416,17 +423,18 @@ def _surrogate_descent(V, grad_g_k, prob: _Problem, clamp, tol, max_iter):
             first = _spectral_step(s, grad - prev[1])
         for step in _ARMIJO_STEPS:
             trial = _simplex_project_columns(V - (first * step) * grad)
-            trial_obj = _f_value_arr(trial, prob) - float((grad_g_k * trial).sum())
-            if trial_obj <= obj + _ARMIJO_DECREASE * float((grad * (trial - V)).sum()):
+            trial_f = _f_value_arr(trial, prob)
+            trial_obj = trial_f - float(np.add.reduce(grad_g_k * trial, axis=None))
+            if trial_obj <= obj + _ARMIJO_DECREASE * float(np.add.reduce(grad * (trial - V), axis=None)):
                 break
         else:
-            return V, True
+            return V, True, f
         done = abs(obj - trial_obj) <= tol * max(1.0, abs(obj))
         prev = V, grad
-        V, obj = trial, trial_obj
+        V, obj, f = trial, trial_obj, trial_f
         if done:
-            return V, True
-    return V, False
+            return V, True, f
+    return V, False, f
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +519,8 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
             # converged.
             fallback_steps += 1
             grad_g_k = _grad_g_arr(V, prob, beta, clamp)
-            cand, stopped = _surrogate_descent(V, grad_g_k, prob, clamp, _INNER_TOL, _SURROGATE_STEP_ITERS)
-            cand_loss = _loss(cand, prob, beta)
+            cand, stopped, cand_f = _surrogate_descent(V, grad_g_k, prob, clamp, _INNER_TOL, _SURROGATE_STEP_ITERS)
+            cand_loss = _loss(cand, prob, beta, cand_f)
             if stopped and loss - cand_loss <= cfg.outer_tol:
                 if cand_loss <= loss:
                     V, loss = cand, cand_loss

@@ -216,7 +216,8 @@ def _plogp(a: np.ndarray) -> np.ndarray:
     """Entrywise ``a * log(a)``, with 0 for zero cells, in the memory
     layout of ``a`` (sums over it then run in the same order). The one
     entropy kernel of the package."""
-    out = np.zeros_like(a)
+    # np.zeros is the cheaper call and gives the same layout for C-ordered input.
+    out = np.zeros(a.shape, a.dtype) if a.flags.c_contiguous else np.zeros_like(a)
     np.log(a, out=out, where=a > 0.0)
     out *= a
     return out

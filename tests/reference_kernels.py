@@ -10,6 +10,12 @@ the safeguarded spectral step, as the package does.
 started at the spectral step: every search starts at 1. Tests use it as
 a baseline for the quality of the package's exact step, not for bits.
 
+The ``untrimmed_*`` kernels are the projection, the entropy kernel, the
+loss and the exact step (with its spectral first trials) as they were
+before these kernels were trimmed to fewer NumPy calls and before the
+exact step returned ``f`` at its iterate. Tests assert that the package's
+kernels still return the same bits.
+
 ``baseline_points`` evaluates the greedy and exhaustive baselines the
 way they were evaluated before each source got one problem object: a
 fresh Bayes inverse and a fresh P(Y) for every clustering and every
@@ -155,6 +161,86 @@ def surrogate_descent(V, grad_g_k, pxcy, pycx, px, py, clamp, tol, max_iter):
         if done:
             break
     return V
+
+
+def untrimmed_plogp(a):
+    out = np.zeros_like(a)
+    np.log(a, out=out, where=a > 0.0)
+    out *= a
+    return out
+
+
+def untrimmed_col_entropies(m):
+    return -untrimmed_plogp(m).sum(axis=0)
+
+
+def untrimmed_simplex_project_columns(m):
+    n, cols = m.shape
+    counts = np.arange(1, n + 1, dtype=float)[:, None]
+    u = np.sort(m, axis=0)[::-1]
+    shifted = np.cumsum(u, axis=0)
+    shifted -= 1.0
+    active = np.divide(shifted, counts)
+    np.subtract(u, active, out=active)
+    rho = n - 1 - np.argmax(active[::-1] > 0.0, axis=0)
+    theta = shifted[rho, np.arange(cols)]
+    theta /= rho + 1.0
+    out = m - theta
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
+def untrimmed_loss(V, px, pxcy, py, beta):
+    """I(Z;Y) - beta * I(Z;X) in nats, each information term computed
+    from scratch."""
+    pz = V @ px
+    hz = -float(untrimmed_plogp(pz).sum())
+    izx = hz - float(untrimmed_col_entropies(V) @ px)
+    izy = hz - float(untrimmed_col_entropies(V @ pxcy) @ py)
+    return izy - beta * izx
+
+
+def untrimmed_spectral_step(s, y):
+    sy = float((s * y).sum())
+    if not sy > 0.0:
+        return 1.0
+    return min(max(float((s * s).sum()) / sy, SPECTRAL_MIN), SPECTRAL_MAX)
+
+
+def untrimmed_surrogate_descent(V, grad_g_k, pxcy, pycx, px, py, clamp, tol, max_iter):
+    """The exact step: Armijo projected gradient on ``f(p) - <grad_g_k, p>``,
+    each search starting at the spectral step over the coordinates
+    positive before and after the last move. Returns the iterate and
+    whether the loop stopped before its budget."""
+
+    def f_value(W):
+        return -float(untrimmed_col_entropies(W @ pxcy) @ py)
+
+    steps = []
+    step = 1.0
+    while step >= ARMIJO_MIN_STEP:
+        steps.append(step)
+        step *= ARMIJO_SHRINK
+    obj = f_value(V) - float((grad_g_k * V).sum())
+    first, prev = 1.0, None
+    for _ in range(max_iter):
+        grad = px[None, :] * (np.log(np.maximum(V @ pxcy, clamp)) @ pycx + 1.0) - grad_g_k
+        if prev is not None:
+            s = np.where(np.minimum(V, prev[0]) > 0.0, V - prev[0], 0.0)
+            first = untrimmed_spectral_step(s, grad - prev[1])
+        for step in steps:
+            trial = untrimmed_simplex_project_columns(V - (first * step) * grad)
+            trial_obj = f_value(trial) - float((grad_g_k * trial).sum())
+            if trial_obj <= obj + ARMIJO_DECREASE * float((grad * (trial - V)).sum()):
+                break
+        else:
+            return V, True
+        done = abs(obj - trial_obj) <= tol * max(1.0, abs(obj))
+        prev = V, grad
+        V, obj = trial, trial_obj
+        if done:
+            return V, True
+    return V, False
 
 
 def _information(enc, j):

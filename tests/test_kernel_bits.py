@@ -13,13 +13,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import reference_kernels as ref
+from pfdca import CondDist, DiscreteDist, JointXY
 from pfdca.dca import (
     _ARMIJO_STEPS,
+    _SURROGATE_STEP_ITERS,
     _col_entropies,
+    _f_value_arr,
+    _grad_g_arr,
+    _loss,
     _neg_plogp_sum,
+    _Problem,
     _simplex_project_columns,
     _sparse_descent,
     _spectral_step,
+    _surrogate_descent,
 )
 from pfdca.probability import _plogp, column_entropies_nats, entropy_nats
 
@@ -154,6 +161,7 @@ def test_projection_matches_reference(m):
     before = m.copy()
     want = ref.simplex_project_columns(m)
     assert np.array_equal(_simplex_project_columns(m), want)
+    assert np.array_equal(_simplex_project_columns(m), ref.untrimmed_simplex_project_columns(m))
     assert np.array_equal(m, before)
     # The second call of a shape reuses its cached index arrays.
     assert np.array_equal(_simplex_project_columns(m), want)
@@ -168,5 +176,41 @@ def test_entropies_match_reference(m):
     assert _neg_plogp_sum(column) == ref.neg_plogp_sum(column)
     # The information measures and the certificates share the kernel.
     assert np.array_equal(_plogp(m), ref.plogp(m))
+    # Same bits and same memory layout, so that sums over it run in the
+    # same order.
+    for a in (m, column):
+        got, want = _plogp(a), ref.untrimmed_plogp(a)
+        assert np.array_equal(got, want) and got.strides == want.strides
     assert np.array_equal(column_entropies_nats(m), ref.col_entropies(m))
     assert entropy_nats(column) == ref.entropy_nats(column)
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nx=st.integers(1, 6),
+    ny=st.integers(1, 8),
+    nz=st.integers(1, 7),
+    concentration=st.sampled_from([0.2, 1.0, 5.0]),
+    budget=st.sampled_from([1, 5, _SURROGATE_STEP_ITERS]),
+)
+def test_exact_step_and_loss_match_untrimmed(seed, nx, ny, nz, concentration, budget):
+    # The exact step returns the untrimmed step's iterate and stop flag,
+    # plus f at that iterate; the loss computed from that f is the loss
+    # computed from scratch.
+    rng = np.random.default_rng(seed)
+    channel = rng.dirichlet(np.full(ny, concentration), nx).T
+    prob = _Problem.build(JointXY(DiscreteDist(rng.dirichlet(np.full(nx, 2.0))), CondDist(channel)))
+    V = rng.dirichlet(np.full(nz, concentration), nx).T
+    V[V < 1e-3] = 0.0
+    V /= V.sum(axis=0)
+    beta = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+    g = _grad_g_arr(V, prob, beta, LOG_CLAMP)
+    got, stopped, f = _surrogate_descent(V, g, prob, LOG_CLAMP, 1e-9, budget)
+    want, want_stopped = ref.untrimmed_surrogate_descent(
+        V, g, prob.pxcy, prob.pycx, prob.px, prob.py, LOG_CLAMP, 1e-9, budget
+    )
+    assert np.array_equal(got, want) and stopped == want_stopped
+    assert f == _f_value_arr(got, prob)
+    loss = ref.untrimmed_loss(got, prob.px, prob.pxcy, prob.py, beta)
+    assert _loss(got, prob, beta, f) == loss == _loss(got, prob, beta)

@@ -93,8 +93,8 @@ def test_full_budget_reaches_long_run_optimum():
     worst = 0.0
     for seed in range(200):
         V, g, prob = subproblem(seed)
-        got, _ = _surrogate_descent(V, g, prob, LOG_CLAMP, INNER_TOL, FULL_BUDGET)
-        long_run, _ = _surrogate_descent(V, g, prob, LOG_CLAMP, 0.0, 4 * FULL_BUDGET)
+        got, _, _ = _surrogate_descent(V, g, prob, LOG_CLAMP, INNER_TOL, FULL_BUDGET)
+        long_run, _, _ = _surrogate_descent(V, g, prob, LOG_CLAMP, 0.0, 4 * FULL_BUDGET)
         unit = ref.surrogate_descent(V, g, prob.pxcy, prob.pycx, prob.px, prob.py, LOG_CLAMP, INNER_TOL, FULL_BUDGET)
         best = min(objective(long_run, g, prob), objective(unit, g, prob))
         worst = max(worst, (objective(got, g, prob) - best) / abs(best))
@@ -109,7 +109,7 @@ def test_full_budget_reaches_long_run_optimum():
 )
 def test_any_budget_stays_stochastic_and_descends(seed, budget, concentration):
     V, g, prob = subproblem(seed, concentration)
-    got, _ = _surrogate_descent(V, g, prob, LOG_CLAMP, INNER_TOL, budget)
+    got, _, _ = _surrogate_descent(V, g, prob, LOG_CLAMP, INNER_TOL, budget)
     assert np.all(got >= 0.0)
     assert np.allclose(got.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
     assert objective(got, g, prob) <= objective(V, g, prob)
@@ -119,11 +119,11 @@ def test_plain_step_that_stops_early_is_the_full_budget_step():
     stopped_early = 0
     for seed in range(60):
         V, g, prob = subproblem(seed, concentration=(0.2, 1.0, 5.0)[seed % 3])
-        plain, stopped = _surrogate_descent(V, g, prob, LOG_CLAMP, INNER_TOL, _SURROGATE_STEP_ITERS)
+        plain, stopped, _ = _surrogate_descent(V, g, prob, LOG_CLAMP, INNER_TOL, _SURROGATE_STEP_ITERS)
         if not stopped:
             continue
         stopped_early += 1
-        full, full_stopped = _surrogate_descent(V, g, prob, LOG_CLAMP, INNER_TOL, FULL_BUDGET)
+        full, full_stopped, _ = _surrogate_descent(V, g, prob, LOG_CLAMP, INNER_TOL, FULL_BUDGET)
         assert full_stopped
         assert np.array_equal(plain, full)
     assert stopped_early >= 20
