@@ -139,6 +139,7 @@ def cmd_solve(args) -> int:
         "i_zy_bits": res.i_zy_bits,
         "stationarity_gap": res.stationarity_gap,
         "fallback_steps": res.fallback_steps,
+        "boosted_steps": res.boosted_steps,
         "defect": res.defect,
         "loss_trace": res.loss_trace.tolist(),
         "encoder": res.encoder.matrix.tolist(),
@@ -340,19 +341,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--out", required=True)
     p_report.set_defaults(func=cmd_report)
 
+    for p in sub.choices.values():
+        p.set_defaults(command_parser=p)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:
+            # Reported with the usage of the command given, which lists the
+            # flags it does take.
+            args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"{args.command_parser.prog}: error: {exc}", file=sys.stderr)
         return exc.code
     except Exception as exc:
         if os.environ.get("PFDCA_DEBUG"):

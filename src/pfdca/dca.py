@@ -45,9 +45,23 @@ inner solves. The run declares convergence when an exact step stops
 before its budget, and so is the step any larger budget would give,
 without improving the loss beyond the outer tolerance. This preserves
 the monotone-descent certificate and leaves the final encoder
-approximately stationary. Exact (fallback) steps are counted on the
-result; an accepted ascent beyond ``DESCENT_SLACK`` (never produced by
-the guard) would be flagged as a defect.
+approximately stationary.
+
+Every exact step that does not end the run is boosted, as in the
+boosted DC algorithm of Aragon Artacho, Fleming and Vuong (Math.
+Program. 2018), in the linearly constrained form of Aragon Artacho,
+Campoy and Vuong (Set-Valued Var. Anal. 2022): a line search along the
+step's own direction ``d = y - x`` from its result ``y`` takes the first
+of ``y + lam * d``, for ``lam`` from ``min(lam_max, _BOOST_MAX_STEP)``
+halving down to ``_BOOST_MIN_STEP``, whose loss lies at least
+``_BOOST_DECREASE * lam**2 * ||d||^2`` below that of ``y``. ``lam_max``
+is where the ray leaves the column simplices, so every trial is
+feasible. A boost only lowers the loss further, so the certificate
+holds, and fewer outer iterations are needed.
+
+Exact (fallback) steps and accepted boosts are counted on the result;
+an accepted ascent beyond ``DESCENT_SLACK`` (never produced by the
+guard) would be flagged as a defect.
 """
 
 import functools
@@ -97,6 +111,11 @@ _ARMIJO_MIN_STEP = 1e-14
 _SPECTRAL_MIN = 1e-6
 _SPECTRAL_MAX = 1e6
 _SPECTRAL_FALLBACK = 1.0
+# Line search of the boosted step (see the module docstring): longest
+# first trial, shortest trial, and sufficient-decrease factor.
+_BOOST_MAX_STEP = 4.0
+_BOOST_MIN_STEP = 1e-3
+_BOOST_DECREASE = 0.1
 
 
 def _armijo_steps() -> tuple:
@@ -168,6 +187,7 @@ class DcaResult:
     loss_nats: float
     defect: bool = False
     fallback_steps: int = 0
+    boosted_steps: int = 0
 
 
 @dataclass(frozen=True)
@@ -460,6 +480,33 @@ def stationarity_gap(enc: Encoder, j: JointXY, beta: float) -> float:
     return _stationarity_gap_arr(enc.matrix, _Problem.build(j), beta)
 
 
+def _boosted_step(V: np.ndarray, cand: np.ndarray, cand_loss: float, prob: _Problem, beta: float):
+    """The boosted step: a line search along the exact step's direction
+    ``d = cand - V`` (see the module docstring).
+
+    The columns of ``d`` sum to 0, so ``cand + lam * d`` stays on the
+    column simplices up to ``lam_max``, where the first coordinate
+    reaches 0. Trials start at ``min(lam_max, _BOOST_MAX_STEP)`` and
+    shrink down to ``_BOOST_MIN_STEP``; each is projected, which absorbs
+    rounding. Returns ``(y, loss(y), lam)`` for the first trial with
+    ``loss(y) <= cand_loss - _BOOST_DECREASE * lam**2 * ||d||^2``, or
+    None when no trial passes.
+    """
+    d = cand - V
+    down = d < 0.0
+    if not down.any():
+        return None
+    lam = min(float(np.min(cand[down] / -d[down])), _BOOST_MAX_STEP)
+    dd = float(np.add.reduce(d * d, axis=None))
+    while lam >= _BOOST_MIN_STEP:
+        y = _simplex_project_columns(cand + lam * d)
+        y_loss = _loss(y, prob, beta)
+        if y_loss <= cand_loss - _BOOST_DECREASE * lam * lam * dd:
+            return y, y_loss, lam
+        lam *= _ARMIJO_SHRINK
+    return None
+
+
 def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None) -> DcaResult:
     """Run the guarded difference-of-convex iteration to convergence.
 
@@ -486,7 +533,7 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
     loss = _loss(V, prob, beta)
     trace = [loss]
     converged = False
-    fallback_steps = 0
+    fallback_steps = boosted_steps = 0
     relaxed_phase = True
     iterations = 0
 
@@ -527,6 +574,10 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
                     trace.append(loss)
                 converged = True
                 break
+            boosted = _boosted_step(V, cand, cand_loss, prob, beta)
+            if boosted is not None:
+                cand, cand_loss, _ = boosted
+                boosted_steps += 1
         V, loss = cand, cand_loss
         trace.append(loss)
 
@@ -545,4 +596,5 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
         loss_nats=loss,
         defect=defect,
         fallback_steps=fallback_steps,
+        boosted_steps=boosted_steps,
     )

@@ -110,8 +110,9 @@ class CondDist:
 class JointXY:
     """Known joint source: marginal over X plus the channel P(Y|X).
 
-    The derived marginal over Y must be strictly positive so that the
-    Bayes inverse P(X|Y) exists everywhere.
+    The derived marginal over Y may have zero entries: such a symbol y
+    never occurs, and every quantity weights it by P(y) = 0 (see
+    ``bayes_invert``).
     """
 
     p_x: DiscreteDist
@@ -122,8 +123,6 @@ class JointXY:
             raise InvalidDistributionError(
                 f"channel conditions on {self.y_given_x.n_cond} symbols, marginal has {self.p_x.n}"
             )
-        if np.min(self.p_y.probs) <= 0.0:
-            raise InvalidDistributionError("derived marginal over Y has a zero entry")
 
     @property
     def n_x(self) -> int:
@@ -263,12 +262,18 @@ def markov_compose(enc: Encoder, x_given_y: CondDist) -> CondDist:
 
 
 def bayes_invert(j: JointXY) -> CondDist:
-    """Posterior channel P(X|Y) obtained by Bayes rule from P(Y|X) and p_X."""
+    """Posterior channel P(X|Y) obtained by Bayes rule from P(Y|X) and p_X.
+
+    A symbol y with P(y) = 0 has no posterior; its column is set to P(X),
+    which keeps the channel column-stochastic, and every quantity built
+    on it weights that column by P(y) = 0.
+    """
     p_y = j.p_y.probs
-    if np.min(p_y) <= 0.0:
-        raise InvalidDistributionError("cannot invert: marginal over Y has zero mass")
+    unused = p_y <= 0.0
     joint_yx = j.y_given_x.matrix * j.p_x.probs[None, :]
-    return CondDist(joint_yx.T / p_y[None, :])
+    post = joint_yx.T / np.where(unused, 1.0, p_y)[None, :]
+    post[:, unused] = j.p_x.probs[:, None]
+    return CondDist(post)
 
 
 def pf_lagrangian(enc: Encoder, j: JointXY, beta: float) -> float:

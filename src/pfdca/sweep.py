@@ -168,6 +168,20 @@ def _run_cell(args) -> TradeoffPoint:
     return _run_cell_full(args)[0]
 
 
+# (source, config) of the sweep this process serves as a pool worker, set
+# once by the pool's initializer so that tasks carry only grid indices.
+_WORKER_SWEEP: tuple = ()
+
+
+def _init_worker(j: JointXY, cfg: SweepConfig) -> None:
+    global _WORKER_SWEEP
+    _WORKER_SWEEP = (j, cfg)
+
+
+def _run_worker_cell(cell) -> TradeoffPoint:
+    return _run_cell(_WORKER_SWEEP + cell)
+
+
 def sweep_tasks(j: JointXY, cfg: SweepConfig) -> list:
     """Grid-ordered task tuples consumed by the cell runners."""
     return [
@@ -195,14 +209,16 @@ def run_sweep(j: JointXY, cfg: SweepConfig, n_jobs: int | None = None) -> list[T
     """One solver run per (beta, alpha, card_z, restart) cell.
 
     Output order is deterministic (grid order) regardless of the worker
-    count used to compute it.
+    count used to compute it. Each worker receives the source and the
+    config once, when it starts; its tasks are grid indices.
     """
     tasks = sweep_tasks(j, cfg)
     jobs = min(resolve_jobs(n_jobs), len(tasks))   # no worker without a task
     if jobs == 1 or len(tasks) < 4:
         return [_run_cell(t) for t in tasks]
-    with get_context("fork").Pool(processes=jobs) as pool:
-        points = pool.map(_run_cell, tasks, chunksize=max(1, len(tasks) // (jobs * 8)))
+    cells = [t[2:] for t in tasks]
+    with get_context("fork").Pool(processes=jobs, initializer=_init_worker, initargs=(j, cfg)) as pool:
+        points = pool.map(_run_worker_cell, cells, chunksize=max(1, len(cells) // (jobs * 8)))
     return points
 
 

@@ -177,3 +177,23 @@ def test_baselines_accept_fewer_outputs_than_inputs(seed, nx, ny, beta):
         assert np.isfinite([p.i_zx_bits, p.i_zy_bits, p.loss_nats, p.stationarity_gap]).all()
     enc = random_encoder(np.random.default_rng(seed), 2, nx)
     assert np.isfinite(stationarity_gap(enc, j, beta))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_zero_probability_output_matches_source_without_it(seed):
+    # A never-seen output symbol moves no baseline point beyond rounding:
+    # its posterior column is weighted by P(y) = 0 everywhere.
+    rng = np.random.default_rng(seed)
+    nx, ny = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+    short = random_joint(seed, nx, ny)
+    k = int(rng.integers(0, ny + 1))
+    j = JointXY(short.p_x, CondDist(np.insert(short.y_given_x.matrix, k, 0.0, axis=0)))
+    assert j.p_y.probs[k] == 0.0
+    for beta in (0.5, 3.0):
+        got = greedy_merge_run(j, beta) + exhaustive_partitions(j, beta)
+        want = greedy_merge_run(short, beta) + exhaustive_partitions(short, beta)
+        assert len(got) == len(want)
+        for p, q in zip(got, want):
+            assert (p.solver, p.card_z, p.iterations, p.i_zx_bits) == (q.solver, q.card_z, q.iterations, q.i_zx_bits)
+            for field in ("i_zy_bits", "loss_nats", "stationarity_gap"):
+                assert getattr(p, field) == pytest.approx(getattr(q, field), abs=1e-12)

@@ -73,6 +73,8 @@ class TestSolve:
         payload = json.loads(out.read_text())
         assert np.array_equal(np.array(payload["encoder"]), res.encoder.matrix)
         assert np.array_equal(np.array(payload["loss_trace"]), res.loss_trace)
+        assert payload["fallback_steps"] == res.fallback_steps
+        assert payload["boosted_steps"] == res.boosted_steps > 0
 
     def test_iteration_cap_exit_code(self, tmp_path, demo_dist_file):
         rc = run_cli(
@@ -172,6 +174,37 @@ class TestVerify:
         assert rc == 5
 
 
+class TestZeroProbabilityOutput:
+    """A source whose second output symbol never occurs: P(Y) = (1, 0)."""
+
+    @pytest.fixture
+    def dist(self, tmp_path):
+        path = tmp_path / "zero_y.json"
+        path.write_text(json.dumps({"p_x": [0.5, 0.5], "p_y_given_x": [[1, 1], [0, 0]]}))
+        return path
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_solve(self, tmp_path, dist, q):
+        out = tmp_path / "result.json"
+        assert run_cli("solve", "--dist", dist, "--out", out, "--q", q) == 0
+        payload = json.loads(out.read_text())
+        assert payload["converged"] and not payload["defect"]
+        # Y carries no information about anything.
+        assert abs(payload["i_zy_bits"]) < 1e-12
+
+    def test_verify_passes_every_check(self, tmp_path, dist):
+        out = tmp_path / "checks.jsonl"
+        assert run_cli("verify", "--dist", dist, "--out", out) == 0
+        assert all(json.loads(line)["passed"] for line in out.read_text().splitlines())
+
+    def test_baseline(self, tmp_path, dist):
+        out = tmp_path / "b.csv"
+        assert run_cli("baseline", "--dist", dist, "--out", out) == 0
+        points = read_points_csv(out)
+        assert len(points) == 2 + 2
+        assert all(p.i_zy_bits == 0.0 for p in points)
+
+
 class TestReport:
     @pytest.fixture
     def result_files(self, tmp_path, demo_dist_file):
@@ -244,7 +277,7 @@ class TestExitCodes:
     def test_non_stochastic_encoder_is_internal(self, tmp_path, demo_dist_file, monkeypatch):
         bad = SimpleNamespace(
             converged=True, iterations=1, loss_nats=0.0, i_zx_bits=0.0, i_zy_bits=0.0,
-            stationarity_gap=0.0, fallback_steps=0, defect=False,
+            stationarity_gap=0.0, fallback_steps=0, boosted_steps=0, defect=False,
             loss_trace=np.zeros(1), encoder=SimpleNamespace(matrix=np.full((3, 3), 0.5)),
         )
         monkeypatch.setattr(pfdca.cli, "dca_run", lambda *args: bad)
@@ -310,11 +343,13 @@ class TestExitCodes:
             ("baseline", "--seed", "3"),
         ],
     )
-    def test_flag_the_command_does_not_read_is_flag_error(self, tmp_path, demo_dist_file, command):
+    def test_flag_the_command_does_not_read_is_flag_error(self, tmp_path, demo_dist_file, command, capsys):
         out = tmp_path / "o"
         rc = run_cli(command[0], "--dist", demo_dist_file, "--out", out, *command[1:])
         assert rc == EXIT_BAD_FLAGS
         assert not out.exists()
+        # The message names the command given, not only the root parser.
+        assert f"pfdca {command[0]}: error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["i_zx_bits", "stationarity_gap"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

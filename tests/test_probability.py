@@ -49,10 +49,13 @@ class TestValidation:
         with pytest.raises(InvalidDistributionError):
             CondDist(np.array([[0.5, 0.5], [0.4, 0.5]]))
 
-    def test_joint_requires_positive_y_marginal(self):
+    def test_joint_accepts_zero_y_marginal(self):
+        # y = 1 never occurs; its posterior column is P(X).
         channel = np.array([[1.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(InvalidDistributionError):
-            JointXY(DiscreteDist(np.array([0.5, 0.5])), CondDist(channel))
+        j = JointXY(DiscreteDist(np.array([0.25, 0.75])), CondDist(channel))
+        assert np.array_equal(j.p_y.probs, [1.0, 0.0])
+        assert np.array_equal(bayes_invert(j).matrix, [[0.25, 0.25], [0.75, 0.75]])
+        assert JointXY.from_joint_matrix(j.joint_matrix()).n_y == 2
 
     def test_joint_dimension_mismatch(self):
         with pytest.raises(InvalidDistributionError):
@@ -160,6 +163,25 @@ class TestBayesInvert:
         got = bayes_invert(demo_joint).matrix[1, 1]
         assert got == pytest.approx(0.82 / (3.0 * 0.29833333333333334), abs=1e-9)
         assert got > 0.9
+
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_zero_probability_output(self, seed):
+        # Inserting a never-seen output symbol leaves every other posterior
+        # column and every information measure as it was, up to rounding.
+        rng = np.random.default_rng(seed)
+        nx, ny = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+        p_x = DiscreteDist(rng.dirichlet(np.ones(nx)))
+        channel = rng.dirichlet(np.ones(ny), nx).T
+        k = int(rng.integers(0, ny + 1))
+        j = JointXY(p_x, CondDist(np.insert(channel, k, 0.0, axis=0)))
+        short = JointXY(p_x, CondDist(channel))
+        post = bayes_invert(j).matrix
+        assert np.array_equal(post[:, k], p_x.probs)
+        assert np.allclose(np.delete(post, k, axis=1), bayes_invert(short).matrix, rtol=0.0, atol=1e-15)
+        enc = random_encoder(rng, 3, nx)
+        for beta in (0.5, 2.0):
+            assert pf_lagrangian(enc, j, beta) == pytest.approx(pf_lagrangian(enc, short, beta), abs=1e-12)
 
 
 class TestLagrangian:

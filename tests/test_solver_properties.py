@@ -6,8 +6,9 @@ subproblem's optimum at the full budget, that it stays on the simplex
 and never ascends at any budget, and that a step which stops before its
 budget is exactly the full-budget step. The last tests run the guarded
 solver on random sources, full rank or not: every exact step runs at
-one budget, its outputs stay valid, and its relaxed step follows the
-one-rule schedule.
+one budget, every boost along an exact step's direction is a feasible
+step of sufficient descent, its outputs stay valid, and its relaxed step
+follows the one-rule schedule.
 """
 
 import numpy as np
@@ -21,12 +22,17 @@ from conftest import DEMO_CHANNEL, DEMO_PX
 from pfdca import CondDist, DcaConfig, DiscreteDist, JointXY, dca_run
 from pfdca.dca import (
     _ACCEPT_SLACK,
+    _BOOST_DECREASE,
+    _BOOST_MAX_STEP,
+    _BOOST_MIN_STEP,
     _INNER_MAX_ITER,
     _INNER_TOL,
     _SURROGATE_STEP_ITERS,
     _compute_c_arr,
     _f_value_arr,
+    _boosted_step,
     _grad_g_arr,
+    _loss,
     _Problem,
     _surrogate_descent,
 )
@@ -230,3 +236,49 @@ def test_relaxed_step_is_rejected_at_most_once(seed, source, card_z, beta, alpha
         mp.setattr(pfdca.dca, "_compute_c_arr", counted)
         res = dca_run(j, card_z, cfg)
     assert attempts - (res.iterations - res.fallback_steps) in (0, 1)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nx=st.integers(2, 5),
+    ny=st.integers(1, 7),
+    concentration=st.sampled_from([0.2, 1.0]),
+    card_z=st.integers(2, 4),
+    beta=st.sampled_from([0.3, 1.0, 3.0, 10.0]),
+    alpha=st.sampled_from([0.3, 1.0, 10.0]),
+    inner_kind=st.sampled_from(["ridge", "sparse_log"]),
+)
+def test_every_boost_is_a_feasible_sufficient_descent(seed, nx, ny, concentration, card_z, beta, alpha, inner_kind):
+    # Channel columns from Dirichlet(concentration), |Y| below, at or above
+    # |X|. Each accepted boost from cand along d = cand - V stays within
+    # the ray's feasible length, keeps the columns stochastic and lowers
+    # the loss by at least _BOOST_DECREASE * lam**2 * ||d||^2.
+    rng = np.random.default_rng(seed)
+    channel = rng.dirichlet(np.full(ny, concentration), nx).T
+    j = JointXY(DiscreteDist(rng.dirichlet(np.full(nx, 2.0))), CondDist(channel))
+    cfg = DcaConfig(beta=beta, alpha=alpha, inner_kind=inner_kind, seed=seed % 1000)
+    accepted = []
+
+    def recorded(V, cand, cand_loss, prob, beta):
+        out = _boosted_step(V, cand, cand_loss, prob, beta)
+        if out is not None:
+            accepted.append((V, cand, cand_loss, prob, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pfdca.dca, "_boosted_step", recorded)
+        res = dca_run(j, card_z, cfg)
+    assert len(accepted) == res.boosted_steps
+    for V, cand, cand_loss, prob, (y, y_loss, lam) in accepted:
+        d = cand - V
+        down = d < 0.0
+        assert _BOOST_MIN_STEP <= lam <= min(float(np.min(cand[down] / -d[down])), _BOOST_MAX_STEP)
+        assert np.all(y >= 0.0)
+        assert np.allclose(y.sum(axis=0), 1.0, rtol=0.0, atol=1e-9)
+        assert y_loss == _loss(y, prob, beta)
+        assert y_loss <= cand_loss - _BOOST_DECREASE * lam * lam * float((d * d).sum())
+        # The boosted loss is the one the trace records for its iteration.
+        assert y_loss in res.loss_trace
+    check_run(res)
+    assert res.converged

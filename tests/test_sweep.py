@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pfdca.sweep
+from pfdca.probability import JointXY
 from pfdca.sweep import (
     CSV_HEADER,
     Solver,
@@ -112,8 +113,9 @@ class TestRunSweep:
         started = []
 
         class FakePool:
-            def __init__(self, processes):
+            def __init__(self, processes, initializer, initargs):
                 started.append(processes)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -128,10 +130,28 @@ class TestRunSweep:
             Pool = FakePool
 
         monkeypatch.setattr(pfdca.sweep, "get_context", lambda method: FakeContext())
+        monkeypatch.setattr(pfdca.sweep, "_WORKER_SWEEP", ())   # restored after the in-process initializer
         cfg = SweepConfig(beta_grid=(1.0,), alpha_grid=(1.0,), card_z_values=(2, 3, 4, 5, 6), restarts=1)
         points = run_sweep(demo_joint, cfg, n_jobs=16)
         assert started == [5]
         assert points == run_sweep(demo_joint, cfg, n_jobs=1)
+
+    def test_pool_sends_the_source_once_per_worker(self, demo_joint, monkeypatch):
+        # Tasks are pickled in this process; the workers get the source from
+        # the pool's initializer when they fork, so no task pickles it.
+        cfg = SweepConfig(beta_grid=(0.5, 2.0), alpha_grid=(0.5, 2.0), card_z_values=(2, 3), restarts=1)
+        serial = points_to_csv(run_sweep(demo_joint, cfg, n_jobs=1))
+        pickled = []
+        original = JointXY.__reduce_ex__
+
+        def recorded(self, protocol):
+            pickled.append(self)
+            return original(self, protocol)
+
+        monkeypatch.setattr(JointXY, "__reduce_ex__", recorded)
+        parallel = points_to_csv(run_sweep(demo_joint, cfg, n_jobs=2))
+        assert pickled == []
+        assert parallel == serial
 
     def test_information_plane_invariants(self, demo_joint):
         for p in run_sweep(demo_joint, SweepConfig(**SMALL)):
