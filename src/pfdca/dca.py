@@ -47,19 +47,25 @@ without improving the loss beyond the outer tolerance. This preserves
 the monotone-descent certificate and leaves the final encoder
 approximately stationary.
 
-Every exact step that does not end the run is boosted, as in the
-boosted DC algorithm of Aragon Artacho, Fleming and Vuong (Math.
-Program. 2018), in the linearly constrained form of Aragon Artacho,
-Campoy and Vuong (Set-Valued Var. Anal. 2022): a line search along the
-step's own direction ``d = y - x`` from its result ``y`` takes the first
-of ``y + lam * d``, for ``lam`` from ``min(lam_max, _BOOST_MAX_STEP)``
-halving down to ``_BOOST_MIN_STEP``, whose loss lies at least
-``_BOOST_DECREASE * lam**2 * ||d||^2`` below that of ``y``. ``lam_max``
-is where the ray leaves the column simplices, so every trial is
-feasible. A boost only lowers the loss further, so the certificate
-holds, and fewer outer iterations are needed.
+Every step taken that does not end the run, relaxed or exact, is
+boosted, as in the boosted DC algorithm of Aragon Artacho, Fleming and
+Vuong (Math. Program. 2018), in the linearly constrained form of Aragon
+Artacho, Campoy and Vuong (Set-Valued Var. Anal. 2022): a line search
+along the step's own direction ``d = y - x`` from its result ``y`` takes
+the first of ``y + lam * d``, for ``lam`` from
+``min(lam_max, _BOOST_MAX_STEP)`` halving down to ``_BOOST_MIN_STEP``,
+whose loss lies at least ``_BOOST_DECREASE * lam**2 * ||d||^2`` below
+that of ``y``. ``lam_max`` is measured on the face of ``y``: it is where
+the first coordinate positive in ``y`` that falls along ``d`` reaches 0.
+A coordinate the step already put at 0 does not bound it; every trial
+is projected onto the column simplices, which keeps that coordinate at
+0, so every trial is feasible. A column with one positive entry
+projects back to itself, so a step that moves only such columns gets no
+trial. A boost only lowers the loss further, so the certificate holds,
+and fewer outer iterations are needed.
 
-Exact (fallback) steps and accepted boosts are counted on the result;
+Exact (fallback) steps are counted on the result, and so are accepted
+boosts, after relaxed and exact steps alike;
 an accepted ascent beyond ``DESCENT_SLACK`` (never produced by the
 guard) would be flagged as a defect.
 """
@@ -187,6 +193,7 @@ class DcaResult:
     loss_nats: float
     defect: bool = False
     fallback_steps: int = 0
+    # Accepted boosts, after relaxed and exact steps alike.
     boosted_steps: int = 0
 
 
@@ -481,22 +488,29 @@ def stationarity_gap(enc: Encoder, j: JointXY, beta: float) -> float:
 
 
 def _boosted_step(V: np.ndarray, cand: np.ndarray, cand_loss: float, prob: _Problem, beta: float):
-    """The boosted step: a line search along the exact step's direction
+    """The boosted step: a line search along the step's direction
     ``d = cand - V`` (see the module docstring).
 
-    The columns of ``d`` sum to 0, so ``cand + lam * d`` stays on the
-    column simplices up to ``lam_max``, where the first coordinate
-    reaches 0. Trials start at ``min(lam_max, _BOOST_MAX_STEP)`` and
-    shrink down to ``_BOOST_MIN_STEP``; each is projected, which absorbs
-    rounding. Returns ``(y, loss(y), lam)`` for the first trial with
-    ``loss(y) <= cand_loss - _BOOST_DECREASE * lam**2 * ||d||^2``, or
-    None when no trial passes.
+    ``lam_max`` is where the ray leaves the face of ``cand``: the first
+    coordinate that is positive in ``cand`` and falls along ``d``
+    reaches 0 there. A coordinate the step already put at 0 does not
+    bound it; each trial is projected onto the column simplices, which
+    keeps such a coordinate at 0 and absorbs rounding. Trials start at
+    ``min(lam_max, _BOOST_MAX_STEP)`` and shrink down to
+    ``_BOOST_MIN_STEP``. Returns ``(y, loss(y), lam)`` for the first
+    trial with ``loss(y) <= cand_loss - _BOOST_DECREASE * lam**2 *
+    ||d||^2``, or None when no trial can move or none passes.
     """
     d = cand - V
     down = d < 0.0
-    if not down.any():
+    pos = cand > 0.0
+    # A column with one positive entry is a vertex of its simplex: every
+    # projected trial keeps it at cand. Unless d moves some column with
+    # two or more, every trial is cand itself and none can pass.
+    if not np.any(down.any(axis=0) & (pos.sum(axis=0) > 1)):
         return None
-    lam = min(float(np.min(cand[down] / -d[down])), _BOOST_MAX_STEP)
+    down &= pos
+    lam = float(np.min(cand[down] / -d[down], initial=_BOOST_MAX_STEP))
     dd = float(np.add.reduce(d * d, axis=None))
     while lam >= _BOOST_MIN_STEP:
         y = _simplex_project_columns(cand + lam * d)
@@ -574,10 +588,12 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
                     trace.append(loss)
                 converged = True
                 break
-            boosted = _boosted_step(V, cand, cand_loss, prob, beta)
-            if boosted is not None:
-                cand, cand_loss, _ = boosted
-                boosted_steps += 1
+        # Every step taken that does not end the run, relaxed or exact, is
+        # boosted along its own direction.
+        boosted = _boosted_step(V, cand, cand_loss, prob, beta)
+        if boosted is not None:
+            cand, cand_loss, _ = boosted
+            boosted_steps += 1
         V, loss = cand, cand_loss
         trace.append(loss)
 

@@ -143,7 +143,12 @@ class JointXY:
 
     @staticmethod
     def from_joint_matrix(pxy) -> "JointXY":
-        """Build from a joint pmf array of shape (|X|, |Y|)."""
+        """Build from a joint pmf array of shape (|X|, |Y|).
+
+        A zero row is a symbol x with P(x) = 0, which has no channel
+        column; it gets P(Y|X=x) := P(Y), the convention ``bayes_invert``
+        follows for P(y) = 0, and every quantity weights it by P(x) = 0.
+        """
         pxy = _frozen_array(pxy, "joint matrix")
         if pxy.ndim != 2:
             raise InvalidDistributionError("joint matrix must be 2-D")
@@ -152,9 +157,10 @@ class JointXY:
             raise InvalidDistributionError(f"joint matrix sums to {total!r}")
         pxy = pxy / total
         p_x = pxy.sum(axis=1)
-        if np.min(p_x) <= 0.0:
-            raise InvalidDistributionError("joint matrix has a zero row (zero-mass x symbol)")
-        return JointXY(DiscreteDist(p_x), CondDist((pxy / p_x[:, None]).T))
+        unused = p_x <= 0.0
+        channel = (pxy / np.where(unused, 1.0, p_x)[:, None]).T
+        channel[:, unused] = pxy.sum(axis=0)[:, None]
+        return JointXY(DiscreteDist(p_x), CondDist(channel))
 
 
 @dataclass(frozen=True, eq=False)

@@ -164,10 +164,6 @@ def _run_cell_full(args):
     return point, res
 
 
-def _run_cell(args) -> TradeoffPoint:
-    return _run_cell_full(args)[0]
-
-
 # (source, config) of the sweep this process serves as a pool worker, set
 # once by the pool's initializer so that tasks carry only grid indices.
 _WORKER_SWEEP: tuple = ()
@@ -179,7 +175,7 @@ def _init_worker(j: JointXY, cfg: SweepConfig) -> None:
 
 
 def _run_worker_cell(cell) -> TradeoffPoint:
-    return _run_cell(_WORKER_SWEEP + cell)
+    return _run_cell_full(_WORKER_SWEEP + cell)[0]
 
 
 def sweep_tasks(j: JointXY, cfg: SweepConfig) -> list:
@@ -215,7 +211,7 @@ def run_sweep(j: JointXY, cfg: SweepConfig, n_jobs: int | None = None) -> list[T
     tasks = sweep_tasks(j, cfg)
     jobs = min(resolve_jobs(n_jobs), len(tasks))   # no worker without a task
     if jobs == 1 or len(tasks) < 4:
-        return [_run_cell(t) for t in tasks]
+        return [_run_cell_full(t)[0] for t in tasks]
     cells = [t[2:] for t in tasks]
     with get_context("fork").Pool(processes=jobs, initializer=_init_worker, initargs=(j, cfg)) as pool:
         points = pool.map(_run_worker_cell, cells, chunksize=max(1, len(cells) // (jobs * 8)))

@@ -57,6 +57,15 @@ class TestFit:
         assert np.allclose(est.encoder_.matrix.sum(axis=0), 1.0, atol=1e-12)
         assert -1e-12 <= est.i_zy_bits_ <= est.i_zx_bits_ + 1e-12
 
+    def test_fits_joint_matrix_with_zero_row(self):
+        # x = 2 has P(x) = 0, as in a source file with p_x = [0.5, 0.5, 0].
+        est = DcaPrivacyFunnel(card_z=2).fit([[0.45, 0.05], [0.1, 0.4], [0, 0]])
+        assert est.converged_
+        enc = est.encoder_.matrix
+        assert enc.shape == (2, 3)
+        assert np.all(enc >= 0.0)
+        assert np.allclose(enc.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+
     def test_rejects_bad_matrix(self):
         with pytest.raises(ValueError):
             DcaPrivacyFunnel().fit(np.array([[0.5, 0.4], [0.4, 0.5]]))

@@ -57,6 +57,19 @@ class TestValidation:
         assert np.array_equal(bayes_invert(j).matrix, [[0.25, 0.25], [0.75, 0.75]])
         assert JointXY.from_joint_matrix(j.joint_matrix()).n_y == 2
 
+    def test_joint_matrix_with_zero_row_round_trips(self):
+        # x = 2 never occurs; its channel column is P(Y).
+        joint = np.array([[0.45, 0.05], [0.1, 0.4], [0.0, 0.0]])
+        j = JointXY.from_joint_matrix(joint)
+        assert np.array_equal(j.p_x.probs, [0.5, 0.5, 0.0])
+        assert np.allclose(j.y_given_x.matrix[:, 2], j.p_y.probs, rtol=0.0, atol=1e-15)
+        assert np.allclose(j.joint_matrix(), joint, rtol=0.0, atol=1e-15)
+        assert np.array_equal(j.joint_matrix()[2], [0.0, 0.0])
+
+    def test_all_zero_joint_matrix_is_refused(self):
+        with pytest.raises(InvalidDistributionError):
+            JointXY.from_joint_matrix(np.zeros((3, 2)))
+
     def test_joint_dimension_mismatch(self):
         with pytest.raises(InvalidDistributionError):
             JointXY(DiscreteDist(np.array([0.5, 0.5])), CondDist(np.eye(3)))

@@ -34,6 +34,7 @@ from pfdca.dca import (
     _grad_g_arr,
     _loss,
     _Problem,
+    _simplex_project_columns,
     _surrogate_descent,
 )
 from pfdca.probability import LOG_CLAMP
@@ -251,9 +252,10 @@ def test_relaxed_step_is_rejected_at_most_once(seed, source, card_z, beta, alpha
 )
 def test_every_boost_is_a_feasible_sufficient_descent(seed, nx, ny, concentration, card_z, beta, alpha, inner_kind):
     # Channel columns from Dirichlet(concentration), |Y| below, at or above
-    # |X|. Each accepted boost from cand along d = cand - V stays within
-    # the ray's feasible length, keeps the columns stochastic and lowers
-    # the loss by at least _BOOST_DECREASE * lam**2 * ||d||^2.
+    # |X|. Each accepted boost from cand along d = cand - V, after a
+    # relaxed or an exact step, stays within the ray's feasible length on
+    # the face of cand, keeps the columns stochastic and lowers the loss
+    # by at least _BOOST_DECREASE * lam**2 * ||d||^2.
     rng = np.random.default_rng(seed)
     channel = rng.dirichlet(np.full(ny, concentration), nx).T
     j = JointXY(DiscreteDist(rng.dirichlet(np.full(nx, 2.0))), CondDist(channel))
@@ -272,8 +274,8 @@ def test_every_boost_is_a_feasible_sufficient_descent(seed, nx, ny, concentratio
     assert len(accepted) == res.boosted_steps
     for V, cand, cand_loss, prob, (y, y_loss, lam) in accepted:
         d = cand - V
-        down = d < 0.0
-        assert _BOOST_MIN_STEP <= lam <= min(float(np.min(cand[down] / -d[down])), _BOOST_MAX_STEP)
+        down = (d < 0.0) & (cand > 0.0)
+        assert _BOOST_MIN_STEP <= lam <= min(float(np.min(cand[down] / -d[down], initial=np.inf)), _BOOST_MAX_STEP)
         assert np.all(y >= 0.0)
         assert np.allclose(y.sum(axis=0), 1.0, rtol=0.0, atol=1e-9)
         assert y_loss == _loss(y, prob, beta)
@@ -282,3 +284,50 @@ def test_every_boost_is_a_feasible_sufficient_descent(seed, nx, ny, concentratio
         assert y_loss in res.loss_trace
     check_run(res)
     assert res.converged
+
+
+def test_exact_step_that_zeroes_a_coordinate_is_still_boosted():
+    # An exact step that puts a coordinate it moves away from at 0 gives
+    # the ray through the whole simplex no room (min over d < 0 of
+    # cand / -d is 0). Where some column that d moves keeps two or more
+    # positive entries, the face of cand leaves room: a boost is tried,
+    # and any accepted one is a sufficient descent. Where every such
+    # column is a vertex, every projected trial is cand itself, and no
+    # trial is made.
+    prob = _Problem.build(JointXY(DiscreteDist(DEMO_PX.copy()), CondDist(DEMO_CHANNEL.copy())))
+    tried = accepted = at_vertex = 0
+    for seed in range(10):
+        V = np.random.default_rng(seed).dirichlet(np.full(3, 0.3), 3).T
+        for beta in (0.5, 2.0):
+            g = _grad_g_arr(V, prob, beta, LOG_CLAMP)
+            cand, _, _ = _surrogate_descent(V, g, prob, LOG_CLAMP, INNER_TOL, _SURROGATE_STEP_ITERS)
+            d = cand - V
+            if not float(np.min(cand[d < 0.0] / -d[d < 0.0], initial=np.inf)) < _BOOST_MIN_STEP:
+                continue
+            cand_loss = _loss(cand, prob, beta)
+            trials = 0
+
+            def counted(*args):
+                nonlocal trials
+                trials += 1
+                return _loss(*args)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pfdca.dca, "_loss", counted)
+                out = _boosted_step(V, cand, cand_loss, prob, beta)
+            moved = np.any(d < 0.0, axis=0)
+            if not np.any(moved & (np.sum(cand > 0.0, axis=0) > 1)):
+                at_vertex += 1
+                assert np.allclose(_simplex_project_columns(cand + _BOOST_MAX_STEP * d), cand, rtol=0.0, atol=1e-15)
+                assert trials == 0 and out is None
+                continue
+            tried += 1
+            assert trials >= 1
+            if out is None:
+                continue
+            accepted += 1
+            y, y_loss, lam = out
+            assert np.all(y >= 0.0)
+            assert np.allclose(y.sum(axis=0), 1.0, rtol=0.0, atol=1e-9)
+            assert y_loss < cand_loss - _BOOST_DECREASE * lam * lam * float((d * d).sum())
+    assert tried >= 10 and accepted >= 5 and at_vertex >= 1
