@@ -3,16 +3,18 @@ grid, run deterministic baselines, verify the numerical certificates,
 and merge result files into an information-plane report.
 
 Exit codes: 0 success; 1 malformed input (a bad distribution file, or a
-result CSV with a bad row or a number that is not finite); 2 bad flags
-(including a flag the command does not take, and a number or a
-verification tolerance that is not finite), unknown ``--set`` keys, or a
-``PF_THREADS`` that is not an integer; 3 solve hit the iteration cap; 4
-exhaustive baseline guard exceeded; 5 a verification check failed; 6
-internal error (a bug, not bad input; set ``PFDCA_DEBUG`` to print its
-traceback).
+result CSV with a bad row, such as a number that is not finite, a
+``converged`` cell other than true/false, or a ``q`` that contradicts
+its solver); 2 bad flags (including a flag the command does not take, a
+negative ``--seed``, and a number or a verification tolerance that is
+not finite), unknown ``--set`` keys, or a ``PF_THREADS`` that is not an
+integer; 3 solve hit the iteration cap; 4 exhaustive baseline guard
+exceeded; 5 a verification check failed; 6 internal error (a bug, not
+bad input; set ``PFDCA_DEBUG`` to print its traceback).
 """
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -24,7 +26,6 @@ from .dca import DcaConfig, InnerKind, _finite_positive, dca_run
 from .diagnostics import run_verification
 from .probability import InvalidDistributionError, load_joint
 from .sweep import (
-    Solver,
     SweepConfig,
     pareto_frontier,
     read_points_csv,
@@ -51,12 +52,11 @@ class CliError(Exception):
         self.code = code
 
 
-def _q_to_kind(q: int) -> InnerKind:
-    if q == 2:
-        return InnerKind.RIDGE
-    if q == 1:
-        return InnerKind.SPARSE_LOG
-    raise CliError(EXIT_BAD_FLAGS, f"unsupported norm order q={q}")
+# Inner solver per --q; argparse admits no other value.
+_Q_KIND = {1: InnerKind.SPARSE_LOG, 2: InnerKind.RIDGE}
+
+DOMINANCE_HEADER = ["baseline_solver", "card_z", "i_zx_bits", "i_zy_bits", "dominated",
+                    "by_i_zx_bits", "by_i_zy_bits"]
 
 
 def _parse_overrides(pairs, allowed: dict) -> dict:
@@ -101,6 +101,18 @@ _VERIFY_FIELD_PARSERS = {
 }
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _bits(p) -> list:
+    """The (I(Z;X), I(Z;Y)) cells of a dominance row; empty for no point."""
+    return [format(p.i_zx_bits, ".12g"), format(p.i_zy_bits, ".12g")] if p else ["", ""]
+
+
 def _load_dist(path):
     try:
         return load_joint(path)
@@ -116,7 +128,7 @@ def cmd_solve(args) -> int:
         cfg = DcaConfig(
             beta=args.beta,
             alpha=args.alpha,
-            inner_kind=_q_to_kind(args.q),
+            inner_kind=_Q_KIND[args.q],
             outer_tol=args.tol,
             outer_max_iter=args.max_iter,
             seed=args.seed,
@@ -163,7 +175,7 @@ def cmd_sweep(args) -> int:
     try:
         cfg = SweepConfig(
             restarts=args.restarts,
-            inner_kind=_q_to_kind(args.q),
+            inner_kind=_Q_KIND[args.q],
             base_seed=args.seed,
             outer_tol=args.tol,
             outer_max_iter=args.max_iter,
@@ -234,44 +246,22 @@ def cmd_report(args) -> int:
     if not all_points:
         raise CliError(EXIT_BAD_INPUT, "no records found in the input files")
     write_points_csv(pareto_frontier(all_points), args.out)
-    dca_points = [p for p in all_points if p.solver in (Solver.DCA_RIDGE, Solver.DCA_SPARSE)]
-    baseline_points = [p for p in all_points if p.solver in (Solver.GREEDY, Solver.EXHAUSTIVE)]
-    rows = []
+    dca_points = [p for p in all_points if p.q]
+    baseline_points = [p for p in all_points if not p.q]
     dominated_count = 0
-    for b in baseline_points:
-        candidates = [
-            d
-            for d in dca_points
-            if d.i_zx_bits >= b.i_zx_bits - DOMINANCE_SLACK_BITS
-            and d.i_zy_bits <= b.i_zy_bits + DOMINANCE_SLACK_BITS
-        ]
-        best = min(candidates, key=lambda d: (d.i_zy_bits, -d.i_zx_bits), default=None)
-        dominated_count += best is not None
-        rows.append(
-            {
-                "baseline_solver": b.solver.value,
-                "card_z": b.card_z,
-                "i_zx_bits": format(b.i_zx_bits, ".12g"),
-                "i_zy_bits": format(b.i_zy_bits, ".12g"),
-                "dominated": "true" if best is not None else "false",
-                "by_i_zx_bits": format(best.i_zx_bits, ".12g") if best else "",
-                "by_i_zy_bits": format(best.i_zy_bits, ".12g") if best else "",
-            }
-        )
-    dominance_path = str(args.out) + ".dominance.csv"
-    with open(dominance_path, "w", encoding="utf-8", newline="") as fh:
-        header = [
-            "baseline_solver",
-            "card_z",
-            "i_zx_bits",
-            "i_zy_bits",
-            "dominated",
-            "by_i_zx_bits",
-            "by_i_zy_bits",
-        ]
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[k]) for k in header) + "\n")
+    with open(str(args.out) + ".dominance.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(DOMINANCE_HEADER)
+        for b in baseline_points:
+            candidates = [
+                d
+                for d in dca_points
+                if d.i_zx_bits >= b.i_zx_bits - DOMINANCE_SLACK_BITS
+                and d.i_zy_bits <= b.i_zy_bits + DOMINANCE_SLACK_BITS
+            ]
+            best = min(candidates, key=lambda d: (d.i_zy_bits, -d.i_zx_bits), default=None)
+            dominated_count += best is not None
+            writer.writerow([b.solver.value, b.card_z, *_bits(b), "true" if best else "false", *_bits(best)])
     print(
         f"report: {len(all_points)} points, {dominated_count}/{len(baseline_points)} "
         f"baseline points dominated within {DOMINANCE_SLACK_BITS} bits -> {args.out}"
@@ -290,6 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dist", required=True, help="joint distribution JSON file")
         p.add_argument("--out", required=True, help="output file path")
 
+    def add_seed(p):
+        p.add_argument("--seed", type=_seed, default=0, help="base random seed")
+
     def add_set(p):
         p.add_argument(
             "--set",
@@ -300,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run one solver instance")
     add_common(p_solve)
-    p_solve.add_argument("--seed", type=int, default=0, help="base random seed")
+    add_seed(p_solve)
     p_solve.add_argument("--beta", type=float, default=1.0, help="trade-off multiplier")
     p_solve.add_argument("--alpha", type=float, default=1.0, help="relaxation coefficient")
     p_solve.add_argument("--card-z", type=int, default=3, dest="card_z", help="code alphabet size")
@@ -311,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="hyperparameter grid sweep")
     add_common(p_sweep)
-    p_sweep.add_argument("--seed", type=int, default=0, help="base random seed")
+    add_seed(p_sweep)
     add_set(p_sweep)
     p_sweep.add_argument("--restarts", type=int, default=10)
     p_sweep.add_argument("--q", type=int, choices=(1, 2), default=2)
@@ -332,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the numerical certificate suite")
     add_common(p_verify)
-    p_verify.add_argument("--seed", type=int, default=0, help="base random seed")
+    add_seed(p_verify)
     add_set(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

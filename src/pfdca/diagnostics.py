@@ -16,7 +16,7 @@ a tolerance:
 * monotone descent of a solver run's loss trace.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,13 +43,7 @@ class CheckReport:
         return self.max_violation <= self.tolerance
 
     def to_record(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "max_violation": self.max_violation,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _fd_gradient(value, matrix, step):

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from multiprocessing import get_context
 
@@ -19,22 +19,6 @@ import numpy as np
 
 from .dca import DcaConfig, InnerKind, _finite_positive, dca_run
 from .probability import JointXY
-
-CSV_HEADER = [
-    "solver",
-    "q",
-    "beta",
-    "alpha",
-    "card_z",
-    "restart",
-    "seed",
-    "i_zx_bits",
-    "i_zy_bits",
-    "loss_nats",
-    "converged",
-    "iterations",
-    "stationarity_gap",
-]
 
 PARETO_BIN_BITS = 0.02
 
@@ -74,6 +58,12 @@ class TradeoffPoint:
     @property
     def q(self) -> int:
         return _SOLVER_Q[self.solver]
+
+
+# The on-disk record: the solver, its norm order q, then every other field
+# of TradeoffPoint in declaration order.
+_FIELDS = fields(TradeoffPoint)
+CSV_HEADER = ["solver", "q"] + [f.name for f in _FIELDS[1:]]
 
 
 def geomspace(lo: float, hi: float, n: int) -> list[float]:
@@ -247,27 +237,11 @@ def _format_value(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return format(v + 0.0 if v != 0.0 else 0.0, ".12g")
-    if isinstance(v, Solver):
-        return v.value
     return str(v)
 
 
 def point_to_record(p: TradeoffPoint) -> dict:
-    return {
-        "solver": p.solver.value,
-        "q": p.q,
-        "beta": p.beta,
-        "alpha": p.alpha,
-        "card_z": p.card_z,
-        "restart": p.restart,
-        "seed": p.seed,
-        "i_zx_bits": p.i_zx_bits,
-        "i_zy_bits": p.i_zy_bits,
-        "loss_nats": p.loss_nats,
-        "converged": p.converged,
-        "iterations": p.iterations,
-        "stationarity_gap": p.stationarity_gap,
-    }
+    return {"solver": p.solver.value, "q": p.q, **{k: getattr(p, k) for k in CSV_HEADER[2:]}}
 
 
 def points_to_csv(points: list) -> str:
@@ -291,11 +265,29 @@ def write_points_json(points: list, path) -> None:
         fh.write("\n")
 
 
+def _parse_float(text: str) -> float:
+    v = float(text)
+    if not np.isfinite(v):
+        raise ValueError("a number is not finite")
+    return v
+
+
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
+# Cell parser per TradeoffPoint field type.
+_PARSERS = {Solver: Solver, int: int, float: _parse_float, bool: _parse_bool}
+
+
 def read_points_csv(path) -> list:
     """Parse a sweep/baseline CSV back into trade-off points.
 
-    Raises ValueError on any schema mismatch or a number that is not
-    finite.
+    Raises ValueError on any schema mismatch, a number that is not
+    finite, a ``converged`` cell other than true/false, or a ``q`` that
+    contradicts the solver.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -309,26 +301,12 @@ def read_points_csv(path) -> list:
         for row in reader:
             if len(row) != len(CSV_HEADER):
                 raise ValueError(f"{path}: row with {len(row)} fields")
+            cells = dict(zip(CSV_HEADER, row))
             try:
-                beta, alpha, i_zx, i_zy, loss, gap = (float(row[k]) for k in (2, 3, 7, 8, 9, 12))
-                if not np.all(np.isfinite([beta, alpha, i_zx, i_zy, loss, gap])):
-                    raise ValueError("a number is not finite")
-                points.append(
-                    TradeoffPoint(
-                        solver=Solver(row[0]),
-                        beta=beta,
-                        alpha=alpha,
-                        card_z=int(row[4]),
-                        restart=int(row[5]),
-                        seed=int(row[6]),
-                        i_zx_bits=i_zx,
-                        i_zy_bits=i_zy,
-                        loss_nats=loss,
-                        converged=row[10] == "true",
-                        iterations=int(row[11]),
-                        stationarity_gap=gap,
-                    )
-                )
+                p = TradeoffPoint(**{f.name: _PARSERS[f.type](cells[f.name]) for f in _FIELDS})
+                if int(cells["q"]) != p.q:
+                    raise ValueError(f"q={cells['q']} contradicts solver {p.solver.value}")
             except ValueError as exc:
                 raise ValueError(f"{path}: bad row {row!r}: {exc}") from exc
+            points.append(p)
     return points

@@ -158,6 +158,12 @@ class TestVerify:
         stdout = capsys.readouterr().out
         assert stdout.count("[PASS]") == 9
 
+    def test_record_keys_are_pinned(self, tmp_path, demo_dist_file):
+        out = tmp_path / "checks.jsonl"
+        assert run_cli("verify", "--dist", demo_dist_file, "--out", out) == 0
+        for line in out.read_text().splitlines():
+            assert list(json.loads(line)) == ["name", "samples", "max_violation", "tolerance", "passed"]
+
     def test_corrupted_distribution(self, tmp_path):
         dist = tmp_path / "bad.json"
         dist.write_text(
@@ -224,6 +230,14 @@ class TestReport:
         dom_lines = (tmp_path / "combined.csv.dominance.csv").read_text().strip().split("\n")
         assert len(dom_lines) == 1 + 8  # header + baseline points
         assert "baseline points dominated" in capsys.readouterr().out
+
+    def test_dominance_header_is_pinned(self, tmp_path, result_files):
+        sweep, base = result_files
+        out = tmp_path / "combined.csv"
+        assert run_cli("report", "--inputs", sweep, base, "--out", out) == 0
+        lines = (tmp_path / "combined.csv.dominance.csv").read_text().splitlines()
+        assert lines[0] == "baseline_solver,card_z,i_zx_bits,i_zy_bits,dominated,by_i_zx_bits,by_i_zy_bits"
+        assert lines[1].startswith("greedy,3,")
 
     def test_single_file(self, tmp_path, result_files):
         sweep, _ = result_files
@@ -363,6 +377,30 @@ class TestExitCodes:
         out = tmp_path / "o.csv"
         assert run_cli("report", "--inputs", base, "--out", out) == EXIT_BAD_INPUT
         assert not out.exists()
+
+    @pytest.mark.parametrize("cells", [{"q": "7"}, {"converged": "maybe"}, {"q": "7", "converged": "maybe"}])
+    def test_contradictory_csv_cell_is_input_error(self, tmp_path, demo_dist_file, cells):
+        sweep = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--dist", demo_dist_file, "--out", sweep, *TestSweep.ARGS) == 0
+        header, first, *rest = sweep.read_text().splitlines()
+        row = first.split(",")
+        assert row[0] == "dca_ridge"
+        for field, value in cells.items():
+            row[CSV_HEADER.index(field)] = value
+        sweep.write_text("\n".join([header, ",".join(row), *rest]) + "\n")
+        out = tmp_path / "o.csv"
+        assert run_cli("report", "--inputs", sweep, "--out", out) == EXIT_BAD_INPUT
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
+    def test_negative_seed_is_flag_error(self, tmp_path, demo_dist_file, command, capsys):
+        out = tmp_path / "o"
+        rc = run_cli(command, "--dist", demo_dist_file, "--out", out, "--seed", "-1")
+        assert rc == EXIT_BAD_FLAGS
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: pfdca {command} ")
+        assert f"pfdca {command}: error: argument --seed:" in err
 
     @pytest.mark.parametrize("setting", ["grad_tol=nan", "grad_tol=inf", "grad_tol=-1", "descent_tol=nan"])
     def test_unusable_verify_tolerance_is_flag_error(self, tmp_path, demo_dist_file, setting):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from pfdca.sweep import (
     read_points_csv,
     run_sweep,
     write_points_csv,
+    write_points_json,
 )
 
 SMALL = dict(
@@ -247,3 +250,46 @@ class TestCsv:
         path.write_text(",".join(CSV_HEADER) + "\ndca_ridge,2,oops\n")
         with pytest.raises(ValueError):
             read_points_csv(path)
+
+    def test_header_line_is_pinned(self):
+        # The on-disk order; reordering a TradeoffPoint field must fail here.
+        text = points_to_csv([point(1.0, 0.5)])
+        assert text.split("\n")[0] == (
+            "solver,q,beta,alpha,card_z,restart,seed,i_zx_bits,i_zy_bits,"
+            "loss_nats,converged,iterations,stationarity_gap"
+        )
+
+    def test_json_record_key_order_is_pinned(self, tmp_path):
+        path = tmp_path / "points.json"
+        write_points_json([point(1.0, 0.5, solver=Solver.GREEDY)], path)
+        (record,) = json.loads(path.read_text())
+        assert list(record) == [
+            "solver", "q", "beta", "alpha", "card_z", "restart", "seed",
+            "i_zx_bits", "i_zy_bits", "loss_nats", "converged", "iterations",
+            "stationarity_gap",
+        ]
+        assert record["solver"] == "greedy" and record["q"] == 0
+
+    @staticmethod
+    def _one_row_csv(tmp_path, **cells):
+        path = tmp_path / "one.csv"
+        write_points_csv([point(1.0, 0.5)], path)
+        header, row = path.read_text().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        fields.update(cells)
+        path.write_text(header + "\n" + ",".join(fields.values()) + "\n")
+        return path
+
+    def test_unchanged_row_reads_back(self, tmp_path):
+        (p,) = read_points_csv(self._one_row_csv(tmp_path))
+        assert p == point(1.0, 0.5)
+
+    @pytest.mark.parametrize("value", ["maybe", "True", "1", ""])
+    def test_converged_other_than_true_or_false_rejected(self, tmp_path, value):
+        with pytest.raises(ValueError, match="bad row"):
+            read_points_csv(self._one_row_csv(tmp_path, converged=value))
+
+    @pytest.mark.parametrize("value", ["7", "1", "0"])
+    def test_q_contradicting_solver_rejected(self, tmp_path, value):
+        with pytest.raises(ValueError, match="contradicts solver dca_ridge"):
+            read_points_csv(self._one_row_csv(tmp_path, q=value))
