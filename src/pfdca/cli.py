@@ -2,15 +2,20 @@
 grid, run deterministic baselines, verify the numerical certificates,
 and merge result files into an information-plane report.
 
-Exit codes: 0 success; 1 malformed input (a bad distribution file, or a
-result CSV with a bad row, such as a number that is not finite, a
-``converged`` cell other than true/false, or a ``q`` that contradicts
-its solver); 2 bad flags (including a flag the command does not take, a
-negative ``--seed``, and a number or a verification tolerance that is
-not finite), unknown ``--set`` keys, or a ``PF_THREADS`` that is not an
-integer; 3 solve hit the iteration cap; 4 exhaustive baseline guard
-exceeded; 5 a verification check failed; 6 internal error (a bug, not
-bad input; set ``PFDCA_DEBUG`` to print its traceback).
+argparse parses every flag; a flag left out keeps the default of
+``DcaConfig`` or ``SweepConfig``, and ``verify`` runs each check at its
+default tolerance.
+
+Exit codes: 0 success; 1 malformed input (a bad distribution file, such
+as a ``p_x`` that is not a list of numbers, or a result CSV with a bad
+row, such as a number that is not finite, a ``converged`` cell other
+than true/false, or a ``q`` that contradicts its solver); 2 bad flags
+(a flag the command does not take, a negative ``--seed``, a number
+that is not finite, a ``--card-z`` list that repeats a size, a worker
+count below 1, or a ``PF_THREADS`` that is not an integer); 3 solve hit
+the iteration cap; 4 exhaustive baseline guard exceeded; 5 a
+verification check failed; 6 internal error (a bug, not bad input; set
+``PFDCA_DEBUG`` to print its traceback).
 """
 
 import argparse
@@ -59,46 +64,11 @@ DOMINANCE_HEADER = ["baseline_solver", "card_z", "i_zx_bits", "i_zy_bits", "domi
                     "by_i_zx_bits", "by_i_zy_bits"]
 
 
-def _parse_overrides(pairs, allowed: dict) -> dict:
-    """Parse repeated ``--set key=value`` pairs against typed field table."""
-    out = {}
-    for raw in pairs or []:
-        if "=" not in raw:
-            raise CliError(EXIT_BAD_FLAGS, f"--set expects key=value, got {raw!r}")
-        key, value = raw.split("=", 1)
-        key = key.strip()
-        if key not in allowed:
-            raise CliError(
-                EXIT_BAD_FLAGS, f"unknown override key {key!r}; known: {sorted(allowed)}"
-            )
-        try:
-            out[key] = allowed[key](value)
-        except (TypeError, ValueError) as exc:
-            raise CliError(EXIT_BAD_FLAGS, f"bad value for {key}: {exc}") from exc
-    return out
-
-
-def _float_tuple(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
-def _int_tuple(text: str) -> tuple:
-    return tuple(int(v) for v in text.split(",") if v.strip())
-
-
-_SWEEP_FIELD_PARSERS = {
-    "beta_grid": _float_tuple,
-    "alpha_grid": _float_tuple,
-    "card_z_values": _int_tuple,
-}
-
-_VERIFY_FIELD_PARSERS = {
-    "grad_tol": float,
-    "identity_tol": float,
-    "residual_tol": float,
-    "convexity_tol": float,
-    "descent_tol": float,
-}
+def _comma_list(kind):
+    """argparse type of a comma list of ``kind`` values, such as ``0.5,2``."""
+    parse = lambda text: tuple(kind(v) for v in text.split(","))
+    parse.__name__ = f"comma list of {kind.__name__}"  # argparse's name for it in errors
+    return parse
 
 
 def _seed(text: str) -> int:
@@ -171,7 +141,7 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     j = _load_dist(args.dist)
-    overrides = _parse_overrides(args.set, _SWEEP_FIELD_PARSERS)
+    grid = {k: v for k, v in vars(args).items() if k in ("beta_grid", "alpha_grid", "card_z_values")}
     try:
         cfg = SweepConfig(
             restarts=args.restarts,
@@ -179,14 +149,11 @@ def cmd_sweep(args) -> int:
             base_seed=args.seed,
             outer_tol=args.tol,
             outer_max_iter=args.max_iter,
-            **overrides,
+            **grid,
         )
-    except ValueError as exc:
-        raise CliError(EXIT_BAD_FLAGS, f"bad sweep configuration: {exc}") from exc
-    try:
         jobs = resolve_jobs(args.jobs)
     except ValueError as exc:
-        raise CliError(EXIT_BAD_FLAGS, str(exc)) from exc
+        raise CliError(EXIT_BAD_FLAGS, f"bad sweep configuration: {exc}") from exc
     points = run_sweep(j, cfg, n_jobs=jobs)
     write_points_csv(points, args.out)
     write_points_json(points, str(args.out) + ".json")
@@ -213,12 +180,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    j = _load_dist(args.dist)
-    overrides = _parse_overrides(args.set, _VERIFY_FIELD_PARSERS)
-    try:
-        reports = run_verification(j, seed=args.seed, tolerances=overrides or None)
-    except ValueError as exc:
-        raise CliError(EXIT_BAD_FLAGS, f"bad verification tolerance: {exc}") from exc
+    reports = run_verification(_load_dist(args.dist), seed=args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         for report in reports:
             fh.write(json.dumps(report.to_record()) + "\n")
@@ -281,35 +243,33 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output file path")
 
     def add_seed(p):
-        p.add_argument("--seed", type=_seed, default=0, help="base random seed")
+        p.add_argument("--seed", type=_seed, default=DcaConfig.seed, help="base random seed")
 
-    def add_set(p):
-        p.add_argument(
-            "--set",
-            action="append",
-            metavar="KEY=VALUE",
-            help="override an advanced configuration field (repeatable)",
-        )
+    def add_solver(p):
+        p.add_argument("--q", type=int, choices=(1, 2), default=2, help="inner penalty norm order")
+        p.add_argument("--max-iter", type=int, default=DcaConfig.outer_max_iter, dest="max_iter")
+        p.add_argument("--tol", type=float, default=DcaConfig.outer_tol)
 
     p_solve = sub.add_parser("solve", help="run one solver instance")
     add_common(p_solve)
     add_seed(p_solve)
+    add_solver(p_solve)
     p_solve.add_argument("--beta", type=float, default=1.0, help="trade-off multiplier")
     p_solve.add_argument("--alpha", type=float, default=1.0, help="relaxation coefficient")
     p_solve.add_argument("--card-z", type=int, default=3, dest="card_z", help="code alphabet size")
-    p_solve.add_argument("--q", type=int, choices=(1, 2), default=2, help="inner penalty norm order")
-    p_solve.add_argument("--max-iter", type=int, default=10000, dest="max_iter")
-    p_solve.add_argument("--tol", type=float, default=1e-6)
     p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="hyperparameter grid sweep")
     add_common(p_sweep)
     add_seed(p_sweep)
-    add_set(p_sweep)
-    p_sweep.add_argument("--restarts", type=int, default=10)
-    p_sweep.add_argument("--q", type=int, choices=(1, 2), default=2)
-    p_sweep.add_argument("--max-iter", type=int, default=10000, dest="max_iter")
-    p_sweep.add_argument("--tol", type=float, default=1e-6)
+    add_solver(p_sweep)
+    # A grid flag left out is absent from args; cmd_sweep leaves that grid to SweepConfig.
+    grid = dict(default=argparse.SUPPRESS, metavar="V,V,...")
+    p_sweep.add_argument("--beta-grid", type=_comma_list(float), help="trade-off multipliers", **grid)
+    p_sweep.add_argument("--alpha-grid", type=_comma_list(float), help="relaxation coefficients", **grid)
+    p_sweep.add_argument("--card-z", type=_comma_list(int), dest="card_z_values",
+                         help="code alphabet sizes", **grid)
+    p_sweep.add_argument("--restarts", type=int, default=SweepConfig.restarts)
     p_sweep.add_argument(
         "--jobs", type=int, default=None, help="worker processes (default: PF_THREADS or 1)"
     )
@@ -326,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the numerical certificate suite")
     add_common(p_verify)
     add_seed(p_verify)
-    add_set(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_report = sub.add_parser("report", help="merge result CSVs into a frontier report")
@@ -335,6 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.set_defaults(func=cmd_report)
 
     for p in sub.choices.values():
+        # No abbreviations: ``sweep --beta 2`` must not pass for ``--beta-grid 2``.
+        p.allow_abbrev = False
         p.set_defaults(command_parser=p)
     return parser
 

@@ -75,6 +75,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
@@ -176,8 +177,10 @@ class DcaConfig:
             raise ValueError("beta and alpha must be finite and positive")
         if not _finite_positive(self.outer_tol):
             raise ValueError("outer_tol must be finite and positive")
-        if self.outer_max_iter < 1:
-            raise ValueError("outer_max_iter must be >= 1")
+        if not isinstance(self.outer_max_iter, Integral) or self.outer_max_iter < 1:
+            raise ValueError("outer_max_iter must be an integer >= 1")
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "inner_kind", InnerKind(self.inner_kind))
 
 

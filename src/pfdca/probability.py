@@ -291,6 +291,13 @@ def pf_lagrangian(enc: Encoder, j: JointXY, beta: float) -> float:
     return i_zy - beta * i_zx
 
 
+def _numbers(values, name: str) -> np.ndarray:
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidDistributionError(f"{name} has an entry that is not a number: {exc}") from exc
+
+
 def joint_from_dict(payload: dict) -> JointXY:
     """Parse the JSON object format: ``{"p_x": [...], "p_y_given_x": [[...], ...]}``.
 
@@ -303,17 +310,17 @@ def joint_from_dict(payload: dict) -> JointXY:
         rows = payload["p_y_given_x"]
     except (TypeError, KeyError) as exc:
         raise InvalidDistributionError(f"missing field in joint distribution object: {exc}") from exc
-    try:
-        matrix = np.array(rows, dtype=float)
-    except ValueError as exc:
-        raise InvalidDistributionError(f"p_y_given_x is not rectangular: {exc}") from exc
-    if matrix.ndim != 2:
+    # As objects, ragged rows make a vector of lists instead of failing.
+    if np.array(rows, dtype=object).ndim != 2:
         raise InvalidDistributionError("p_y_given_x must be a matrix (list of equal-length rows)")
-    if matrix.shape[1] != len(p_x):
+    p_x, matrix = _numbers(p_x, "p_x"), _numbers(rows, "p_y_given_x")
+    if p_x.ndim != 1:
+        raise InvalidDistributionError("p_x must be a list of numbers")
+    if matrix.shape[1] != p_x.size:
         raise InvalidDistributionError(
-            f"p_y_given_x rows have {matrix.shape[1]} entries, p_x has {len(p_x)}"
+            f"p_y_given_x rows have {matrix.shape[1]} entries, p_x has {p_x.size}"
         )
-    return JointXY(DiscreteDist(np.array(p_x, dtype=float)), CondDist(matrix))
+    return JointXY(DiscreteDist(p_x), CondDist(matrix))
 
 
 def joint_to_dict(j: JointXY) -> dict:

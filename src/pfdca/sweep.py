@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from multiprocessing import get_context
+from numbers import Integral
 
 import numpy as np
 
@@ -86,9 +87,9 @@ class SweepConfig:
     card_z_values: tuple | None = None  # None: 2 .. max(|X|, |Y|) + 1
     restarts: int = 10
     inner_kind: InnerKind = InnerKind.RIDGE
-    base_seed: int = 0
-    outer_tol: float = 1e-6
-    outer_max_iter: int = 10000
+    base_seed: int = DcaConfig.seed
+    outer_tol: float = DcaConfig.outer_tol
+    outer_max_iter: int = DcaConfig.outer_max_iter
 
     def __post_init__(self):
         for name in ("beta_grid", "alpha_grid"):
@@ -97,12 +98,15 @@ class SweepConfig:
                 raise ValueError(f"{name} must be finite, positive and sorted ascending")
             object.__setattr__(self, name, grid)
         if self.card_z_values is not None:
-            values = tuple(int(v) for v in self.card_z_values)
-            if not values or min(values) < 1:
-                raise ValueError("card_z_values must be positive")
-            object.__setattr__(self, "card_z_values", values)
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+            values = tuple(self.card_z_values)
+            # A repeated size would rerun its cells with the same seeds.
+            if not values or len(set(values)) < len(values) or not all(
+                isinstance(v, Integral) and v >= 1 for v in values
+            ):
+                raise ValueError(f"card_z_values must be distinct positive integers, got {values}")
+            object.__setattr__(self, "card_z_values", tuple(int(v) for v in values))
+        if not isinstance(self.restarts, Integral) or self.restarts < 1:
+            raise ValueError("restarts must be an integer >= 1")
         object.__setattr__(self, "inner_kind", InnerKind(self.inner_kind))
         # Check the solver fields here, as every cell's config will.
         self._run_config(self.beta_grid[0], self.alpha_grid[0], self.base_seed)
@@ -180,15 +184,19 @@ def sweep_tasks(j: JointXY, cfg: SweepConfig) -> list:
 
 
 def resolve_jobs(n_jobs: int | None = None) -> int:
-    """Worker count: explicit argument, else PF_THREADS, else 1. A
-    PF_THREADS that is not an integer raises ValueError."""
+    """Worker count: explicit argument (the CLI's ``--jobs``), else
+    PF_THREADS, else 1. A count below 1, or a PF_THREADS that is not an
+    integer, raises ValueError."""
+    source = "--jobs"
     if n_jobs is None:
-        env = os.environ.get("PF_THREADS", "").strip()
+        source, env = "PF_THREADS", os.environ.get("PF_THREADS", "").strip()
         try:
             n_jobs = int(env) if env else 1
         except ValueError:
             raise ValueError(f"PF_THREADS must be an integer, got {env!r}") from None
-    return max(1, n_jobs)
+    if n_jobs < 1:
+        raise ValueError(f"{source} must be at least 1, got {n_jobs}")
+    return n_jobs
 
 
 def run_sweep(j: JointXY, cfg: SweepConfig, n_jobs: int | None = None) -> list[TradeoffPoint]:

@@ -259,9 +259,9 @@ def test_criterion_9_trivial_limits(default_sweep):
 
 def test_criterion_10_determinism(tmp_path, demo_dist_file, monkeypatch):
     flags = [
-        "--set", "beta_grid=0.1,1,10",
-        "--set", "alpha_grid=0.5,2",
-        "--set", "card_z_values=2,3",
+        "--beta-grid", "0.1,1,10",
+        "--alpha-grid", "0.5,2",
+        "--card-z", "2,3",
         "--restarts", "2",
         "--seed", "0",
     ]

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import pfdca.cli
+import pfdca.diagnostics
 from pfdca import DcaConfig, InnerKind, dca_run, load_joint
 from pfdca.cli import EXIT_BAD_FLAGS, EXIT_BAD_INPUT, EXIT_INTERNAL, main
-from pfdca.sweep import CSV_HEADER, read_points_csv
+from pfdca.sweep import CSV_HEADER, SweepConfig, read_points_csv
 
 
 def run_cli(*args):
@@ -86,9 +87,9 @@ class TestSolve:
 
 class TestSweep:
     ARGS = (
-        "--set", "beta_grid=0.1,1,10",
-        "--set", "alpha_grid=0.5,2",
-        "--set", "card_z_values=2,3",
+        "--beta-grid", "0.1,1,10",
+        "--alpha-grid", "0.5,2",
+        "--card-z", "2,3",
         "--restarts", 1,
     )
 
@@ -115,6 +116,48 @@ class TestSweep:
             assert run_cli("sweep", "--dist", demo_dist_file, "--out", out, *self.ARGS) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.fixture
+    def sweep_config(self, monkeypatch):
+        """The SweepConfig a sweep command would run; nothing is solved."""
+        seen = []
+        monkeypatch.setattr(pfdca.cli, "run_sweep", lambda j, cfg, n_jobs: seen.append(cfg) or [])
+        return seen
+
+    def test_no_grid_flags_run_the_default_grid(self, tmp_path, demo_dist_file, sweep_config):
+        assert run_cli("sweep", "--dist", demo_dist_file, "--out", tmp_path / "o.csv") == 0
+        assert sweep_config == [SweepConfig()]
+
+    def test_grid_flags_set_only_their_grid(self, tmp_path, demo_dist_file, sweep_config):
+        rc = run_cli("sweep", "--dist", demo_dist_file, "--out", tmp_path / "o.csv", "--card-z", "4,2")
+        assert rc == 0
+        assert sweep_config == [SweepConfig(card_z_values=(4, 2))]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--beta-grid", "a,b"),
+            ("--alpha-grid", "2,0.5"),
+            ("--card-z", "0"),
+            ("--card-z", "2.5"),
+            ("--card-z", "2,2"),
+            ("--beta", "2"),
+            ("--jobs", "0"),
+            ("--jobs", "-3"),
+        ],
+    )
+    def test_bad_sweep_flag_is_flag_error(self, tmp_path, demo_dist_file, flags, capsys, sweep_config):
+        out = tmp_path / "o.csv"
+        assert run_cli("sweep", "--dist", demo_dist_file, "--out", out, *flags) == EXIT_BAD_FLAGS
+        assert not out.exists()
+        assert "pfdca sweep: error:" in capsys.readouterr().err
+
+    def test_zero_pf_threads_is_flag_error(self, tmp_path, demo_dist_file, monkeypatch, capsys, sweep_config):
+        monkeypatch.setenv("PF_THREADS", "0")
+        out = tmp_path / "o.csv"
+        assert run_cli("sweep", "--dist", demo_dist_file, "--out", out) == EXIT_BAD_FLAGS
+        assert "PF_THREADS must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBaseline:
@@ -172,11 +215,13 @@ class TestVerify:
         rc = run_cli("verify", "--dist", dist, "--out", tmp_path / "o.jsonl")
         assert rc == 1
 
-    def test_absurd_tolerance_fails(self, tmp_path, demo_dist_file):
-        out = tmp_path / "checks.jsonl"
-        rc = run_cli(
-            "verify", "--dist", demo_dist_file, "--out", out, "--set", "residual_tol=1e-30"
+    def test_absurd_tolerance_fails(self, tmp_path, demo_dist_file, monkeypatch):
+        check = pfdca.diagnostics.check_update_residual
+        monkeypatch.setattr(
+            pfdca.diagnostics, "check_update_residual", lambda **kw: check(**kw, tolerance=1e-30)
         )
+        out = tmp_path / "checks.jsonl"
+        rc = run_cli("verify", "--dist", demo_dist_file, "--out", out)
         assert rc == 5
 
 
@@ -305,7 +350,7 @@ class TestExitCodes:
             ("baseline", "--solver", "exhaustive"),
             ("baseline",),
             ("solve", "--q", "1"),
-            ("sweep", "--restarts", "1", "--set", "beta_grid=0.5,2", "--set", "alpha_grid=1"),
+            ("sweep", "--restarts", "1", "--beta-grid", "0.5,2", "--alpha-grid", "1"),
         ],
     )
     def test_rank_deficient_source_is_solved(self, tmp_path, rank_deficient_file, command):
@@ -336,8 +381,8 @@ class TestExitCodes:
             ("solve", "--tol", "inf"),
             ("baseline", "--beta", "nan"),
             ("baseline", "--solver", "exhaustive", "--beta", "inf"),
-            ("sweep", "--set", "beta_grid=nan,2"),
-            ("sweep", "--set", "alpha_grid=0.5,inf"),
+            ("sweep", "--beta-grid", "nan,2"),
+            ("sweep", "--alpha-grid", "0.5,inf"),
             ("sweep", "--tol", "nan"),
         ],
     )
@@ -355,6 +400,7 @@ class TestExitCodes:
             ("sweep", "--set", "inner_max_iter=10"),
             ("baseline", "--set", "x=1"),
             ("baseline", "--seed", "3"),
+            ("sweep", "--set", "beta_grid=1"),
         ],
     )
     def test_flag_the_command_does_not_read_is_flag_error(self, tmp_path, demo_dist_file, command, capsys):
@@ -403,19 +449,28 @@ class TestExitCodes:
         assert f"pfdca {command}: error: argument --seed:" in err
 
     @pytest.mark.parametrize("setting", ["grad_tol=nan", "grad_tol=inf", "grad_tol=-1", "descent_tol=nan"])
-    def test_unusable_verify_tolerance_is_flag_error(self, tmp_path, demo_dist_file, setting):
+    def test_verify_takes_no_set(self, tmp_path, demo_dist_file, setting, capsys):
         out = tmp_path / "checks.jsonl"
         rc = run_cli("verify", "--dist", demo_dist_file, "--out", out, "--set", setting)
         assert rc == EXIT_BAD_FLAGS
         assert not out.exists()
+        assert capsys.readouterr().err.startswith("usage: pfdca verify ")
 
     def test_bad_pf_threads_is_flag_error(self, tmp_path, demo_dist_file, monkeypatch, capsys):
         monkeypatch.setenv("PF_THREADS", "abc")
         out = tmp_path / "o.csv"
         rc = run_cli(
             "sweep", "--dist", demo_dist_file, "--out", out,
-            "--set", "beta_grid=1", "--set", "alpha_grid=1", "--set", "card_z_values=2",
+            "--beta-grid", "1", "--alpha-grid", "1", "--card-z", "2",
         )
         assert rc == EXIT_BAD_FLAGS
         assert "PF_THREADS" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("p_x", [5, ["a", "b"], {"a": 0.5, "b": 0.5}])
+    def test_malformed_p_x_is_input_error(self, tmp_path, p_x, capsys):
+        dist = tmp_path / "bad.json"
+        dist.write_text(json.dumps({"p_x": p_x, "p_y_given_x": [[0.5, 0.5], [0.5, 0.5]]}))
+        rc = run_cli("solve", "--dist", dist, "--out", tmp_path / "o.json")
+        assert rc == EXIT_BAD_INPUT
+        assert "invalid distribution file" in capsys.readouterr().err

@@ -359,6 +359,15 @@ class TestDcaRun:
         assert np.array_equal(r1.loss_trace, r2.loss_trace)
         assert np.array_equal(r1.encoder.matrix, r2.encoder.matrix)
 
+    @pytest.mark.parametrize("field, value", [("seed", -1), ("outer_max_iter", 2.5)])
+    def test_config_refuses_values_that_would_fail_later(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DcaConfig(beta=1.0, alpha=1.0, **{field: value})
+
+    def test_config_takes_numpy_integers(self, demo_joint):
+        cfg = DcaConfig(beta=1.0, alpha=1.0, outer_max_iter=np.int32(3), seed=np.int64(4))
+        assert dca_run(demo_joint, 2, cfg).iterations <= 3
+
     def test_init_validation(self, demo_joint):
         with pytest.raises(ValueError):
             dca_run(demo_joint, 3, DcaConfig(beta=1.0, alpha=1.0), init=Encoder.uniform(2, 3))

@@ -70,6 +70,10 @@ class TestFit:
         with pytest.raises(ValueError):
             DcaPrivacyFunnel().fit(np.array([[0.5, 0.4], [0.4, 0.5]]))
 
+    def test_negative_seed_refused_before_the_run(self, demo_joint):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            DcaPrivacyFunnel(seed=-3).fit(demo_joint)
+
     def test_score_is_negated_loss(self, demo_joint):
         est = DcaPrivacyFunnel(card_z=3, beta=2.0, seed=2).fit(demo_joint)
         assert est.score() == pytest.approx(-est.result_.loss_nats)

@@ -15,6 +15,7 @@ from pfdca.sweep import (
     pareto_frontier,
     points_to_csv,
     read_points_csv,
+    resolve_jobs,
     run_sweep,
     write_points_csv,
     write_points_json,
@@ -178,6 +179,46 @@ class TestRunSweep:
             SweepConfig(beta_grid=(1.0, 0.1))
         with pytest.raises(ValueError):
             SweepConfig(restarts=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("base_seed", -1),
+            ("restarts", 1.5),
+            ("card_z_values", (2, 2)),
+            ("card_z_values", (2, 2.5)),
+            ("outer_max_iter", 2.5),
+        ],
+    )
+    def test_config_refuses_values_that_would_fail_later(self, field, value):
+        with pytest.raises(ValueError):
+            SweepConfig(**{field: value})
+
+    def test_config_takes_numpy_integers(self):
+        cfg = SweepConfig(card_z_values=np.array([3, 2]), restarts=np.int64(2), base_seed=np.uint32(5))
+        assert cfg.card_z_values == (3, 2) and all(type(v) is int for v in cfg.card_z_values)
+
+
+class TestResolveJobs:
+    def test_explicit_count_wins(self, monkeypatch):
+        monkeypatch.setenv("PF_THREADS", "3")
+        assert resolve_jobs(2) == 2
+
+    def test_pf_threads_then_one(self, monkeypatch):
+        monkeypatch.setenv("PF_THREADS", "3")
+        assert resolve_jobs() == 3
+        monkeypatch.delenv("PF_THREADS")
+        assert resolve_jobs() == 1
+
+    @pytest.mark.parametrize("n_jobs", [0, -3])
+    def test_count_below_one_refused(self, n_jobs):
+        with pytest.raises(ValueError, match="--jobs must be at least 1"):
+            resolve_jobs(n_jobs)
+
+    def test_pf_threads_below_one_refused(self, monkeypatch):
+        monkeypatch.setenv("PF_THREADS", "0")
+        with pytest.raises(ValueError, match="PF_THREADS must be at least 1"):
+            resolve_jobs()
 
 
 class TestParetoFrontier:
