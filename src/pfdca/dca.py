@@ -532,8 +532,8 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
     ``cfg.outer_max_iter`` iterations; the reported trace holds the loss
     after every accepted step, starting at the initial encoder.
     """
-    if card_z < 1:
-        raise ValueError("card_z must be >= 1")
+    if not isinstance(card_z, Integral) or card_z < 1:
+        raise ValueError(f"card_z must be an integer >= 1, got {card_z!r}")
     if init is not None:
         if init.card_z != card_z or init.n_x != j.n_x:
             raise ValueError("init encoder shape does not match (card_z, |X|)")

@@ -1,14 +1,19 @@
+import math
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pfdca.baseline
 import reference_kernels as ref
 from conftest import entropy_oracle, mi_bruteforce_oracle
 from pfdca import CondDist, DiscreteDist, JointXY, stationarity_gap
 from pfdca.baseline import (
     EXHAUSTIVE_MAX_SYMBOLS,
     HardClustering,
+    _merge,
     clustering_to_encoder,
     exhaustive_partitions,
     greedy_merge_run,
@@ -49,6 +54,16 @@ class TestPartitions:
         parts = list(iter_partitions(n))
         assert len(parts) == count
         assert len(set(parts)) == count
+
+    def test_restricted_growth_strings_in_lexicographic_order(self):
+        # Each symbol joins a cluster already used or opens the next one;
+        # that and the order pin down the sequence the oracle writes.
+        for n in range(1, 9):
+            parts = list(iter_partitions(n))
+            assert parts == sorted(parts)
+            for p in parts:
+                assert all(type(v) is int for v in p)
+                assert all(v <= max(p[:i], default=-1) + 1 for i, v in enumerate(p))
 
 
 class TestGreedy:
@@ -197,3 +212,77 @@ def test_zero_probability_output_matches_source_without_it(seed):
             assert (p.solver, p.card_z, p.iterations, p.i_zx_bits) == (q.solver, q.card_z, q.iterations, q.i_zx_bits)
             for field in ("i_zy_bits", "loss_nats", "stationarity_gap"):
                 assert getattr(p, field) == pytest.approx(getattr(q, field), abs=1e-12)
+
+
+def bits(points) -> list:
+    """Every field of every point, floats as hex: -0.0 and 0.0 differ."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in astuple(p)) for p in points]
+
+
+@pytest.mark.parametrize("block", [1, 3, pfdca.baseline._BLOCK])
+def test_block_size_does_not_change_bits(monkeypatch, block):
+    # Each clustering is one item of its stack: how the stack is cut into
+    # blocks moves no bit.
+    j = random_joint(5, 6, 8)
+    want = greedy_merge_run(j, 0.7) + exhaustive_partitions(j, 0.7)
+    monkeypatch.setattr(pfdca.baseline, "_BLOCK", block)
+    got = greedy_merge_run(j, 0.7) + exhaustive_partitions(j, 0.7)
+    assert bits(got) == bits(want)
+
+
+@pytest.mark.parametrize("nx", [7, 8])
+@pytest.mark.parametrize("seed", [11, 29])
+def test_baselines_match_reference_at_larger_alphabets(nx, seed):
+    # Seven and eight symbols: up to eight clusters, the sizes where a
+    # reduction over more than seven entries changes its summation order.
+    j = random_joint(seed, nx, nx + 1)
+    points = greedy_merge_run(j, 1.0) + exhaustive_partitions(j, 1.0)
+    want = ref.baseline_points(j, 1.0)
+    assert bits(points) == bits(want)
+    assert points_to_csv(points) == points_to_csv(want)
+
+
+@BASELINE_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nx=st.integers(1, 6),
+    ny=st.integers(1, 6),
+    raw=st.lists(st.integers(0, 5), min_size=6, max_size=6),
+    beta=st.floats(0.05, 20.0),
+)
+def test_hard_clusterings_are_exactly_stationary(seed, nx, ny, raw, beta):
+    # The baselines write a stationarity gap of 0.0 without computing it:
+    # a one-hot column has one supported code, so its residual is 0.
+    labels = {}
+    for v in raw[:nx]:
+        labels.setdefault(v, len(labels))
+    c = HardClustering(tuple(labels[v] for v in raw[:nx]))
+    gap = stationarity_gap(clustering_to_encoder(c), random_joint(seed, nx, ny), beta)
+    assert gap == 0.0 and math.copysign(1.0, gap) == 1.0   # +0.0, as written
+
+
+def test_greedy_tie_takes_the_first_pair(monkeypatch):
+    # Uniform P(X) through an identity channel: symbols are interchangeable,
+    # so all six first merges score the same loss, bit for bit, and so do
+    # the three second ones. The lexicographically first pair must win, so
+    # each level's candidates are the merges of the previous level's first.
+    j = JointXY(DiscreteDist.uniform(4), CondDist.identity(4))
+    levels, scores = [], pfdca.baseline._scores
+
+    def recording(assignments, k, *args):
+        i_zy, i_zx = scores(assignments, k, *args)
+        levels.append((assignments.tolist(), (i_zy - i_zx).tolist()))
+        return i_zy, i_zx
+
+    def merges(assignment):
+        c = HardClustering(assignment)
+        k = c.n_clusters
+        return [list(_merge(c, a, b).assignment) for a in range(k) for b in range(a + 1, k)]
+
+    monkeypatch.setattr(pfdca.baseline, "_scores", recording)
+    points = greedy_merge_run(j, 1.0)
+    levels = levels[1:]   # the first call scores the all-singletons start
+    assert [len(loss) for _, loss in levels] == [6, 3, 1]
+    assert all(len(set(loss)) == 1 for _, loss in levels)
+    assert [cands for cands, _ in levels] == [merges((0, 1, 2, 3)), merges((0, 0, 1, 2)), merges((0, 0, 0, 1))]
+    assert bits(points) == bits(ref.baseline_points(j, 1.0)[:4])

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import pfdca.baseline
 import pfdca.cli
 import pfdca.diagnostics
 from pfdca import DcaConfig, InnerKind, dca_run, load_joint
@@ -188,6 +189,16 @@ class TestBaseline:
         )
         rc = run_cli("baseline", "--dist", dist, "--out", tmp_path / "o.csv", "--solver", "exhaustive")
         assert rc == 4
+
+    def test_value_error_inside_the_kernel_is_internal(self, tmp_path, demo_dist_file, monkeypatch, capsys):
+        # Only the guard is exit 4; any other ValueError is a bug in pfdca.
+        def broken(*args):
+            raise ValueError("kernel bug")
+
+        monkeypatch.setattr(pfdca.baseline, "_scores", broken)
+        rc = run_cli("baseline", "--dist", demo_dist_file, "--out", tmp_path / "o.csv", "--solver", "exhaustive")
+        assert rc == EXIT_INTERNAL
+        assert "internal error: ValueError: kernel bug" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -368,6 +368,15 @@ class TestDcaRun:
         cfg = DcaConfig(beta=1.0, alpha=1.0, outer_max_iter=np.int32(3), seed=np.int64(4))
         assert dca_run(demo_joint, 2, cfg).iterations <= 3
 
+    @pytest.mark.parametrize("card_z", [2.5, 2.0, "2", 0])
+    def test_refuses_card_z_that_is_not_a_positive_integer(self, demo_joint, card_z):
+        with pytest.raises(ValueError, match="card_z must be an integer"):
+            dca_run(demo_joint, card_z, DcaConfig(beta=1.0, alpha=1.0))
+
+    def test_takes_numpy_integer_card_z(self, demo_joint):
+        res = dca_run(demo_joint, np.int64(2), DcaConfig(beta=1.0, alpha=1.0))
+        assert res.encoder.matrix.shape == (2, 3)
+
     def test_init_validation(self, demo_joint):
         with pytest.raises(ValueError):
             dca_run(demo_joint, 3, DcaConfig(beta=1.0, alpha=1.0), init=Encoder.uniform(2, 3))

@@ -70,6 +70,10 @@ class TestFit:
         with pytest.raises(ValueError):
             DcaPrivacyFunnel().fit(np.array([[0.5, 0.4], [0.4, 0.5]]))
 
+    def test_non_integer_card_z_refused(self, demo_joint):
+        with pytest.raises(ValueError, match="card_z must be an integer"):
+            DcaPrivacyFunnel(card_z=2.5).fit(demo_joint)
+
     def test_negative_seed_refused_before_the_run(self, demo_joint):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             DcaPrivacyFunnel(seed=-3).fit(demo_joint)
