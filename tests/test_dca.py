@@ -18,7 +18,6 @@ from pfdca import (
 from pfdca.dca import (
     _BOX_HI,
     _BOX_LO,
-    _INNER_MAX_ITER,
     _INNER_TOL,
     DESCENT_SLACK,
     InnerKind,
@@ -38,6 +37,10 @@ from pfdca.dca import (
     _sparse_objective,
 )
 from pfdca.probability import LOG_CLAMP, bayes_invert, random_encoder, random_interior_encoder
+
+# Iteration cap of the inner-solve oracles below, far above the solver's
+# own budget.
+ORACLE_MAX_ITER = 5000
 
 # |Y| < |X|: the backward block has rank 2 < |X| = 3.
 SHORT_CHANNEL = np.array([[0.6, 0.5, 0.4], [0.4, 0.5, 0.6]])
@@ -257,7 +260,7 @@ class TestInnerRidge:
         prob = _Problem.build(demo_joint)
         target = _relaxed_target(random_encoder(rng, 3, 3).matrix, prob, 1.0, LOG_CLAMP)
         got, _ = _ridge_descent(
-            random_encoder(rng, 3, 3).matrix, target, prob, 1e6, _INNER_TOL, _INNER_MAX_ITER
+            random_encoder(rng, 3, 3).matrix, target, prob, 1e6, _INNER_TOL, ORACLE_MAX_ITER
         )
         assert np.max(np.abs(got - 1.0 / 3.0)) < 1e-4
 
@@ -273,7 +276,7 @@ class TestInnerRidge:
         for alpha in (0.1, 1.0, 10.0):
             warm = random_encoder(rng, 3, 3)
             target = _relaxed_target(random_encoder(rng, 3, 3).matrix, prob, 2.0, LOG_CLAMP)
-            got, _ = _ridge_descent(warm.matrix, target, prob, alpha, _INNER_TOL, _INNER_MAX_ITER)
+            got, _ = _ridge_descent(warm.matrix, target, prob, alpha, _INNER_TOL, ORACLE_MAX_ITER)
             assert objective(got, target, alpha) <= (
                 objective(warm.matrix, target, alpha) + 1e-12
             )
@@ -289,7 +292,7 @@ class TestInnerSparse:
         log_t = np.log(target.matrix)
         grad, _ = _sparse_gradient(L_star, l_xy, log_t, 0.0)
         assert np.max(np.abs(grad)) <= 1e-10
-        L, _ = _sparse_descent(L_star, l_xy, log_t, 0.0, _BOX_LO, _BOX_HI, _INNER_TOL, _INNER_MAX_ITER)
+        L, _ = _sparse_descent(L_star, l_xy, log_t, 0.0, _BOX_LO, _BOX_HI, _INNER_TOL, ORACLE_MAX_ITER)
         assert np.max(np.abs(_softmax_cols(L) - V)) < 1e-9
 
     def test_l1_term_is_negated_sum(self, demo_joint):
@@ -313,7 +316,7 @@ class TestInnerSparse:
         L0 = np.clip(_clog(random_encoder(rng, 3, 3).matrix, LOG_CLAMP), lo, hi)
         L, _ = _sparse_descent(
             L0, _clog(prob.pxcy, LOG_CLAMP), _clog(target, LOG_CLAMP), 0.5, lo, hi,
-            _INNER_TOL, _INNER_MAX_ITER,
+            _INNER_TOL, ORACLE_MAX_ITER,
         )
         got = _softmax_cols(L)
         assert np.allclose(got.sum(axis=0), 1.0, atol=1e-12)

@@ -5,10 +5,11 @@ The exact step starts each backtracking search at a spectral
 subproblem's optimum at the full budget, that it stays on the simplex
 and never ascends at any budget, and that a step which stops before its
 budget is exactly the full-budget step. The last tests run the guarded
-solver on random sources, full rank or not: every exact step runs at
-one budget, every boost along an exact step's direction is a feasible
-step of sufficient descent, its outputs stay valid, and its relaxed step
-follows the one-rule schedule.
+solver on random sources, full rank or not: every inner solve, exact or
+relaxed, runs at one budget, the exact step that ends a converged run is
+the full-budget step, every boost along an exact step's direction is a
+feasible step of sufficient descent, its outputs stay valid, and its
+relaxed step follows the one-rule schedule.
 """
 
 import numpy as np
@@ -25,7 +26,6 @@ from pfdca.dca import (
     _BOOST_DECREASE,
     _BOOST_MAX_STEP,
     _BOOST_MIN_STEP,
-    _INNER_MAX_ITER,
     _INNER_TOL,
     _SURROGATE_STEP_ITERS,
     _compute_c_arr,
@@ -34,12 +34,15 @@ from pfdca.dca import (
     _grad_g_arr,
     _loss,
     _Problem,
+    _ridge_descent,
     _simplex_project_columns,
+    _sparse_descent,
     _surrogate_descent,
 )
 from pfdca.probability import LOG_CLAMP
 
-FULL_BUDGET = _INNER_MAX_ITER
+# Oracle budget, far above the solver's own.
+FULL_BUDGET = 5000
 INNER_TOL = _INNER_TOL
 
 
@@ -73,10 +76,14 @@ def check_run(res):
     assert np.all(np.diff(res.loss_trace) <= _ACCEPT_SLACK)
 
 
-def subproblem(seed, concentration=1.0):
+def subproblem(seed, concentration=1.0, dc_steps=0):
     """(V, grad_g_k, prob) of one exact step: a random full-rank source, a
     random encoder and beta in [0.1, 10]. Small ``concentration`` draws
-    encoders near the simplex boundary, many of their entries zero."""
+    encoders near the simplex boundary, many of their entries zero. With
+    ``dc_steps``, the encoder first takes that many full-budget exact
+    steps, each on the linearization at its start, so the step is drawn
+    near a fixed point of the DC iteration, where ``dca_run`` tests for
+    convergence."""
     rng = np.random.default_rng(seed)
     nx = int(rng.integers(2, 7))
     ny = int(rng.integers(nx, 9))
@@ -87,6 +94,8 @@ def subproblem(seed, concentration=1.0):
         V[V < 1e-3] = 0.0
         V /= V.sum(axis=0)
     beta = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+    for _ in range(dc_steps):
+        V, _, _ = _surrogate_descent(V, _grad_g_arr(V, prob, beta, LOG_CLAMP), prob, LOG_CLAMP, INNER_TOL, FULL_BUDGET)
     return V, _grad_g_arr(V, prob, beta, LOG_CLAMP), prob
 
 
@@ -123,9 +132,11 @@ def test_any_budget_stays_stochastic_and_descends(seed, budget, concentration):
 
 
 def test_plain_step_that_stops_early_is_the_full_budget_step():
+    # Starts near a fixed point of the DC iteration, where dca_run applies
+    # its convergence rule to the plain step.
     stopped_early = 0
     for seed in range(60):
-        V, g, prob = subproblem(seed, concentration=(0.2, 1.0, 5.0)[seed % 3])
+        V, g, prob = subproblem(seed, concentration=(0.2, 1.0, 5.0)[seed % 3], dc_steps=3)
         plain, stopped, _ = _surrogate_descent(V, g, prob, LOG_CLAMP, INNER_TOL, _SURROGATE_STEP_ITERS)
         if not stopped:
             continue
@@ -162,6 +173,69 @@ def test_every_exact_step_runs_at_the_one_budget(seed, beta, inner_kind):
     assert len(calls) == res.fallback_steps
     assert res.converged and calls[-1][1]
     assert not res.defect
+
+
+@pytest.mark.parametrize("inner_kind", ["ridge", "sparse_log"])
+@pytest.mark.parametrize("seed", range(4))
+def test_every_inner_solve_runs_at_the_one_budget(seed, inner_kind):
+    # The relaxed solve of the run's kind and the exact step are each
+    # called, and every call gets the budget _SURROGATE_STEP_ITERS as its
+    # last argument.
+    j = JointXY(DiscreteDist(DEMO_PX.copy()), CondDist(DEMO_CHANNEL.copy()))
+    cfg = DcaConfig(beta=2.0, alpha=1.0, inner_kind=inner_kind, seed=seed)
+    budgets = {}
+
+    def spy(name, solve):
+        def recorded(*args):
+            budgets.setdefault(name, []).append(args[-1])
+            return solve(*args)
+
+        return recorded
+
+    with pytest.MonkeyPatch.context() as mp:
+        for solve in (_ridge_descent, _sparse_descent, _surrogate_descent):
+            mp.setattr(pfdca.dca, solve.__name__, spy(solve.__name__, solve))
+        res = dca_run(j, 3, cfg)
+    relaxed = "_ridge_descent" if inner_kind == "ridge" else "_sparse_descent"
+    assert set(budgets) == {relaxed, "_surrogate_descent"}
+    assert len(budgets["_surrogate_descent"]) == res.fallback_steps
+    assert all(b == _SURROGATE_STEP_ITERS for calls in budgets.values() for b in calls)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nx=st.integers(2, 5),
+    ny=st.integers(1, 7),
+    card_z=st.integers(2, 4),
+    beta=st.sampled_from([0.3, 1.0, 3.0, 10.0]),
+    alpha=st.sampled_from([0.3, 1.0, 10.0]),
+    inner_kind=st.sampled_from(["ridge", "sparse_log"]),
+)
+def test_converging_step_is_the_full_budget_step(seed, nx, ny, card_z, beta, alpha, inner_kind):
+    # A run converges only on an exact step that stopped before its small
+    # budget; re-run at the oracle budget from the same start and
+    # linearization, that step gives the same encoder, bit for bit.
+    rng = np.random.default_rng(seed)
+    channel = rng.dirichlet(np.full(ny, float(rng.choice([0.3, 1.0]))), nx).T
+    j = JointXY(DiscreteDist(rng.dirichlet(np.full(nx, 2.0))), CondDist(channel))
+    cfg = DcaConfig(beta=beta, alpha=alpha, inner_kind=inner_kind, seed=seed % 1000)
+    calls = []
+
+    def recorded(*args):
+        out = _surrogate_descent(*args)
+        calls.append((args, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pfdca.dca, "_surrogate_descent", recorded)
+        res = dca_run(j, card_z, cfg)
+    assert res.converged
+    (V, g, prob, clamp, tol, budget), (last, stopped, _) = calls[-1]
+    assert budget == _SURROGATE_STEP_ITERS and stopped
+    full, full_stopped, _ = _surrogate_descent(V, g, prob, clamp, tol, FULL_BUDGET)
+    assert full_stopped
+    assert np.array_equal(full, last)
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
