@@ -76,14 +76,10 @@ def check_run(res):
     assert np.all(np.diff(res.loss_trace) <= _ACCEPT_SLACK)
 
 
-def subproblem(seed, concentration=1.0, dc_steps=0):
+def subproblem(seed, concentration=1.0):
     """(V, grad_g_k, prob) of one exact step: a random full-rank source, a
     random encoder and beta in [0.1, 10]. Small ``concentration`` draws
-    encoders near the simplex boundary, many of their entries zero. With
-    ``dc_steps``, the encoder first takes that many full-budget exact
-    steps, each on the linearization at its start, so the step is drawn
-    near a fixed point of the DC iteration, where ``dca_run`` tests for
-    convergence."""
+    encoders near the simplex boundary, many of their entries zero."""
     rng = np.random.default_rng(seed)
     nx = int(rng.integers(2, 7))
     ny = int(rng.integers(nx, 9))
@@ -94,8 +90,6 @@ def subproblem(seed, concentration=1.0, dc_steps=0):
         V[V < 1e-3] = 0.0
         V /= V.sum(axis=0)
     beta = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-    for _ in range(dc_steps):
-        V, _, _ = _surrogate_descent(V, _grad_g_arr(V, prob, beta, LOG_CLAMP), prob, LOG_CLAMP, INNER_TOL, FULL_BUDGET)
     return V, _grad_g_arr(V, prob, beta, LOG_CLAMP), prob
 
 
@@ -132,11 +126,9 @@ def test_any_budget_stays_stochastic_and_descends(seed, budget, concentration):
 
 
 def test_plain_step_that_stops_early_is_the_full_budget_step():
-    # Starts near a fixed point of the DC iteration, where dca_run applies
-    # its convergence rule to the plain step.
     stopped_early = 0
     for seed in range(60):
-        V, g, prob = subproblem(seed, concentration=(0.2, 1.0, 5.0)[seed % 3], dc_steps=3)
+        V, g, prob = subproblem(seed, concentration=(0.2, 1.0, 5.0)[seed % 3])
         plain, stopped, _ = _surrogate_descent(V, g, prob, LOG_CLAMP, INNER_TOL, _SURROGATE_STEP_ITERS)
         if not stopped:
             continue
@@ -153,53 +145,35 @@ def test_plain_step_that_stops_early_is_the_full_budget_step():
 def test_every_exact_step_runs_at_the_one_budget(seed, beta, inner_kind):
     # With the budget cut to 1, most exact steps use all of it. Each is
     # still taken at that budget, never re-run at a larger one, and the
-    # run converges, on a step that stopped before its budget.
+    # run converges, on a step that stopped before its budget. The
+    # relaxed solve of the run's kind gets the same budget.
     rng = np.random.default_rng(seed)
     nx, ny = int(rng.integers(2, 6)), int(rng.integers(1, 7))
     j = JointXY(DiscreteDist(rng.dirichlet(np.full(nx, 2.0))), CondDist(rng.dirichlet(np.full(ny, 0.3), nx).T))
     cfg = DcaConfig(beta=beta, alpha=1.0, inner_kind=inner_kind, outer_max_iter=3000, seed=seed)
-    calls = []
+    calls, relaxed_budgets = [], []
 
     def recorded(*args):
         out = _surrogate_descent(*args)
         calls.append((args[5], out[1]))
         return out
 
+    relaxed = _ridge_descent if inner_kind == "ridge" else _sparse_descent
+
+    def relaxed_recorded(*args):
+        relaxed_budgets.append(args[-1])
+        return relaxed(*args)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pfdca.dca, "_SURROGATE_STEP_ITERS", 1)
         mp.setattr(pfdca.dca, "_surrogate_descent", recorded)
+        mp.setattr(pfdca.dca, relaxed.__name__, relaxed_recorded)
         res = dca_run(j, 3, cfg)
     assert all(budget == 1 for budget, _ in calls)
+    assert relaxed_budgets and all(budget == 1 for budget in relaxed_budgets)
     assert len(calls) == res.fallback_steps
     assert res.converged and calls[-1][1]
     assert not res.defect
-
-
-@pytest.mark.parametrize("inner_kind", ["ridge", "sparse_log"])
-@pytest.mark.parametrize("seed", range(4))
-def test_every_inner_solve_runs_at_the_one_budget(seed, inner_kind):
-    # The relaxed solve of the run's kind and the exact step are each
-    # called, and every call gets the budget _SURROGATE_STEP_ITERS as its
-    # last argument.
-    j = JointXY(DiscreteDist(DEMO_PX.copy()), CondDist(DEMO_CHANNEL.copy()))
-    cfg = DcaConfig(beta=2.0, alpha=1.0, inner_kind=inner_kind, seed=seed)
-    budgets = {}
-
-    def spy(name, solve):
-        def recorded(*args):
-            budgets.setdefault(name, []).append(args[-1])
-            return solve(*args)
-
-        return recorded
-
-    with pytest.MonkeyPatch.context() as mp:
-        for solve in (_ridge_descent, _sparse_descent, _surrogate_descent):
-            mp.setattr(pfdca.dca, solve.__name__, spy(solve.__name__, solve))
-        res = dca_run(j, 3, cfg)
-    relaxed = "_ridge_descent" if inner_kind == "ridge" else "_sparse_descent"
-    assert set(budgets) == {relaxed, "_surrogate_descent"}
-    assert len(budgets["_surrogate_descent"]) == res.fallback_steps
-    assert all(b == _SURROGATE_STEP_ITERS for calls in budgets.values() for b in calls)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
