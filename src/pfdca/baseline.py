@@ -6,17 +6,20 @@ provided: a greedy pairwise-merge trajectory (merge the pair whose
 merged clustering has least Lagrangian) and exhaustive enumeration of
 every set partition, which is an exact oracle for small |X|.
 
-Clusterings are scored in stacks: every clustering with the same
-cluster count k (one greedy merge level, or one k of the set
-partitions) is one item of a ``(B, k, |X|)`` one-hot array, evaluated
-by one NumPy pass per block of ``_BLOCK`` items. Per item the kernels
-are those of ``mutual_information`` on a single encoder, so every point
-is the same, bit for bit, as scoring its clustering alone. The
-stationarity residual of a one-hot encoder is 0 by construction (each
-column has one supported code), so it is written, not computed.
+A clustering is an integer row holding the cluster id, 0..k-1, of each
+x symbol; a greedy level is the array of its candidate merges, and the
+set partitions are rows in lexicographic order. Clusterings are scored
+in stacks: every clustering with the same cluster count k (one greedy
+merge level, or one k of the set partitions) is one item of a
+``(B, k, |X|)`` one-hot array, evaluated by one NumPy pass per block of
+``_BLOCK`` items. Per item the kernels are those of
+``mutual_information`` on a single encoder, so every point is the same,
+bit for bit, as scoring its clustering alone. The stationarity residual
+of a one-hot encoder is 0 by construction (each column has one
+supported code), so it is written, not computed. ``exhaustive_points``
+makes its points one at a time, so a caller that writes them as they
+come holds only the score arrays, not Bell(|X|) points.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +28,6 @@ import numpy as np
 from .dca import _finite_positive, stationarity_gap  # noqa: F401
 from .probability import (  # noqa: F401
     NATS_TO_BITS,
-    CondDist,
-    Encoder,
     JointXY,
     _plogp,
     bayes_invert,
@@ -42,37 +43,6 @@ _BLOCK = 512
 
 class ExhaustiveGuardError(ValueError):
     """|X| is above the exhaustive enumeration guard."""
-
-
-@dataclass(frozen=True)
-class HardClustering:
-    """Assignment of each x symbol to one cluster id in 0..n_clusters-1."""
-
-    assignment: tuple
-
-    def __post_init__(self):
-        assignment = tuple(int(a) for a in self.assignment)
-        if not assignment:
-            raise ValueError("empty assignment")
-        ids = sorted(set(assignment))
-        if ids != list(range(len(ids))):
-            raise ValueError(f"cluster ids must be contiguous from 0, got {ids}")
-        object.__setattr__(self, "assignment", assignment)
-
-    @property
-    def n_clusters(self) -> int:
-        return max(self.assignment) + 1
-
-    @property
-    def n_x(self) -> int:
-        return len(self.assignment)
-
-
-def clustering_to_encoder(c: HardClustering) -> Encoder:
-    """One-hot encoder realizing the clustering; |Z| = number of clusters."""
-    m = np.zeros((c.n_clusters, c.n_x))
-    m[list(c.assignment), range(c.n_x)] = 1.0
-    return Encoder(CondDist(m))
 
 
 def _entropies(p: np.ndarray) -> np.ndarray:
@@ -121,12 +91,6 @@ def _point(
     )
 
 
-def _merge(c: HardClustering, a: int, b: int) -> HardClustering:
-    """Merge cluster b into cluster a (a < b), relabelling contiguously."""
-    merged = [a if v == b else v for v in c.assignment]
-    return HardClustering(tuple(v - 1 if v > b else v for v in merged))
-
-
 def greedy_merge_run(j: JointXY, beta: float) -> list:
     """Greedy agglomerative trajectory from singletons down to one cluster.
 
@@ -138,13 +102,17 @@ def greedy_merge_run(j: JointXY, beta: float) -> list:
     if not _finite_positive(beta):
         raise ValueError("beta must be finite and positive")
     pxcy = bayes_invert(j).matrix
-    current = HardClustering(tuple(range(j.n_x)))
-    (i_zy,), (i_zx,) = _scores(np.array([current.assignment]), j.n_x, j, pxcy)
+    current = np.arange(j.n_x)
+    (i_zy,), (i_zx,) = _scores(current[None], j.n_x, j, pxcy)
     points = [_point(Solver.GREEDY, beta, j.n_x, 0, float(i_zy), float(i_zx))]
     for step in range(1, j.n_x):
-        k = current.n_clusters
-        cands = [_merge(current, a, b) for a in range(k) for b in range(a + 1, k)]
-        i_zy, i_zx = _scores(np.array([c.assignment for c in cands]), k - 1, j, pxcy)
+        k = j.n_x - step + 1
+        # Row p merges cluster b[p] into a[p] < b[p] and relabels the
+        # clusters above b[p] down by one; the pairs run in lexicographic order.
+        a, b = (ab[:, None] for ab in np.triu_indices(k, 1))
+        cands = np.where(current == b, a, current)
+        cands -= cands > b
+        i_zy, i_zx = _scores(cands, k - 1, j, pxcy)
         best = int(np.argmin(i_zy - beta * i_zx))   # the first minimum: smallest pair
         current = cands[best]
         points.append(_point(Solver.GREEDY, beta, k - 1, step, float(i_zy[best]), float(i_zx[best])))
@@ -177,12 +145,13 @@ def iter_partitions(n: int):
     return map(tuple, _partition_array(n).tolist())
 
 
-def exhaustive_partitions(j: JointXY, beta: float = 1.0) -> list:
+def exhaustive_points(j: JointXY, beta: float = 1.0):
     """Trade-off points of every deterministic clustering of X, in the
-    order of ``iter_partitions``.
+    order of ``iter_partitions``, made one at a time as they are read.
 
-    Guarded by the Bell-number growth: |X| above
-    ``EXHAUSTIVE_MAX_SYMBOLS`` raises ``ExhaustiveGuardError``.
+    beta and the guard are checked before this returns: |X| above
+    ``EXHAUSTIVE_MAX_SYMBOLS`` (Bell-number growth) raises
+    ``ExhaustiveGuardError``.
     """
     if not _finite_positive(beta):
         raise ValueError("beta must be finite and positive")
@@ -197,7 +166,14 @@ def exhaustive_partitions(j: JointXY, beta: float = 1.0) -> list:
     for k in range(1, j.n_x + 1):
         rows = np.flatnonzero(card == k)
         i_zy[rows], i_zx[rows] = _scores(parts[rows], k, j, pxcy)
-    return [
+    # Python numbers are made one block at a time, as the points are read.
+    return (
         _point(Solver.EXHAUSTIVE, beta, k, idx, zy, zx)
-        for idx, (k, zy, zx) in enumerate(zip(card.tolist(), i_zy.tolist(), i_zx.tolist()))
-    ]
+        for lo in range(0, len(parts), _BLOCK)
+        for idx, k, zy, zx in zip(range(lo, len(parts)), *(a[lo:lo + _BLOCK].tolist() for a in (card, i_zy, i_zx)))
+    )
+
+
+def exhaustive_partitions(j: JointXY, beta: float = 1.0) -> list:
+    """``exhaustive_points`` as a list."""
+    return list(exhaustive_points(j, beta))

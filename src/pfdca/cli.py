@@ -20,13 +20,14 @@ verification check failed; 6 internal error (a bug, not bad input; set
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
 
 import numpy as np
 
-from .baseline import ExhaustiveGuardError, exhaustive_partitions, greedy_merge_run
+from .baseline import ExhaustiveGuardError, exhaustive_points, greedy_merge_run
 from .dca import DcaConfig, InnerKind, _finite_positive, dca_run
 from .diagnostics import run_verification
 from .probability import InvalidDistributionError, load_joint
@@ -166,16 +167,14 @@ def cmd_baseline(args) -> int:
     j = _load_dist(args.dist)
     if not _finite_positive(args.beta):
         raise CliError(EXIT_BAD_FLAGS, "--beta must be finite and positive")
-    points = []
-    if args.solver in ("greedy", "both"):
-        points.extend(greedy_merge_run(j, args.beta))
+    points = greedy_merge_run(j, args.beta) if args.solver in ("greedy", "both") else []
     if args.solver in ("exhaustive", "both"):
         try:
-            points.extend(exhaustive_partitions(j, args.beta))
+            points = itertools.chain(points, exhaustive_points(j, args.beta))
         except ExhaustiveGuardError as exc:
             raise CliError(EXIT_GUARD, str(exc)) from exc
-    write_points_csv(points, args.out)
-    print(f"baseline: {len(points)} points -> {args.out}")
+    n = write_points_csv(points, args.out)
+    print(f"baseline: {n} points -> {args.out}")
     return EXIT_OK
 
 

@@ -603,7 +603,7 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
     trace_arr = np.asarray(trace)
     defect = bool(np.any(np.diff(trace_arr) > DESCENT_SLACK))
     izy, izx = _metrics(V, prob)
-    enc = Encoder.from_matrix(V)
+    enc = Encoder(V)
     return DcaResult(
         encoder=enc,
         loss_trace=trace_arr,

@@ -74,9 +74,9 @@ class DcaPrivacyFunnel:
         beta: float = 1.0,
         alpha: float = 1.0,
         inner_kind: str = "ridge",
-        outer_tol: float = 1e-6,
-        outer_max_iter: int = 10000,
-        seed: int = 0,
+        outer_tol: float = DcaConfig.outer_tol,
+        outer_max_iter: int = DcaConfig.outer_max_iter,
+        seed: int = DcaConfig.seed,
     ):
         self.card_z = card_z
         self.beta = beta

@@ -164,46 +164,33 @@ class JointXY:
 
 
 @dataclass(frozen=True, eq=False)
-class Encoder:
-    """Stochastic code assignment P(Z|X), the solvers' decision variable."""
-
-    z_given_x: CondDist
-    card_z: int = 0
-
-    def __post_init__(self):
-        if self.card_z == 0:
-            object.__setattr__(self, "card_z", self.z_given_x.n_out)
-        elif self.card_z != self.z_given_x.n_out:
-            raise InvalidDistributionError(
-                f"card_z={self.card_z} but matrix has {self.z_given_x.n_out} rows"
-            )
+class Encoder(CondDist):
+    """Stochastic code assignment P(Z|X), the solvers' decision variable:
+    a ``CondDist`` built as ``Encoder(m)``, codes z as rows and public
+    symbols x as columns."""
 
     @property
-    def matrix(self) -> np.ndarray:
-        return self.z_given_x.matrix
+    def card_z(self) -> int:
+        return self.n_out
 
     @property
     def n_x(self) -> int:
-        return self.z_given_x.n_cond
-
-    @staticmethod
-    def from_matrix(m) -> "Encoder":
-        return Encoder(CondDist(m))
+        return self.n_cond
 
     @staticmethod
     def uniform(card_z: int, n_x: int) -> "Encoder":
-        return Encoder(CondDist(np.full((card_z, n_x), 1.0 / card_z)))
+        return Encoder(np.full((card_z, n_x), 1.0 / card_z))
 
     @staticmethod
     def identity(n: int) -> "Encoder":
-        return Encoder(CondDist.identity(n))
+        return Encoder(np.eye(n))
 
 
 def random_encoder(rng: np.random.Generator, card_z: int, n_x: int) -> Encoder:
     """Random start: uniform [0, 1] entries, columns normalized."""
     m = rng.random((card_z, n_x))
     m /= m.sum(axis=0, keepdims=True)
-    return Encoder.from_matrix(m)
+    return Encoder(m)
 
 
 def random_interior_encoder(rng: np.random.Generator, card_z: int, n_x: int) -> Encoder:
@@ -214,7 +201,7 @@ def random_interior_encoder(rng: np.random.Generator, card_z: int, n_x: int) -> 
     """
     m = rng.uniform(0.05, 1.0, size=(card_z, n_x))
     m /= m.sum(axis=0, keepdims=True)
-    return Encoder.from_matrix(m)
+    return Encoder(m)
 
 
 def _plogp(a: np.ndarray) -> np.ndarray:
@@ -287,7 +274,7 @@ def pf_lagrangian(enc: Encoder, j: JointXY, beta: float) -> float:
     if beta <= 0:
         raise ValueError("beta must be positive")
     i_zy = mutual_information(markov_compose(enc, bayes_invert(j)), j.p_y)
-    i_zx = mutual_information(enc.z_given_x, j.p_x)
+    i_zx = mutual_information(enc, j.p_x)
     return i_zy - beta * i_zx
 
 

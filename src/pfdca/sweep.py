@@ -252,19 +252,27 @@ def point_to_record(p: TradeoffPoint) -> dict:
     return {"solver": p.solver.value, "q": p.q, **{k: getattr(p, k) for k in CSV_HEADER[2:]}}
 
 
-def points_to_csv(points: list) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+def _write_csv_rows(fh, points) -> int:
+    """Write the header and one row per point to ``fh``; returns the row count."""
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for p in points:
+    n = 0
+    for n, p in enumerate(points, 1):
         rec = point_to_record(p)
         writer.writerow([_format_value(rec[k]) for k in CSV_HEADER])
+    return n
+
+
+def points_to_csv(points) -> str:
+    out = io.StringIO()
+    _write_csv_rows(out, points)
     return out.getvalue()
 
 
-def write_points_csv(points: list, path) -> None:
+def write_points_csv(points, path) -> int:
+    """Write the points row by row as they come from any iterable; returns the row count."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(points_to_csv(points))
+        return _write_csv_rows(fh, points)
 
 
 def write_points_json(points: list, path) -> None:

@@ -19,17 +19,22 @@ kernels still return the same bits.
 ``baseline_points`` evaluates the greedy and exhaustive baselines the
 way they were evaluated before each source got one problem object: a
 fresh Bayes inverse and a fresh P(Y) for every clustering and every
-greedy candidate. Tests assert that the package's baselines write the
-same CSV bytes.
+greedy candidate, each clustering a ``HardClustering`` merged by
+``_merge`` and scored through ``clustering_to_encoder``, kept here so
+that the package shares no merge or relabel code with this reference.
+Tests assert that the package's baselines write the same CSV bytes.
 """
 
 import numpy as np
 
-from pfdca.baseline import HardClustering, _merge, clustering_to_encoder, iter_partitions
+from dataclasses import dataclass
+
+from pfdca.baseline import iter_partitions
 from pfdca.dca import stationarity_gap
 from pfdca.probability import (
     NATS_TO_BITS,
     DiscreteDist,
+    Encoder,
     bayes_invert,
     markov_compose,
     mutual_information,
@@ -243,12 +248,49 @@ def untrimmed_surrogate_descent(V, grad_g_k, pxcy, pycx, px, py, clamp, tol, max
     return V, False
 
 
+@dataclass(frozen=True)
+class HardClustering:
+    """Assignment of each x symbol to one cluster id in 0..n_clusters-1."""
+
+    assignment: tuple
+
+    def __post_init__(self):
+        assignment = tuple(int(a) for a in self.assignment)
+        if not assignment:
+            raise ValueError("empty assignment")
+        ids = sorted(set(assignment))
+        if ids != list(range(len(ids))):
+            raise ValueError(f"cluster ids must be contiguous from 0, got {ids}")
+        object.__setattr__(self, "assignment", assignment)
+
+    @property
+    def n_clusters(self) -> int:
+        return max(self.assignment) + 1
+
+    @property
+    def n_x(self) -> int:
+        return len(self.assignment)
+
+
+def clustering_to_encoder(c: HardClustering) -> Encoder:
+    """One-hot encoder realizing the clustering; |Z| = number of clusters."""
+    m = np.zeros((c.n_clusters, c.n_x))
+    m[list(c.assignment), range(c.n_x)] = 1.0
+    return Encoder(m)
+
+
+def _merge(c: HardClustering, a: int, b: int) -> HardClustering:
+    """Merge cluster b into cluster a (a < b), relabelling contiguously."""
+    merged = [a if v == b else v for v in c.assignment]
+    return HardClustering(tuple(v - 1 if v > b else v for v in merged))
+
+
 def _information(enc, j):
     """(I(Z;Y), I(Z;X)) in nats, with a fresh P(X|Y) and P(Y)."""
     p_y = DiscreteDist(j.y_given_x.matrix @ j.p_x.probs)
     return (
         mutual_information(markov_compose(enc, bayes_invert(j)), p_y),
-        mutual_information(enc.z_given_x, j.p_x),
+        mutual_information(enc, j.p_x),
     )
 
 

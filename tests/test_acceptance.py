@@ -239,7 +239,7 @@ def test_criterion_9_trivial_limits(default_sweep):
     collapse_ok = bool(collapse_cell) and all(p.i_zx_bits <= 0.05 for p in collapse_cell)
 
     ident = Encoder.identity(3)
-    i_zx = mutual_information(ident.z_given_x, j.p_x) * NATS_TO_BITS
+    i_zx = mutual_information(ident, j.p_x) * NATS_TO_BITS
     i_zy = mutual_information(markov_compose(ident, bayes_invert(j)), j.p_y) * NATS_TO_BITS
     h_x = entropy_oracle(j.p_x.probs) * NATS_TO_BITS
     i_xy = mi_bruteforce_oracle(j.joint_matrix()) * NATS_TO_BITS

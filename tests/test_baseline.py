@@ -12,15 +12,15 @@ from conftest import entropy_oracle, mi_bruteforce_oracle
 from pfdca import CondDist, DiscreteDist, JointXY, stationarity_gap
 from pfdca.baseline import (
     EXHAUSTIVE_MAX_SYMBOLS,
-    HardClustering,
-    _merge,
-    clustering_to_encoder,
+    ExhaustiveGuardError,
     exhaustive_partitions,
+    exhaustive_points,
     greedy_merge_run,
     iter_partitions,
 )
 from pfdca.probability import random_encoder
 from pfdca.sweep import Solver, geomspace, points_to_csv
+from reference_kernels import HardClustering, _merge, clustering_to_encoder
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
@@ -137,11 +137,15 @@ class TestExhaustive:
         j = JointXY(DiscreteDist.uniform(n), CondDist.identity(n))
         with pytest.raises(ValueError):
             exhaustive_partitions(j)
+        with pytest.raises(ExhaustiveGuardError):
+            exhaustive_points(j)   # at the call, before any point is read
 
     def test_rejects_bad_beta(self, demo_joint):
         for beta in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 exhaustive_partitions(demo_joint, beta)
+            with pytest.raises(ValueError):
+                exhaustive_points(demo_joint, beta)
 
     def test_deterministic_encoders_have_zero_gap(self, demo_joint):
         for p in exhaustive_partitions(demo_joint):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -187,8 +188,28 @@ class TestBaseline:
         dist.write_text(
             json.dumps({"p_x": [1.0 / n] * n, "p_y_given_x": np.eye(n).tolist()})
         )
-        rc = run_cli("baseline", "--dist", dist, "--out", tmp_path / "o.csv", "--solver", "exhaustive")
-        assert rc == 4
+        for solver in ("exhaustive", "both"):
+            out = tmp_path / f"{solver}.csv"
+            assert run_cli("baseline", "--dist", dist, "--out", out, "--solver", solver) == 4
+            assert not out.exists()   # the guard fires before the file is opened
+
+    def test_exhaustive_points_are_written_as_they_are_made(self, tmp_path):
+        # Bell(9) = 21,147 points held at once peak above 10 MB; written one
+        # at a time, only the score arrays and the partitions stay.
+        rng = np.random.default_rng(9)
+        channel = rng.dirichlet(np.full(9, 0.7), 9).T
+        dist = tmp_path / "nine.json"
+        dist.write_text(json.dumps({"p_x": rng.dirichlet(np.ones(9)).tolist(), "p_y_given_x": channel.tolist()}))
+        out = tmp_path / "nine.csv"
+        tracemalloc.start()
+        try:
+            rc = run_cli("baseline", "--dist", dist, "--out", out, "--solver", "exhaustive")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert len(out.read_text().splitlines()) == 21147 + 1
+        assert peak < 4 * 2**20
 
     def test_value_error_inside_the_kernel_is_internal(self, tmp_path, demo_dist_file, monkeypatch, capsys):
         # Only the guard is exit 4; any other ValueError is a bug in pfdca.

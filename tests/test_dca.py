@@ -148,14 +148,14 @@ class TestTarget:
         fixed = stationary_encoder_oracle(fixed_point_joint, beta=beta, enc0=enc0)
         assert fixed is not None
         assert abs(fixed[0, 0] - fixed[0, 1]) > 0.05  # genuinely non-constant
-        enc = Encoder.from_matrix(fixed)
+        enc = Encoder(fixed)
         target = _relaxed_target(enc.matrix, _Problem.build(fixed_point_joint), beta, LOG_CLAMP)
         composed = markov_compose(enc, bayes_invert(fixed_point_joint))
         assert np.max(np.abs(target - composed.matrix)) < 1e-8
 
     def test_constant_encoder_is_exact_fixed_point_at_unit_beta(self, tiny_joint):
         col = np.array([0.35, 0.65])
-        enc = Encoder.from_matrix(np.tile(col[:, None], (1, 2)))
+        enc = Encoder(np.tile(col[:, None], (1, 2)))
         target = _relaxed_target(enc.matrix, _Problem.build(tiny_joint), 1.0, LOG_CLAMP)
         composed = markov_compose(enc, bayes_invert(tiny_joint))
         assert np.max(np.abs(target - composed.matrix)) < 1e-12
@@ -251,7 +251,7 @@ class TestInnerRidge:
             Encoder.uniform(3, 3).matrix, target.matrix, _Problem.build(demo_joint), 1e-12,
             tol, max_iter,
         )
-        got = Encoder.from_matrix(V)
+        got = Encoder(V)
         achieved = markov_compose(got, bayes_invert(demo_joint))
         assert np.linalg.norm(achieved.matrix - target.matrix) <= 1e-6
 
@@ -288,7 +288,7 @@ class TestInnerSparse:
         V = random_interior_encoder(rng, 3, 3).matrix
         l_xy = np.log(bayes_invert(demo_joint).matrix)
         L_star = np.clip(np.log(V), _BOX_LO, _BOX_HI)
-        target = markov_compose(Encoder.from_matrix(V), bayes_invert(demo_joint))
+        target = markov_compose(Encoder(V), bayes_invert(demo_joint))
         log_t = np.log(target.matrix)
         grad, _ = _sparse_gradient(L_star, l_xy, log_t, 0.0)
         assert np.max(np.abs(grad)) <= 1e-10
@@ -426,7 +426,7 @@ class TestStationarityGap:
         )
         assert fixed is not None
         gap = stationarity_gap(
-            Encoder.from_matrix(fixed), fixed_point_joint, beta=FIXED_POINT_BETA
+            Encoder(fixed), fixed_point_joint, beta=FIXED_POINT_BETA
         )
         assert gap <= 1e-6
 
@@ -447,7 +447,7 @@ class TestStationarityGap:
         assert got == pytest.approx(worst, abs=1e-5)
 
     def test_constant_single_row_annihilated(self, demo_joint):
-        enc = Encoder.from_matrix(np.ones((1, 3)))
+        enc = Encoder(np.ones((1, 3)))
         assert stationarity_gap(enc, demo_joint, beta=2.0) == 0.0
 
 
@@ -461,7 +461,7 @@ class TestRestrictedConvexityDirect:
             q = random_interior_encoder(rng, 3, 3).matrix
             for beta in (0.1, 1.0, 10.0):
                 lhs = _g_value_arr(p, prob, beta) - _g_value_arr(q, prob, beta)
-                grad_q = _grad_g_arr(Encoder.from_matrix(q).matrix, prob, beta, LOG_CLAMP)
+                grad_q = _grad_g_arr(Encoder(q).matrix, prob, beta, LOG_CLAMP)
                 inner = float(np.sum(grad_q * (p - q)))
                 move = (p - q) @ px
                 assert lhs - inner - 0.5 * float(move @ move) >= -1e-9
