@@ -4,7 +4,7 @@ utility I(Z;X) of released codes against leakage I(Z;Y) of a private
 variable linked to X by a known channel.
 """
 
-from .dca import DcaConfig, DcaResult, InnerKind, dca_run, stationarity_gap
+from .dca import DcaConfig, DcaResult, InnerKind, dca_run, pf_lagrangian, stationarity_gap
 from .estimator import DcaPrivacyFunnel
 from .probability import (
     CondDist,
@@ -19,7 +19,6 @@ from .probability import (
     load_joint,
     markov_compose,
     mutual_information,
-    pf_lagrangian,
 )
 from .sweep import SweepConfig, TradeoffPoint, pareto_frontier, run_sweep
 

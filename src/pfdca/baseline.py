@@ -12,24 +12,27 @@ set partitions are rows in lexicographic order. Clusterings are scored
 in stacks: every clustering with the same cluster count k (one greedy
 merge level, or one k of the set partitions) is one item of a
 ``(B, k, |X|)`` one-hot array, evaluated by one NumPy pass per block of
-``_BLOCK`` items. Per item the kernels are those of
-``mutual_information`` on a single encoder, so every point is the same,
-bit for bit, as scoring its clustering alone. The stationarity residual
-of a one-hot encoder is 0 by construction (each column has one
-supported code), so it is written, not computed. ``exhaustive_points``
-makes its points one at a time, so a caller that writes them as they
-come holds only the score arrays, not Bell(|X|) points.
+``_BLOCK`` items. P(X), P(Y) and P(X|Y) come from the solver's problem
+object, built once per source. Per item the sums are those of
+``mutual_information`` on a single encoder, through the same entropy
+kernels of ``probability``, so every point is the same, bit for bit, as
+scoring its clustering alone. The stationarity residual of a one-hot
+encoder is 0 by construction (each column has one supported code), so
+it is written, not computed. ``exhaustive_points`` makes its points one
+at a time, so a caller that writes them as they come holds only the
+score arrays, not Bell(|X|) points.
 """
 
 import numpy as np
 
-# stationarity_gap and mutual_information are not called here: the
-# benchmark's tracer binds them in this module.
-from .dca import _finite_positive, stationarity_gap  # noqa: F401
+# stationarity_gap, bayes_invert and mutual_information are not called
+# here: the benchmark's tracer binds them in this module.
+from .dca import _finite_positive, _Problem, stationarity_gap  # noqa: F401
 from .probability import (  # noqa: F401
     NATS_TO_BITS,
     JointXY,
-    _plogp,
+    _col_entropies,
+    _entropies,
     bayes_invert,
     mutual_information,
 )
@@ -45,29 +48,22 @@ class ExhaustiveGuardError(ValueError):
     """|X| is above the exhaustive enumeration guard."""
 
 
-def _entropies(p: np.ndarray) -> np.ndarray:
-    """Entropy in nats of each distribution along the last axis, clamped at 0."""
-    h = -np.add.reduce(_plogp(p), axis=-1)
-    return np.where(h < 0.0, 0.0, h)   # max(h, 0.0): keeps -0.0, as max does
-
-
-def _scores(assignments: np.ndarray, k: int, j: JointXY, pxcy: np.ndarray) -> tuple:
+def _scores(assignments: np.ndarray, k: int, prob: _Problem) -> tuple:
     """(I(Z;Y), I(Z;X)) in nats of each row of ``assignments``, a clustering
-    of X into k clusters; ``pxcy`` is the matrix of P(X|Y).
+    of X into k clusters, on the source of ``prob``.
 
     A one-hot column has zero entropy, so I(Z;X) = H(Z).
     """
     i_zy, i_zx = np.empty(len(assignments)), np.empty(len(assignments))
-    p_y = j.p_y.probs
+    n_x = len(prob.px)
     for lo in range(0, len(assignments), _BLOCK):
         block = assignments[lo:lo + _BLOCK]
-        V = np.zeros((len(block), k, j.n_x))
-        V[np.arange(len(block))[:, None], block, np.arange(j.n_x)] = 1.0
-        M = V @ pxcy
-        col_h = -np.add.reduce(_plogp(M), axis=1)
+        V = np.zeros((len(block), k, n_x))
+        V[np.arange(len(block))[:, None], block, np.arange(n_x)] = 1.0
+        M = V @ prob.pxcy
         # (B, 1, |Y|) @ (|Y|,) is one dot per item, as for a single encoder.
-        i_zy[lo:lo + _BLOCK] = _entropies(M @ p_y) - (col_h[:, None, :] @ p_y)[:, 0]
-        i_zx[lo:lo + _BLOCK] = _entropies(V @ j.p_x.probs)
+        i_zy[lo:lo + _BLOCK] = _entropies(M @ prob.py) - (_col_entropies(M)[:, None, :] @ prob.py)[:, 0]
+        i_zx[lo:lo + _BLOCK] = _entropies(V @ prob.px)
     return i_zy, i_zx
 
 
@@ -101,9 +97,9 @@ def greedy_merge_run(j: JointXY, beta: float) -> list:
     """
     if not _finite_positive(beta):
         raise ValueError("beta must be finite and positive")
-    pxcy = bayes_invert(j).matrix
+    prob = _Problem.build(j)
     current = np.arange(j.n_x)
-    (i_zy,), (i_zx,) = _scores(current[None], j.n_x, j, pxcy)
+    (i_zy,), (i_zx,) = _scores(current[None], j.n_x, prob)
     points = [_point(Solver.GREEDY, beta, j.n_x, 0, float(i_zy), float(i_zx))]
     for step in range(1, j.n_x):
         k = j.n_x - step + 1
@@ -112,7 +108,7 @@ def greedy_merge_run(j: JointXY, beta: float) -> list:
         a, b = (ab[:, None] for ab in np.triu_indices(k, 1))
         cands = np.where(current == b, a, current)
         cands -= cands > b
-        i_zy, i_zx = _scores(cands, k - 1, j, pxcy)
+        i_zy, i_zx = _scores(cands, k - 1, prob)
         best = int(np.argmin(i_zy - beta * i_zx))   # the first minimum: smallest pair
         current = cands[best]
         points.append(_point(Solver.GREEDY, beta, k - 1, step, float(i_zy[best]), float(i_zx[best])))
@@ -159,13 +155,13 @@ def exhaustive_points(j: JointXY, beta: float = 1.0):
         raise ExhaustiveGuardError(
             f"|X|={j.n_x} exceeds exhaustive enumeration guard ({EXHAUSTIVE_MAX_SYMBOLS})"
         )
-    pxcy = bayes_invert(j).matrix
+    prob = _Problem.build(j)
     parts = _partition_array(j.n_x)
     card = parts.max(axis=1) + 1
     i_zy, i_zx = np.empty(len(parts)), np.empty(len(parts))
     for k in range(1, j.n_x + 1):
         rows = np.flatnonzero(card == k)
-        i_zy[rows], i_zx[rows] = _scores(parts[rows], k, j, pxcy)
+        i_zy[rows], i_zx[rows] = _scores(parts[rows], k, prob)
     # Python numbers are made one block at a time, as the points are read.
     return (
         _point(Solver.EXHAUSTIVE, beta, k, idx, zy, zx)

@@ -81,12 +81,15 @@ from numbers import Integral
 import numpy as np
 
 from .linops import MarkovOperator
+# The benchmark's tracer wraps the entropy kernels as globals of this module.
 from .probability import (
     LOG_CLAMP,
     NATS_TO_BITS,
     Encoder,
+    InvalidDistributionError,
     JointXY,
-    _plogp,
+    _col_entropies,
+    _neg_plogp_sum,
     bayes_invert,
     random_encoder,
 )
@@ -245,14 +248,6 @@ class _Problem:
 _PROBLEMS: "weakref.WeakKeyDictionary[JointXY, _Problem]" = weakref.WeakKeyDictionary()
 
 
-def _neg_plogp_sum(a: np.ndarray) -> float:
-    return -float(np.add.reduce(_plogp(a), axis=None))
-
-
-def _col_entropies(m: np.ndarray) -> np.ndarray:
-    return -np.add.reduce(_plogp(m), axis=0)
-
-
 def _code_terms(V: np.ndarray, prob: _Problem):
     """(H(Z), I(Z;X)) in nats for a raw encoder matrix."""
     hz = _neg_plogp_sum(V @ prob.px)
@@ -274,23 +269,23 @@ def _loss(V: np.ndarray, prob: _Problem, beta: float, f: float | None = None) ->
     return (hz + f) - beta * izx
 
 
-def _clog(a: np.ndarray, clamp: float) -> np.ndarray:
-    return np.log(np.maximum(a, clamp))
+def _clog(a: np.ndarray) -> np.ndarray:
+    return np.log(np.maximum(a, LOG_CLAMP))
 
 
-def _grad_g_arr(V: np.ndarray, prob: _Problem, beta: float, clamp: float) -> np.ndarray:
-    log_pz = _clog(V @ prob.px, clamp)[:, None]
-    return prob.px[None, :] * (log_pz + 1.0 + beta * (_clog(V, clamp) - log_pz))
+def _grad_g_arr(V: np.ndarray, prob: _Problem, beta: float) -> np.ndarray:
+    log_pz = _clog(V @ prob.px)[:, None]
+    return prob.px[None, :] * (log_pz + 1.0 + beta * (_clog(V) - log_pz))
 
 
-def _grad_f_arr(V: np.ndarray, prob: _Problem, clamp: float) -> np.ndarray:
-    log_pzy = _clog(V @ prob.pxcy, clamp)
+def _grad_f_arr(V: np.ndarray, prob: _Problem) -> np.ndarray:
+    log_pzy = _clog(V @ prob.pxcy)
     return prob.px[None, :] * (log_pzy @ prob.pycx + 1.0)
 
 
-def _compute_c_arr(V: np.ndarray, prob: _Problem, beta: float, clamp: float) -> np.ndarray:
-    log_pz = _clog(V @ prob.px, clamp)[:, None]
-    return log_pz + beta * (_clog(V, clamp) - log_pz)
+def _compute_c_arr(V: np.ndarray, prob: _Problem, beta: float) -> np.ndarray:
+    log_pz = _clog(V @ prob.px)[:, None]
+    return log_pz + beta * (_clog(V) - log_pz)
 
 
 def _softmax_cols(logits: np.ndarray) -> np.ndarray:
@@ -298,11 +293,11 @@ def _softmax_cols(logits: np.ndarray) -> np.ndarray:
     return e / np.add.reduce(e, axis=0, keepdims=True)
 
 
-def _relaxed_target(V: np.ndarray, prob: _Problem, beta: float, clamp: float) -> np.ndarray:
+def _relaxed_target(V: np.ndarray, prob: _Problem, beta: float) -> np.ndarray:
     """Closed-form update target for P(Z|Y): softmax over codes of the
     block pseudo-inverse applied to the update coefficients, entry (z, x)
     ``log p_z(z) + beta * (log P(z|x) - log p_z(z))``."""
-    return _softmax_cols(_compute_c_arr(V, prob, beta, clamp) @ prob.b_pinv_t)
+    return _softmax_cols(_compute_c_arr(V, prob, beta) @ prob.b_pinv_t)
 
 
 @functools.lru_cache(maxsize=64)
@@ -393,8 +388,8 @@ def _sparse_gradient(L, l_xy, log_target, alpha, terms=None):
     return np.einsum("zy,zxy->zx", resid, weights) - alpha, resid
 
 
-def _sparse_descent(L, l_xy, log_target, alpha, lo, hi, tol, max_iter):
-    """Armijo projected gradient on the box of log-likelihoods.
+def _sparse_descent(L, l_xy, log_target, alpha, tol, max_iter):
+    """Armijo projected gradient on the log-likelihood box [_BOX_LO, _BOX_HI].
 
     Each backtracking search starts at the spectral step of the last
     accepted move and tries it times each factor of ``_ARMIJO_STEPS`` in
@@ -412,8 +407,8 @@ def _sparse_descent(L, l_xy, log_target, alpha, lo, hi, tol, max_iter):
         if prev is not None:
             first = _spectral_step(L - prev[0], grad - prev[1])
         for step in _ARMIJO_STEPS:
-            trial = np.maximum(L - (first * step) * grad, lo)
-            np.minimum(trial, hi, out=trial)
+            trial = np.maximum(L - (first * step) * grad, _BOX_LO)
+            np.minimum(trial, _BOX_HI, out=trial)
             trial_terms = _sparse_terms(trial, l_xy)
             trial_obj = _sparse_objective(trial, l_xy, log_target, alpha, trial_terms[1])
             if trial_obj <= obj + _ARMIJO_DECREASE * float(np.add.reduce(grad * (trial - L), axis=None)):
@@ -428,7 +423,7 @@ def _sparse_descent(L, l_xy, log_target, alpha, lo, hi, tol, max_iter):
     return L, obj
 
 
-def _surrogate_descent(V, grad_g_k, prob: _Problem, clamp, tol, max_iter):
+def _surrogate_descent(V, grad_g_k, prob: _Problem, tol, max_iter):
     """Projected-gradient descent on the linearized objective
     ``f(p) - <grad_g_k, p>`` starting from the current iterate.
 
@@ -444,7 +439,7 @@ def _surrogate_descent(V, grad_g_k, prob: _Problem, clamp, tol, max_iter):
     obj = f - float(np.add.reduce(grad_g_k * V, axis=None))
     first, prev = _SPECTRAL_FALLBACK, None
     for _ in range(max_iter):
-        grad = _grad_f_arr(V, prob, clamp) - grad_g_k
+        grad = _grad_f_arr(V, prob) - grad_g_k
         if prev is not None:
             # A coordinate that enters or leaves zero jumps in its
             # clamped-log gradient, which is not curvature: the spectral
@@ -472,12 +467,22 @@ def _surrogate_descent(V, grad_g_k, prob: _Problem, clamp, tol, max_iter):
 
 
 def _stationarity_gap_arr(V: np.ndarray, prob: _Problem, beta: float) -> float:
-    diff = _grad_f_arr(V, prob, LOG_CLAMP) - _grad_g_arr(V, prob, beta, LOG_CLAMP)
+    diff = _grad_f_arr(V, prob) - _grad_g_arr(V, prob, beta)
     mask = V > _SUPPORT_TOL
     counts = mask.sum(axis=0)
     mean = np.where(counts > 0, (diff * mask).sum(axis=0) / np.maximum(counts, 1), 0.0)
     residual = (diff - mean[None, :]) * mask
     return float(np.max(np.abs(residual)))
+
+
+def pf_lagrangian(enc: Encoder, j: JointXY, beta: float) -> float:
+    """Privacy-funnel Lagrangian I(Z;Y) - beta * I(Z;X) in nats: the loss
+    that ``dca_run`` descends and reports as ``loss_nats``."""
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    if enc.n_x != j.n_x:
+        raise InvalidDistributionError(f"encoder conditions on {enc.n_x} symbols, the source has {j.n_x}")
+    return _loss(enc.matrix, _Problem.build(j), beta)
 
 
 def stationarity_gap(enc: Encoder, j: JointXY, beta: float) -> float:
@@ -543,9 +548,9 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
         V = random_encoder(rng, card_z, j.n_x).matrix.copy()
 
     prob = _Problem.build(j)
-    beta, alpha, clamp = cfg.beta, cfg.alpha, LOG_CLAMP
+    beta, alpha = cfg.beta, cfg.alpha
     sparse = cfg.inner_kind is InnerKind.SPARSE_LOG
-    l_xy = _clog(prob.pxcy, clamp) if sparse else None
+    l_xy = _clog(prob.pxcy) if sparse else None
 
     loss = _loss(V, prob, beta)
     trace = [loss]
@@ -558,15 +563,13 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
         iterations = it
         cand = None
         if relaxed_phase:
-            target = _relaxed_target(V, prob, beta, clamp)
+            target = _relaxed_target(V, prob, beta)
             if sparse:
-                L0 = np.clip(_clog(V, clamp), _BOX_LO, _BOX_HI)
-                L, _ = _sparse_descent(
-                    L0, l_xy, _clog(target, clamp), alpha, _BOX_LO, _BOX_HI, _INNER_TOL, _SURROGATE_STEP_ITERS
-                )
+                L0 = np.clip(_clog(V), _BOX_LO, _BOX_HI)
+                L, _ = _sparse_descent(L0, l_xy, _clog(target), alpha, _INNER_TOL, _SURROGATE_STEP_ITERS)
                 cand = _softmax_cols(L)
             else:
-                cand, _ = _ridge_descent(V.copy(), target, prob, alpha, _INNER_TOL, _SURROGATE_STEP_ITERS)
+                cand, _ = _ridge_descent(V, target, prob, alpha, _INNER_TOL, _SURROGATE_STEP_ITERS)
             cand_loss = _loss(cand, prob, beta)
             drop = loss - cand_loss
             # The decrease certificate is written so that a NaN fails it.
@@ -582,8 +585,8 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
             # so if it cannot improve past the outer tolerance the run has
             # converged.
             fallback_steps += 1
-            grad_g_k = _grad_g_arr(V, prob, beta, clamp)
-            cand, stopped, cand_f = _surrogate_descent(V, grad_g_k, prob, clamp, _INNER_TOL, _SURROGATE_STEP_ITERS)
+            grad_g_k = _grad_g_arr(V, prob, beta)
+            cand, stopped, cand_f = _surrogate_descent(V, grad_g_k, prob, _INNER_TOL, _SURROGATE_STEP_ITERS)
             cand_loss = _loss(cand, prob, beta, cand_f)
             if stopped and loss - cand_loss <= cfg.outer_tol:
                 if cand_loss <= loss:

@@ -1,5 +1,6 @@
-"""Discrete probability primitives: validated distribution types and the
-information measures every solver in this package is built on.
+"""Discrete probability primitives: validated distribution types, the
+entropy kernels the solver, the baselines and the public measures share
+(no other module reduces ``_plogp``), and the measures built on them.
 
 Conventions used throughout:
 
@@ -215,19 +216,30 @@ def _plogp(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _neg_plogp_sum(a: np.ndarray) -> float:
+    """``-sum a log a`` over every entry: the entropy of a pmf, unclamped."""
+    return -float(np.add.reduce(_plogp(a), axis=None))
+
+
+def _col_entropies(m: np.ndarray) -> np.ndarray:
+    """Entropy of every column of ``m``, per item of a ``(B, k, n)`` stack."""
+    return -np.add.reduce(_plogp(m), axis=-2)
+
+
+def _entropies(p: np.ndarray) -> np.ndarray:
+    """Entropy of each pmf along the last axis of ``p``, clamped at 0."""
+    h = -np.add.reduce(_plogp(p), axis=-1)
+    return np.where(h < 0.0, 0.0, h)   # max(h, 0.0): keeps -0.0, as max does
+
+
 def entropy_nats(probs: np.ndarray) -> float:
     """Shannon entropy of a raw probability vector, 0*log(0) = 0."""
-    h = -float(np.sum(_plogp(np.asarray(probs, dtype=float))))
-    return max(h, 0.0)
+    return float(_entropies(np.asarray(probs, dtype=float)))
 
 
 def entropy(d: DiscreteDist) -> float:
     """Entropy in nats."""
     return entropy_nats(d.probs)
-
-
-def column_entropies_nats(matrix: np.ndarray) -> np.ndarray:
-    return -_plogp(np.asarray(matrix, dtype=float)).sum(axis=0)
 
 
 def mutual_information(marginal_cond: CondDist, cond_on: DiscreteDist) -> float:
@@ -241,8 +253,7 @@ def mutual_information(marginal_cond: CondDist, cond_on: DiscreteDist) -> float:
             f"conditioning alphabet mismatch: {cond_on.n} vs {marginal_cond.n_cond}"
         )
     w = cond_on.probs
-    out_marginal = marginal_cond.matrix @ w
-    return entropy_nats(out_marginal) - float(column_entropies_nats(marginal_cond.matrix) @ w)
+    return entropy_nats(marginal_cond.matrix @ w) - float(_col_entropies(marginal_cond.matrix) @ w)
 
 
 def markov_compose(enc: Encoder, x_given_y: CondDist) -> CondDist:
@@ -267,15 +278,6 @@ def bayes_invert(j: JointXY) -> CondDist:
     post = joint_yx.T / np.where(unused, 1.0, p_y)[None, :]
     post[:, unused] = j.p_x.probs[:, None]
     return CondDist(post)
-
-
-def pf_lagrangian(enc: Encoder, j: JointXY, beta: float) -> float:
-    """Privacy-funnel Lagrangian I(Z;Y) - beta * I(Z;X), in nats."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    i_zy = mutual_information(markov_compose(enc, bayes_invert(j)), j.p_y)
-    i_zx = mutual_information(enc, j.p_x)
-    return i_zy - beta * i_zx
 
 
 def _numbers(values, name: str) -> np.ndarray:

@@ -67,13 +67,13 @@ _FIELDS = fields(TradeoffPoint)
 CSV_HEADER = ["solver", "q"] + [f.name for f in _FIELDS[1:]]
 
 
-def geomspace(lo: float, hi: float, n: int) -> list[float]:
+def geomspace(start: float, stop: float, n: int) -> list[float]:
     """n geometrically spaced points, endpoints included exactly."""
-    if not (0 < lo < hi):
-        raise ValueError("need 0 < lo < hi")
+    if not (0 < start < stop):
+        raise ValueError("need 0 < start < stop")
     if n < 2:
         raise ValueError("need at least two points")
-    return [float(v) for v in np.geomspace(lo, hi, n)]
+    return [float(v) for v in np.geomspace(start, stop, n)]
 
 
 def _default_grid() -> tuple:

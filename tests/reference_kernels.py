@@ -20,8 +20,9 @@ kernels still return the same bits.
 way they were evaluated before each source got one problem object: a
 fresh Bayes inverse and a fresh P(Y) for every clustering and every
 greedy candidate, each clustering a ``HardClustering`` merged by
-``_merge`` and scored through ``clustering_to_encoder``, kept here so
-that the package shares no merge or relabel code with this reference.
+``_merge`` and scored through ``clustering_to_encoder`` and the entropy
+kernels above, kept here so that the package shares no merge, relabel or
+information code with this reference.
 Tests assert that the package's baselines write the same CSV bytes.
 """
 
@@ -31,14 +32,7 @@ from dataclasses import dataclass
 
 from pfdca.baseline import iter_partitions
 from pfdca.dca import stationarity_gap
-from pfdca.probability import (
-    NATS_TO_BITS,
-    DiscreteDist,
-    Encoder,
-    bayes_invert,
-    markov_compose,
-    mutual_information,
-)
+from pfdca.probability import NATS_TO_BITS, CondDist, DiscreteDist, Encoder, bayes_invert
 from pfdca.sweep import Solver, TradeoffPoint
 
 ARMIJO_SHRINK = 0.5
@@ -285,13 +279,17 @@ def _merge(c: HardClustering, a: int, b: int) -> HardClustering:
     return HardClustering(tuple(v - 1 if v > b else v for v in merged))
 
 
+def _mutual_information(channel, w):
+    """I(out; cond) in nats of a column-stochastic ``channel`` under ``w``."""
+    return entropy_nats(channel @ w) - float(col_entropies(channel) @ w)
+
+
 def _information(enc, j):
     """(I(Z;Y), I(Z;X)) in nats, with a fresh P(X|Y) and P(Y)."""
-    p_y = DiscreteDist(j.y_given_x.matrix @ j.p_x.probs)
-    return (
-        mutual_information(markov_compose(enc, bayes_invert(j)), p_y),
-        mutual_information(enc, j.p_x),
-    )
+    p_y = DiscreteDist(j.y_given_x.matrix @ j.p_x.probs).probs
+    # CondDist repairs the columns of P(Z|Y) as the package's channels are repaired.
+    p_zy = CondDist(enc.matrix @ bayes_invert(j).matrix).matrix
+    return _mutual_information(p_zy, p_y), _mutual_information(enc.matrix, j.p_x.probs)
 
 
 def baseline_point(j, c, beta, solver, iterations):

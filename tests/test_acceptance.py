@@ -43,7 +43,7 @@ from pfdca.diagnostics import (
     check_restricted_convexity,
     check_update_residual,
 )
-from pfdca.probability import LOG_CLAMP, NATS_TO_BITS, random_encoder
+from pfdca.probability import NATS_TO_BITS, random_encoder
 from pfdca.sweep import SweepConfig, _run_cell_full, pareto_frontier, sweep_tasks
 
 SWEEP_BUDGET_SECONDS = 300.0
@@ -200,7 +200,7 @@ def test_criterion_8_inner_solver_oracles():
     for idx, j in enumerate(make_instances()):
         rng = np.random.default_rng(300 + idx)
         prob = _Problem.build(j)
-        target = _relaxed_target(random_encoder(rng, 2, 2).matrix, prob, 1.5, LOG_CLAMP)
+        target = _relaxed_target(random_encoder(rng, 2, 2).matrix, prob, 1.5)
         grid = np.linspace(0.0, 1.0, 1001)
         a, b = np.meshgrid(grid, grid, indexing="ij")
         alpha = 0.3
@@ -214,7 +214,7 @@ def test_criterion_8_inner_solver_oracles():
         alpha_s = 0.5
         coarse, fine = sparse_bruteforce(l_xy, log_t, alpha_s, -30.0, -1e-6)
         warm = np.clip(np.log(np.full((2, 2), 0.5)), -30.0, -1e-6)
-        _, j_sparse = _sparse_descent(warm, l_xy, log_t, alpha_s, -30.0, -1e-6, 1e-15, 200000)
+        _, j_sparse = _sparse_descent(warm, l_xy, log_t, alpha_s, 1e-15, 200000)
         sparse_gap = abs(j_sparse - fine)
         ok &= sparse_gap <= SPARSE_TOL and j_sparse <= coarse + 1e-12
         details.append(f"inst{idx}: ridge {ridge_gap:.1e} sparse {sparse_gap:.1e}")

@@ -36,7 +36,7 @@ from pfdca.dca import (
     _sparse_gradient,
     _sparse_objective,
 )
-from pfdca.probability import LOG_CLAMP, bayes_invert, random_encoder, random_interior_encoder
+from pfdca.probability import bayes_invert, random_encoder, random_interior_encoder
 
 # Iteration cap of the inner-solve oracles below, far above the solver's
 # own budget.
@@ -62,14 +62,14 @@ class TestGradients:
     def test_grad_g_uniform_closed_form(self):
         j = JointXY(DiscreteDist.uniform(3), CondDist.identity(3))
         for beta in (0.3, 1.0, 4.0):
-            got = _grad_g_arr(Encoder.uniform(3, 3).matrix, _Problem.build(j), beta, LOG_CLAMP)
+            got = _grad_g_arr(Encoder.uniform(3, 3).matrix, _Problem.build(j), beta)
             assert np.allclose(got, (1.0 / 3.0) * (np.log(1.0 / 3.0) + 1.0), atol=1e-12)
 
     def test_grad_g_matches_fd(self, demo_joint):
         rng = np.random.default_rng(0)
         for beta in (0.5, 1.0, 3.0):
             enc = random_interior_encoder(rng, 3, 3)
-            analytic = _grad_g_arr(enc.matrix, _Problem.build(demo_joint), beta, LOG_CLAMP)
+            analytic = _grad_g_arr(enc.matrix, _Problem.build(demo_joint), beta)
             fd = fd_gradient(lambda m: _g_value_arr(m, _Problem.build(demo_joint), beta), enc.matrix)
             rel = np.max(np.abs(analytic - fd)) / np.max(np.abs(analytic))
             assert rel < 1e-6
@@ -77,19 +77,19 @@ class TestGradients:
     def test_grad_g_beta_zero_is_entropy_gradient(self, demo_joint):
         rng = np.random.default_rng(1)
         enc = random_interior_encoder(rng, 3, 3)
-        got = _grad_g_arr(enc.matrix, _Problem.build(demo_joint), 0.0, LOG_CLAMP)
+        got = _grad_g_arr(enc.matrix, _Problem.build(demo_joint), 0.0)
         pz = enc.matrix @ demo_joint.p_x.probs
         expected = demo_joint.p_x.probs[None, :] * (np.log(pz)[:, None] + 1.0)
         assert np.allclose(got, expected, atol=1e-12)
 
     def test_grad_f_single_code(self, demo_joint):
-        got = _grad_f_arr(Encoder.uniform(1, 3).matrix, _Problem.build(demo_joint), LOG_CLAMP)
+        got = _grad_f_arr(Encoder.uniform(1, 3).matrix, _Problem.build(demo_joint))
         assert np.allclose(got, demo_joint.p_x.probs[None, :], atol=1e-12)
 
     def test_grad_f_matches_fd(self, demo_joint):
         rng = np.random.default_rng(2)
         enc = random_interior_encoder(rng, 4, 3)
-        analytic = _grad_f_arr(enc.matrix, _Problem.build(demo_joint), LOG_CLAMP)
+        analytic = _grad_f_arr(enc.matrix, _Problem.build(demo_joint))
         fd = fd_gradient(lambda m: _f_value_arr(m, _Problem.build(demo_joint)), enc.matrix)
         rel = np.max(np.abs(analytic - fd)) / np.max(np.abs(analytic))
         assert rel < 1e-6
@@ -98,27 +98,27 @@ class TestGradients:
         j = JointXY(DiscreteDist(np.array([0.2, 0.8])), CondDist.identity(2))
         rng = np.random.default_rng(3)
         enc = random_interior_encoder(rng, 2, 2)
-        got = _grad_f_arr(enc.matrix, _Problem.build(j), LOG_CLAMP)
+        got = _grad_f_arr(enc.matrix, _Problem.build(j))
         expected = j.p_x.probs[None, :] * (np.log(enc.matrix) + 1.0)
         assert np.allclose(got, expected, atol=1e-10)
 
 
 class TestUpdateCoefficients:
     def test_uniform_encoder_constant(self, demo_joint):
-        c = _compute_c_arr(Encoder.uniform(3, 3).matrix, _Problem.build(demo_joint), 2.5, LOG_CLAMP)
+        c = _compute_c_arr(Encoder.uniform(3, 3).matrix, _Problem.build(demo_joint), 2.5)
         assert np.allclose(c, np.log(1.0 / 3.0), atol=1e-12)
 
     def test_beta_one_reduces_to_log_encoder(self, demo_joint):
         rng = np.random.default_rng(4)
         enc = random_interior_encoder(rng, 3, 3)
-        c = _compute_c_arr(enc.matrix, _Problem.build(demo_joint), 1.0, LOG_CLAMP)
+        c = _compute_c_arr(enc.matrix, _Problem.build(demo_joint), 1.0)
         assert np.allclose(c, np.log(enc.matrix), atol=1e-12)
 
     def test_scalar_recomputation(self, demo_joint):
         rng = np.random.default_rng(5)
         enc = random_interior_encoder(rng, 3, 3)
         beta = 2.0
-        c = _compute_c_arr(enc.matrix, _Problem.build(demo_joint), beta, LOG_CLAMP)
+        c = _compute_c_arr(enc.matrix, _Problem.build(demo_joint), beta)
         px = demo_joint.p_x.probs
         for z in range(3):
             p_z = sum(enc.matrix[z, x] * px[x] for x in range(3))
@@ -129,17 +129,17 @@ class TestUpdateCoefficients:
 
 class TestTarget:
     def test_uniform_encoder_gives_uniform_target(self, demo_joint):
-        target = _relaxed_target(Encoder.uniform(3, 3).matrix, _Problem.build(demo_joint), 1.7, LOG_CLAMP)
+        target = _relaxed_target(Encoder.uniform(3, 3).matrix, _Problem.build(demo_joint), 1.7)
         assert np.allclose(target, 1.0 / 3.0, atol=1e-12)
         # Linear-solve oracle: constant coefficients solve to a constant,
         # and the softmax of a constant is uniform.
-        c = _compute_c_arr(Encoder.uniform(3, 3).matrix, _Problem.build(demo_joint), 1.7, LOG_CLAMP)
+        c = _compute_c_arr(Encoder.uniform(3, 3).matrix, _Problem.build(demo_joint), 1.7)
         solved = np.linalg.solve(demo_joint.y_given_x.matrix.T, c.T).T
         assert np.allclose(solved, solved[0, 0], atol=1e-10)
 
     def test_columns_stochastic(self, demo_joint):
         rng = np.random.default_rng(6)
-        target = _relaxed_target(random_encoder(rng, 4, 3).matrix, _Problem.build(demo_joint), 0.4, LOG_CLAMP)
+        target = _relaxed_target(random_encoder(rng, 4, 3).matrix, _Problem.build(demo_joint), 0.4)
         assert np.allclose(target.sum(axis=0), 1.0, atol=1e-12)
 
     def test_fixed_point_matches_markov_composition(self, fixed_point_joint):
@@ -149,14 +149,14 @@ class TestTarget:
         assert fixed is not None
         assert abs(fixed[0, 0] - fixed[0, 1]) > 0.05  # genuinely non-constant
         enc = Encoder(fixed)
-        target = _relaxed_target(enc.matrix, _Problem.build(fixed_point_joint), beta, LOG_CLAMP)
+        target = _relaxed_target(enc.matrix, _Problem.build(fixed_point_joint), beta)
         composed = markov_compose(enc, bayes_invert(fixed_point_joint))
         assert np.max(np.abs(target - composed.matrix)) < 1e-8
 
     def test_constant_encoder_is_exact_fixed_point_at_unit_beta(self, tiny_joint):
         col = np.array([0.35, 0.65])
         enc = Encoder(np.tile(col[:, None], (1, 2)))
-        target = _relaxed_target(enc.matrix, _Problem.build(tiny_joint), 1.0, LOG_CLAMP)
+        target = _relaxed_target(enc.matrix, _Problem.build(tiny_joint), 1.0)
         composed = markov_compose(enc, bayes_invert(tiny_joint))
         assert np.max(np.abs(target - composed.matrix)) < 1e-12
 
@@ -165,7 +165,7 @@ class TestTarget:
         # target and the solver take the source as it is.
         j = JointXY(DiscreteDist.uniform(3), CondDist(SHORT_CHANNEL))
         rng = np.random.default_rng(14)
-        target = _relaxed_target(random_encoder(rng, 2, 3).matrix, _Problem.build(j), 1.0, LOG_CLAMP)
+        target = _relaxed_target(random_encoder(rng, 2, 3).matrix, _Problem.build(j), 1.0)
         assert np.all(target >= 0.0) and np.allclose(target.sum(axis=0), 1.0, atol=1e-12)
         h_x = np.log2(3.0)
         for inner_kind in InnerKind:
@@ -258,7 +258,7 @@ class TestInnerRidge:
     def test_huge_penalty_gives_uniform(self, demo_joint):
         rng = np.random.default_rng(9)
         prob = _Problem.build(demo_joint)
-        target = _relaxed_target(random_encoder(rng, 3, 3).matrix, prob, 1.0, LOG_CLAMP)
+        target = _relaxed_target(random_encoder(rng, 3, 3).matrix, prob, 1.0)
         got, _ = _ridge_descent(
             random_encoder(rng, 3, 3).matrix, target, prob, 1e6, _INNER_TOL, ORACLE_MAX_ITER
         )
@@ -275,7 +275,7 @@ class TestInnerRidge:
         prob = _Problem.build(demo_joint)
         for alpha in (0.1, 1.0, 10.0):
             warm = random_encoder(rng, 3, 3)
-            target = _relaxed_target(random_encoder(rng, 3, 3).matrix, prob, 2.0, LOG_CLAMP)
+            target = _relaxed_target(random_encoder(rng, 3, 3).matrix, prob, 2.0)
             got, _ = _ridge_descent(warm.matrix, target, prob, alpha, _INNER_TOL, ORACLE_MAX_ITER)
             assert objective(got, target, alpha) <= (
                 objective(warm.matrix, target, alpha) + 1e-12
@@ -292,14 +292,14 @@ class TestInnerSparse:
         log_t = np.log(target.matrix)
         grad, _ = _sparse_gradient(L_star, l_xy, log_t, 0.0)
         assert np.max(np.abs(grad)) <= 1e-10
-        L, _ = _sparse_descent(L_star, l_xy, log_t, 0.0, _BOX_LO, _BOX_HI, _INNER_TOL, ORACLE_MAX_ITER)
+        L, _ = _sparse_descent(L_star, l_xy, log_t, 0.0, _INNER_TOL, ORACLE_MAX_ITER)
         assert np.max(np.abs(_softmax_cols(L) - V)) < 1e-9
 
     def test_l1_term_is_negated_sum(self, demo_joint):
         rng = np.random.default_rng(12)
         L = -rng.uniform(0.5, 5.0, size=(3, 3))
         l_xy = np.log(bayes_invert(demo_joint).matrix)
-        log_t = np.log(_relaxed_target(Encoder.uniform(3, 3).matrix, _Problem.build(demo_joint), 1.0, LOG_CLAMP))
+        log_t = np.log(_relaxed_target(Encoder.uniform(3, 3).matrix, _Problem.build(demo_joint), 1.0))
         alpha = 0.7
         with_pen = _sparse_objective(L, l_xy, log_t, alpha)
         without = _sparse_objective(L, l_xy, log_t, 0.0)
@@ -311,13 +311,9 @@ class TestInnerSparse:
     def test_solution_feasible(self, demo_joint):
         rng = np.random.default_rng(13)
         prob = _Problem.build(demo_joint)
-        target = _relaxed_target(random_encoder(rng, 3, 3).matrix, prob, 3.0, LOG_CLAMP)
-        lo, hi = _BOX_LO, _BOX_HI
-        L0 = np.clip(_clog(random_encoder(rng, 3, 3).matrix, LOG_CLAMP), lo, hi)
-        L, _ = _sparse_descent(
-            L0, _clog(prob.pxcy, LOG_CLAMP), _clog(target, LOG_CLAMP), 0.5, lo, hi,
-            _INNER_TOL, ORACLE_MAX_ITER,
-        )
+        target = _relaxed_target(random_encoder(rng, 3, 3).matrix, prob, 3.0)
+        L0 = np.clip(_clog(random_encoder(rng, 3, 3).matrix), _BOX_LO, _BOX_HI)
+        L, _ = _sparse_descent(L0, _clog(prob.pxcy), _clog(target), 0.5, _INNER_TOL, ORACLE_MAX_ITER)
         got = _softmax_cols(L)
         assert np.allclose(got.sum(axis=0), 1.0, atol=1e-12)
         assert np.min(got) >= 0.0
@@ -461,7 +457,7 @@ class TestRestrictedConvexityDirect:
             q = random_interior_encoder(rng, 3, 3).matrix
             for beta in (0.1, 1.0, 10.0):
                 lhs = _g_value_arr(p, prob, beta) - _g_value_arr(q, prob, beta)
-                grad_q = _grad_g_arr(Encoder(q).matrix, prob, beta, LOG_CLAMP)
+                grad_q = _grad_g_arr(Encoder(q).matrix, prob, beta)
                 inner = float(np.sum(grad_q * (p - q)))
                 move = (p - q) @ px
                 assert lhs - inner - 0.5 * float(move @ move) >= -1e-9

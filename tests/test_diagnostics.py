@@ -84,13 +84,12 @@ class TestRestrictedConvexity:
         # p == q collapses every term of the inequality.
         rng = np.random.default_rng(5)
         from pfdca.dca import _g_value_arr, _grad_g_arr, _Problem
-        from pfdca.probability import LOG_CLAMP
 
         p = random_interior_encoder(rng, 3, 3)
         slack = (
             _g_value_arr(p.matrix, _Problem.build(demo_joint), 1.0)
             - _g_value_arr(p.matrix, _Problem.build(demo_joint), 1.0)
-            - float(np.sum(_grad_g_arr(p.matrix, _Problem.build(demo_joint), 1.0, LOG_CLAMP) * 0.0))
+            - float(np.sum(_grad_g_arr(p.matrix, _Problem.build(demo_joint), 1.0) * 0.0))
         )
         assert slack == 0.0
 

@@ -13,7 +13,7 @@ from pfdca.dca import (
     _ridge_descent,
     _sparse_descent,
 )
-from pfdca.probability import LOG_CLAMP, random_encoder
+from pfdca.probability import random_encoder
 
 RIDGE_TOL = 1e-6
 SPARSE_TOL = 1e-5
@@ -41,7 +41,7 @@ def test_ridge_matches_exhaustive_grid(alpha):
     for idx, j in enumerate(make_instances()):
         rng = np.random.default_rng(100 + idx)
         prob = _Problem.build(j)
-        target = _relaxed_target(random_encoder(rng, 2, 2).matrix, prob, 1.5, LOG_CLAMP)
+        target = _relaxed_target(random_encoder(rng, 2, 2).matrix, prob, 1.5)
         grid = np.linspace(0.0, 1.0, 1001)  # resolution 1e-3 over the simplex faces
         a, b = np.meshgrid(grid, grid, indexing="ij")
         j_grid = float(ridge_objective_grid(prob.pxcy, target, alpha, a, b).min())
@@ -87,13 +87,13 @@ def test_sparse_matches_exhaustive_grid(alpha):
     for idx, j in enumerate(make_instances()):
         rng = np.random.default_rng(200 + idx)
         prob = _Problem.build(j)
-        target = _relaxed_target(random_encoder(rng, 2, 2).matrix, prob, 1.5, LOG_CLAMP)
+        target = _relaxed_target(random_encoder(rng, 2, 2).matrix, prob, 1.5)
         l_xy = np.log(prob.pxcy)
         log_t = np.log(target)
         lo, hi = -30.0, -1e-6
         j_coarse, j_fine = sparse_bruteforce(l_xy, log_t, alpha, lo, hi)
         warm = np.clip(np.log(np.full((2, 2), 0.5)), lo, hi)
-        _, j_solver = _sparse_descent(warm, l_xy, log_t, alpha, lo, hi, 1e-15, 200000)
+        _, j_solver = _sparse_descent(warm, l_xy, log_t, alpha, 1e-15, 200000)
         # Never worse than the coarse exhaustive sweep, and equal to the
         # refined exhaustive optimum within the stated tolerance.
         assert j_solver <= j_coarse + 1e-12

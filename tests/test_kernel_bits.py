@@ -12,6 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import pfdca.dca
+import pfdca.probability
 import reference_kernels as ref
 from pfdca import CondDist, DiscreteDist, JointXY
 from pfdca.dca import (
@@ -28,7 +30,7 @@ from pfdca.dca import (
     _spectral_step,
     _surrogate_descent,
 )
-from pfdca.probability import _plogp, column_entropies_nats, entropy_nats
+from pfdca.probability import _plogp, entropy_nats
 
 LO, HI = -30.0, -1e-6
 LOG_CLAMP = 1e-12
@@ -72,7 +74,7 @@ def assert_same_solve(L0, l_xy, log_t, alpha, tol, max_iter):
     # The solver starts from C-ordered iterates; a start in another memory
     # layout is solved as its C-ordered copy.
     want_L, want_obj = ref.sparse_descent(np.ascontiguousarray(L0), l_xy, log_t, alpha, LO, HI, tol, max_iter)
-    got_L, got_obj = _sparse_descent(L0, l_xy, log_t, alpha, LO, HI, tol, max_iter)
+    got_L, got_obj = _sparse_descent(L0, l_xy, log_t, alpha, tol, max_iter)
     assert np.array_equal(got_L, want_L)
     assert type(got_obj) is float
     assert got_obj == want_obj
@@ -125,7 +127,7 @@ def test_sparse_descent_no_step_passes():
     log_t[0, 0] = np.nan
     halvings = []
     want_L, _ = ref.sparse_descent(L0, l_xy, log_t, 1.0, LO, HI, 1e-9, 10, halvings)
-    got_L, got_obj = _sparse_descent(L0, l_xy, log_t, 1.0, LO, HI, 1e-9, 10)
+    got_L, got_obj = _sparse_descent(L0, l_xy, log_t, 1.0, 1e-9, 10)
     assert halvings == [47]
     assert np.array_equal(got_L, want_L) and np.array_equal(got_L, L0)
     assert np.isnan(got_obj)
@@ -170,7 +172,16 @@ def test_projection_matches_reference(m):
 @settings(max_examples=200, deadline=None)
 @given(m=matrices(0.0, 1.0))
 def test_entropies_match_reference(m):
+    # The solver calls the one pair of entropy kernels, defined in probability.
+    assert pfdca.dca._col_entropies is pfdca.probability._col_entropies
+    assert pfdca.dca._neg_plogp_sum is pfdca.probability._neg_plogp_sum
     assert np.array_equal(_col_entropies(m), ref.col_entropies(m))
+    # A (B, k, n) stack gives every item the bits of that item alone.
+    stack = np.stack([m, m[::-1], m * m])
+    got = _col_entropies(stack)
+    assert got.shape == (3, m.shape[1])
+    for item, h in zip(stack, got):
+        assert np.array_equal(h, ref.col_entropies(item))
     assert _neg_plogp_sum(m) == ref.neg_plogp_sum(m)
     column = m[:, 0]
     assert _neg_plogp_sum(column) == ref.neg_plogp_sum(column)
@@ -181,7 +192,6 @@ def test_entropies_match_reference(m):
     for a in (m, column):
         got, want = _plogp(a), ref.untrimmed_plogp(a)
         assert np.array_equal(got, want) and got.strides == want.strides
-    assert np.array_equal(column_entropies_nats(m), ref.col_entropies(m))
     assert entropy_nats(column) == ref.entropy_nats(column)
 
 
@@ -205,8 +215,8 @@ def test_exact_step_and_loss_match_untrimmed(seed, nx, ny, nz, concentration, bu
     V[V < 1e-3] = 0.0
     V /= V.sum(axis=0)
     beta = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-    g = _grad_g_arr(V, prob, beta, LOG_CLAMP)
-    got, stopped, f = _surrogate_descent(V, g, prob, LOG_CLAMP, 1e-9, budget)
+    g = _grad_g_arr(V, prob, beta)
+    got, stopped, f = _surrogate_descent(V, g, prob, 1e-9, budget)
     want, want_stopped = ref.untrimmed_surrogate_descent(
         V, g, prob.pxcy, prob.pycx, prob.px, prob.py, LOG_CLAMP, 1e-9, budget
     )

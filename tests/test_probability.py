@@ -11,11 +11,13 @@ from conftest import (
 )
 from pfdca import (
     CondDist,
+    DcaConfig,
     DiscreteDist,
     Encoder,
     InvalidDistributionError,
     JointXY,
     bayes_invert,
+    dca_run,
     entropy,
     joint_from_dict,
     joint_to_dict,
@@ -214,6 +216,24 @@ class TestLagrangian:
     def test_rejects_nonpositive_beta(self, demo_joint):
         with pytest.raises(ValueError):
             pf_lagrangian(Encoder.identity(3), demo_joint, 0.0)
+
+    @pytest.mark.parametrize("n_x", [2, 4])
+    def test_rejects_encoder_over_wrong_alphabet(self, demo_joint, n_x):
+        with pytest.raises(InvalidDistributionError):
+            pf_lagrangian(Encoder.uniform(2, n_x), demo_joint, 1.0)
+
+    @pytest.mark.parametrize("inner_kind", ["ridge", "sparse_log"])
+    def test_is_the_loss_the_solver_reports(self, inner_kind):
+        # The public Lagrangian is the loss dca_run descends, to the last bit.
+        rng = np.random.default_rng(16)
+        for seed in range(40):
+            nx, ny = int(rng.integers(2, 6)), int(rng.integers(1, 7))
+            channel = rng.dirichlet(np.full(ny, 0.5), nx).T
+            j = JointXY(DiscreteDist(rng.dirichlet(np.ones(nx))), CondDist(channel))
+            beta = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
+            cfg = DcaConfig(beta=beta, alpha=float(rng.uniform(0.1, 2.0)), inner_kind=inner_kind, seed=seed)
+            res = dca_run(j, int(rng.integers(2, 6)), cfg)
+            assert pf_lagrangian(res.encoder, j, beta) == res.loss_nats
 
 
 class TestInformationInequalities:

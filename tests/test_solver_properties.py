@@ -90,7 +90,7 @@ def subproblem(seed, concentration=1.0):
         V[V < 1e-3] = 0.0
         V /= V.sum(axis=0)
     beta = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-    return V, _grad_g_arr(V, prob, beta, LOG_CLAMP), prob
+    return V, _grad_g_arr(V, prob, beta), prob
 
 
 def objective(V, grad_g_k, prob):
@@ -103,8 +103,8 @@ def test_full_budget_reaches_long_run_optimum():
     worst = 0.0
     for seed in range(200):
         V, g, prob = subproblem(seed)
-        got, _, _ = _surrogate_descent(V, g, prob, LOG_CLAMP, INNER_TOL, FULL_BUDGET)
-        long_run, _, _ = _surrogate_descent(V, g, prob, LOG_CLAMP, 0.0, 4 * FULL_BUDGET)
+        got, _, _ = _surrogate_descent(V, g, prob, INNER_TOL, FULL_BUDGET)
+        long_run, _, _ = _surrogate_descent(V, g, prob, 0.0, 4 * FULL_BUDGET)
         unit = ref.surrogate_descent(V, g, prob.pxcy, prob.pycx, prob.px, prob.py, LOG_CLAMP, INNER_TOL, FULL_BUDGET)
         best = min(objective(long_run, g, prob), objective(unit, g, prob))
         worst = max(worst, (objective(got, g, prob) - best) / abs(best))
@@ -119,7 +119,7 @@ def test_full_budget_reaches_long_run_optimum():
 )
 def test_any_budget_stays_stochastic_and_descends(seed, budget, concentration):
     V, g, prob = subproblem(seed, concentration)
-    got, _, _ = _surrogate_descent(V, g, prob, LOG_CLAMP, INNER_TOL, budget)
+    got, _, _ = _surrogate_descent(V, g, prob, INNER_TOL, budget)
     assert np.all(got >= 0.0)
     assert np.allclose(got.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
     assert objective(got, g, prob) <= objective(V, g, prob)
@@ -129,11 +129,11 @@ def test_plain_step_that_stops_early_is_the_full_budget_step():
     stopped_early = 0
     for seed in range(60):
         V, g, prob = subproblem(seed, concentration=(0.2, 1.0, 5.0)[seed % 3])
-        plain, stopped, _ = _surrogate_descent(V, g, prob, LOG_CLAMP, INNER_TOL, _SURROGATE_STEP_ITERS)
+        plain, stopped, _ = _surrogate_descent(V, g, prob, INNER_TOL, _SURROGATE_STEP_ITERS)
         if not stopped:
             continue
         stopped_early += 1
-        full, full_stopped, _ = _surrogate_descent(V, g, prob, LOG_CLAMP, INNER_TOL, FULL_BUDGET)
+        full, full_stopped, _ = _surrogate_descent(V, g, prob, INNER_TOL, FULL_BUDGET)
         assert full_stopped
         assert np.array_equal(plain, full)
     assert stopped_early >= 20
@@ -155,7 +155,7 @@ def test_every_exact_step_runs_at_the_one_budget(seed, beta, inner_kind):
 
     def recorded(*args):
         out = _surrogate_descent(*args)
-        calls.append((args[5], out[1]))
+        calls.append((args[-1], out[1]))
         return out
 
     relaxed = _ridge_descent if inner_kind == "ridge" else _sparse_descent
@@ -205,9 +205,9 @@ def test_converging_step_is_the_full_budget_step(seed, nx, ny, card_z, beta, alp
         mp.setattr(pfdca.dca, "_surrogate_descent", recorded)
         res = dca_run(j, card_z, cfg)
     assert res.converged
-    (V, g, prob, clamp, tol, budget), (last, stopped, _) = calls[-1]
+    (V, g, prob, tol, budget), (last, stopped, _) = calls[-1]
     assert budget == _SURROGATE_STEP_ITERS and stopped
-    full, full_stopped, _ = _surrogate_descent(V, g, prob, clamp, tol, FULL_BUDGET)
+    full, full_stopped, _ = _surrogate_descent(V, g, prob, tol, FULL_BUDGET)
     assert full_stopped
     assert np.array_equal(full, last)
 
@@ -347,8 +347,8 @@ def test_exact_step_that_zeroes_a_coordinate_is_still_boosted():
     for seed in range(10):
         V = np.random.default_rng(seed).dirichlet(np.full(3, 0.3), 3).T
         for beta in (0.5, 2.0):
-            g = _grad_g_arr(V, prob, beta, LOG_CLAMP)
-            cand, _, _ = _surrogate_descent(V, g, prob, LOG_CLAMP, INNER_TOL, _SURROGATE_STEP_ITERS)
+            g = _grad_g_arr(V, prob, beta)
+            cand, _, _ = _surrogate_descent(V, g, prob, INNER_TOL, _SURROGATE_STEP_ITERS)
             d = cand - V
             if not float(np.min(cand[d < 0.0] / -d[d < 0.0], initial=np.inf)) < _BOOST_MIN_STEP:
                 continue
