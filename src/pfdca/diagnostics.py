@@ -9,8 +9,9 @@ a tolerance:
 * the two expectation identities behind the update equation
   (conditional-entropy form of the averaged update, and the
   entropy-plus-divergence form of the averaged log marginal);
-* the zero residual of the expectation-form update equation at exactly
-  solved updates on invertible two-symbol instances;
+* the zero residual of the expectation-form update equation at the
+  solver's own closed-form update, log-partition term included, on
+  random invertible two-symbol sources;
 * restricted convexity of the linearized term (strong convexity
   measured through the code-marginal operator);
 * monotone descent of a solver run's loss trace.
@@ -139,7 +140,7 @@ def check_expectation_identities(
 
 
 def _random_invertible_pair(rng) -> JointXY:
-    """Random well-conditioned 2x2 source for exact-update construction."""
+    """Random well-conditioned 2x2 source, whose block the update inverts exactly."""
     while True:
         a, b = rng.uniform(0.15, 0.85, size=2)
         channel = np.array([[a, 1.0 - b], [1.0 - a, b]])
@@ -150,73 +151,31 @@ def _random_invertible_pair(rng) -> JointXY:
 
 
 def _exact_update_residual(j: JointXY, enc_k: np.ndarray, beta: float):
-    """Residual of the averaged update equation at the exactly solved step.
+    """Residual of the averaged update equation at the solver's closed-form
+    update, log-partition term included.
 
-    Solves the linear update exactly (two-symbol blocks are invertible),
-    requiring the exponentiated solution to be column-stochastic; returns
-    None when the solved next encoder leaves the simplex. The residual is
-    ``I(Z;Y) + KL(p_z || p_z_prev) - beta * E[log(P_prev(x|z) / p(x))]``
-    evaluated under the new encoder.
+    The update is ``_relaxed_target``'s softmax of the logits
+    ``l = c @ B^+``; on an invertible block ``l @ P(Y|X) = c`` exactly, so
+    averaging ``log q`` under the encoder that yields ``q`` gives
+    ``I(Z;Y) + KL(p_z || p_z_prev) - beta * E[log(P_prev(z|x) / p_prev(z))]
+    = -sum_y p(y) log Z(y)``. Returns the absolute gap of that identity,
+    or None when the encoder that yields ``q`` leaves the simplex.
     """
     prob = dca._Problem.build(j)
     px, py = prob.px, prob.py
-    b_blk = prob.pycx.T
-    c = (1.0 - beta) * np.log(enc_k @ px)[:, None] + beta * np.log(enc_k)
-    logits = np.linalg.solve(b_blk, c.T).T  # (n_z, n_y): exact solve per code row
-    m = np.exp(logits)
-    col_err = np.abs(m.sum(axis=0) - 1.0)
-    a_blk = prob.pxcy.T
-    enc_new = np.linalg.solve(a_blk, m.T).T
+    logits = dca._compute_c_arr(enc_k, prob, beta) @ prob.b_pinv_t
+    m = dca._softmax_cols(logits)
+    enc_new = np.linalg.solve(prob.pxcy.T, m.T).T
     if np.min(enc_new) < -1e-12:
-        return None, float(np.max(col_err))
+        return None
     enc_new = np.clip(enc_new, 0.0, None)
     pz_new = enc_new @ px
-    hz = _neg_plogp_sum(pz_new)
-    izy = hz - float(py @ _col_entropies(m))
+    izy = _neg_plogp_sum(pz_new) - float(py @ _col_entropies(m))
     pz_k = enc_k @ px
     kl = float(np.sum(pz_new * (np.log(pz_new) - np.log(pz_k))))
     cross = float(np.sum((enc_new * px[None, :]) * (np.log(enc_k) - np.log(pz_k)[:, None])))
-    return abs(izy + kl - beta * cross), float(np.max(col_err))
-
-
-def _solve_exact_instance(j: JointXY, beta: float, u0: np.ndarray):
-    """Newton-solve for an interior previous encoder whose exact linear
-    update is already normalized (so the update equation holds with no
-    per-column slack)."""
-
-    def norm_gap(u):
-        enc_k = np.array([u, 1.0 - u])
-        prob = dca._Problem.build(j)
-        c = (1.0 - beta) * np.log(enc_k @ prob.px)[:, None] + beta * np.log(enc_k)
-        logits = np.linalg.solve(prob.pycx.T, c.T).T
-        return np.exp(logits).sum(axis=0) - 1.0
-
-    u = np.asarray(u0, dtype=float)
-    for _ in range(80):
-        f0 = norm_gap(u)
-        if np.max(np.abs(f0)) < 1e-13:
-            return u
-        jac = np.empty((2, 2))
-        h = 1e-7
-        for k in range(2):
-            up = u.copy()
-            up[k] += h
-            jac[:, k] = (norm_gap(up) - f0) / h
-        try:
-            step = np.linalg.solve(jac, -f0)
-        except np.linalg.LinAlgError:
-            return None
-        t = 1.0
-        while t > 1e-6:
-            trial = u + t * step
-            if np.all(trial > 1e-4) and np.all(trial < 1.0 - 1e-4):
-                if np.max(np.abs(norm_gap(trial))) < np.max(np.abs(f0)):
-                    u = trial
-                    break
-            t *= 0.5
-        else:
-            return None
-    return None
+    log_partition = float(py @ np.logaddexp.reduce(logits, axis=0))
+    return abs(izy + kl - beta * cross + log_partition)
 
 
 def check_update_residual(
@@ -224,32 +183,20 @@ def check_update_residual(
     seed: int = 0,
     tolerance: float = RESIDUAL_TOL,
 ) -> CheckReport:
-    """Zero residual of the averaged update equation at exact solutions.
-
-    Half the instances use an identity channel, where any interior
-    encoder solves the unit-multiplier update exactly; the rest are
-    Newton-constructed on random invertible two-symbol sources.
+    """Zero residual of the averaged update equation at the solver's
+    closed-form update, on random invertible two-symbol sources with beta
+    log-uniform on [0.1, 10]; draws whose update leaves the simplex are
+    skipped.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
     checked = 0
-    while checked < n // 2:
-        w = rng.uniform(0.25, 0.75)
-        j = JointXY(DiscreteDist(np.array([w, 1.0 - w])), CondDist(np.eye(2)))
-        u = rng.uniform(0.2, 0.8, size=2)
-        res, col_err = _exact_update_residual(j, np.array([u, 1.0 - u]), beta=1.0)
-        if res is None or col_err > 1e-12:
-            continue
-        worst = max(worst, res)
-        checked += 1
     while checked < n:
         j = _random_invertible_pair(rng)
-        beta = float(rng.uniform(0.7, 1.3))
-        u = _solve_exact_instance(j, beta, np.array([0.55, 0.45]))
-        if u is None:
-            continue
-        res, col_err = _exact_update_residual(j, np.array([u, 1.0 - u]), beta)
-        if res is None or col_err > 1e-12:
+        beta = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+        u = rng.uniform(0.2, 0.8, size=2)
+        res = _exact_update_residual(j, np.array([u, 1.0 - u]), beta)
+        if res is None:
             continue
         worst = max(worst, res)
         checked += 1

@@ -321,6 +321,6 @@ def load_joint(path) -> JointXY:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidDistributionError(f"not valid JSON: {exc}") from exc
+        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
+            raise InvalidDistributionError(f"not valid UTF-8 JSON: {exc}") from exc
     return joint_from_dict(payload)

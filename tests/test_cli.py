@@ -48,6 +48,13 @@ class TestSolve:
         rc = run_cli("solve", "--dist", bad, "--out", tmp_path / "o.json")
         assert rc == 1
 
+    @pytest.mark.parametrize("command", ["solve", "sweep", "baseline", "verify"])
+    def test_non_utf8_file_is_input_error(self, tmp_path, command):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe")
+        rc = run_cli(command, "--dist", bad, "--out", tmp_path / "o")
+        assert rc == EXIT_BAD_INPUT
+
     def test_bad_flag_value(self, tmp_path, demo_dist_file):
         rc = run_cli("solve", "--dist", demo_dist_file, "--out", tmp_path / "o.json", "--q", 3)
         assert rc == 2

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import pfdca.dca
 from pfdca import CondDist, DcaConfig, DiscreteDist, Encoder, JointXY, dca_run
 from pfdca.diagnostics import (
     CheckReport,
     _exact_update_residual,
+    _random_invertible_pair,
     audit_descent,
     check_expectation_identities,
     check_grad_f_fd,
@@ -62,11 +64,29 @@ class TestExpectationIdentities:
 
 class TestUpdateResidual:
     def test_identity_channel_residual_tiny(self):
+        # At beta = 1 the update on an identity channel is the encoder
+        # itself, and every log-partition is zero.
         j = JointXY(DiscreteDist(np.array([0.3, 0.7])), CondDist(np.eye(2)))
         enc_k = np.array([[0.6, 0.25], [0.4, 0.75]])
-        res, col_err = _exact_update_residual(j, enc_k, beta=1.0)
-        assert col_err < 1e-12
+        res = _exact_update_residual(j, enc_k, beta=1.0)
         assert res is not None and res <= 1e-10
+
+    def test_update_outside_simplex_is_skipped(self):
+        # At large beta the update's P(Z|Y) needs an encoder with a
+        # negative entry, so there is no residual to measure.
+        rng = np.random.default_rng(0)
+        j = _random_invertible_pair(rng)
+        u = rng.uniform(0.2, 0.8, size=2)
+        assert _exact_update_residual(j, np.array([u, 1.0 - u]), beta=10.0) is None
+
+    def test_checks_the_solver_update(self, monkeypatch):
+        # A wrong beta inside the solver's update coefficients breaks the
+        # identity, so the check must fail.
+        compute_c = pfdca.dca._compute_c_arr
+        monkeypatch.setattr(
+            pfdca.dca, "_compute_c_arr", lambda V, prob, beta: compute_c(V, prob, beta * 1.001)
+        )
+        assert not check_update_residual(seed=3).passed
 
     def test_constructed_instances_pass(self):
         report = check_update_residual(n=20, seed=0)

@@ -281,6 +281,12 @@ class TestJson:
         j = load_joint(demo_dist_file)
         assert j.n_x == 3 and j.n_y == 3
 
+    def test_load_file_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(InvalidDistributionError, match="UTF-8"):
+            load_joint(path)
+
     def test_missing_field(self):
         with pytest.raises(InvalidDistributionError):
             joint_from_dict({"p_x": [0.5, 0.5]})
