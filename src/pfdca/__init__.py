@@ -15,7 +15,6 @@ from .probability import (
     bayes_invert,
     entropy,
     joint_from_dict,
-    joint_to_dict,
     load_joint,
     markov_compose,
     mutual_information,
@@ -38,7 +37,6 @@ __all__ = [
     "dca_run",
     "entropy",
     "joint_from_dict",
-    "joint_to_dict",
     "load_joint",
     "markov_compose",
     "mutual_information",

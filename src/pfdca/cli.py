@@ -12,7 +12,8 @@ row, such as a number that is not finite, a ``converged`` cell other
 than true/false, or a ``q`` that contradicts its solver); 2 bad flags
 (a flag the command does not take, a negative ``--seed``, a number
 that is not finite, a ``--card-z`` list that repeats a size, a worker
-count below 1, or a ``PF_THREADS`` that is not an integer); 3 solve hit
+count below 1, a ``PF_THREADS`` that is not an integer, or an ``--out``
+path that cannot be written); 3 solve hit
 the iteration cap; 4 exhaustive baseline guard exceeded; 5 a
 verification check failed; 6 internal error (a bug, not bad input; set
 ``PFDCA_DEBUG`` to print its traceback).
@@ -315,6 +316,12 @@ def main(argv=None) -> int:
         print(f"{args.command_parser.prog}: error: {exc}", file=sys.stderr)
         return exc.code
     except Exception as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # Each command reports its own read errors, so a file named
+            # here is an output path that cannot be written.
+            print(f"{args.command_parser.prog}: error: cannot write {exc.filename}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_BAD_FLAGS
         if os.environ.get("PFDCA_DEBUG"):
             import traceback  # only debug runs pay for the import
 

@@ -369,23 +369,19 @@ def _sparse_terms(L, l_xy):
     return s, mx + np.log(np.add.reduce(np.exp(s - mx[:, None, :]), axis=1))
 
 
-def _sparse_objective(L, l_xy, log_target, alpha, lse=None):
-    """Objective of the q=1 inner problem at ``L`` of shape (|Z|, |X|).
-    ``lse`` is the log-sum-exp of ``_sparse_terms(L, l_xy)`` when already
-    computed."""
-    if lse is None:
-        _, lse = _sparse_terms(L, l_xy)
+def _sparse_objective(L, lse, log_target, alpha):
+    """Objective of the q=1 inner problem at ``L`` of shape (|Z|, |X|),
+    given ``lse``, the log-sum-exp of ``_sparse_terms(L, l_xy)``."""
     resid = lse - log_target
     return 0.5 * float(np.add.reduce(resid * resid, axis=None)) - alpha * float(np.add.reduce(L, axis=None))
 
 
-def _sparse_gradient(L, l_xy, log_target, alpha, terms=None):
-    """Gradient and residual of the q=1 objective at ``L``; ``terms`` is
-    ``_sparse_terms(L, l_xy)`` when already computed."""
-    s, lse = _sparse_terms(L, l_xy) if terms is None else terms
-    resid = lse - log_target
+def _sparse_gradient(terms, log_target, alpha):
+    """Gradient of the q=1 objective at ``L``, given ``terms``, which is
+    ``_sparse_terms(L, l_xy)``."""
+    s, lse = terms
     weights = np.exp(s - lse[:, None, :])
-    return np.einsum("zy,zxy->zx", resid, weights) - alpha, resid
+    return np.einsum("zy,zxy->zx", lse - log_target, weights) - alpha
 
 
 def _sparse_descent(L, l_xy, log_target, alpha, tol, max_iter):
@@ -400,17 +396,17 @@ def _sparse_descent(L, l_xy, log_target, alpha, tol, max_iter):
     # every sum; a C-ordered start gives every caller the same bits.
     L = np.ascontiguousarray(L)
     terms = _sparse_terms(L, l_xy)
-    obj = _sparse_objective(L, l_xy, log_target, alpha, terms[1])
+    obj = _sparse_objective(L, terms[1], log_target, alpha)
     first, prev = _SPECTRAL_FALLBACK, None
     for _ in range(max_iter):
-        grad, _ = _sparse_gradient(L, l_xy, log_target, alpha, terms)
+        grad = _sparse_gradient(terms, log_target, alpha)
         if prev is not None:
             first = _spectral_step(L - prev[0], grad - prev[1])
         for step in _ARMIJO_STEPS:
             trial = np.maximum(L - (first * step) * grad, _BOX_LO)
             np.minimum(trial, _BOX_HI, out=trial)
             trial_terms = _sparse_terms(trial, l_xy)
-            trial_obj = _sparse_objective(trial, l_xy, log_target, alpha, trial_terms[1])
+            trial_obj = _sparse_objective(trial, trial_terms[1], log_target, alpha)
             if trial_obj <= obj + _ARMIJO_DECREASE * float(np.add.reduce(grad * (trial - L), axis=None)):
                 break
         else:
@@ -475,14 +471,20 @@ def _stationarity_gap_arr(V: np.ndarray, prob: _Problem, beta: float) -> float:
     return float(np.max(np.abs(residual)))
 
 
+def _measure_problem(enc: Encoder, j: JointXY, beta: float) -> _Problem:
+    """The problem of ``j`` for a public measure of ``enc`` at ``beta``;
+    refuses what the solver refuses."""
+    if not _finite_positive(beta):
+        raise ValueError("beta must be finite and positive")
+    if enc.n_x != j.n_x:
+        raise InvalidDistributionError(f"encoder conditions on {enc.n_x} symbols, the source has {j.n_x}")
+    return _Problem.build(j)
+
+
 def pf_lagrangian(enc: Encoder, j: JointXY, beta: float) -> float:
     """Privacy-funnel Lagrangian I(Z;Y) - beta * I(Z;X) in nats: the loss
     that ``dca_run`` descends and reports as ``loss_nats``."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if enc.n_x != j.n_x:
-        raise InvalidDistributionError(f"encoder conditions on {enc.n_x} symbols, the source has {j.n_x}")
-    return _loss(enc.matrix, _Problem.build(j), beta)
+    return _loss(enc.matrix, _measure_problem(enc, j, beta), beta)
 
 
 def stationarity_gap(enc: Encoder, j: JointXY, beta: float) -> float:
@@ -492,7 +494,7 @@ def stationarity_gap(enc: Encoder, j: JointXY, beta: float) -> float:
     subtracted, playing the role of the simplex multiplier, and
     coordinates at the active lower bound are zeroed.
     """
-    return _stationarity_gap_arr(enc.matrix, _Problem.build(j), beta)
+    return _stationarity_gap_arr(enc.matrix, _measure_problem(enc, j, beta), beta)
 
 
 def _boosted_step(V: np.ndarray, cand: np.ndarray, cand_loss: float, prob: _Problem, beta: float):

@@ -1,19 +1,22 @@
 """Scikit-learn style front end for the solver.
 
-``DcaPrivacyFunnel`` follows the estimator protocol (``get_params`` /
-``set_params`` / ``fit`` / ``transform`` / ``predict``) without
-depending on scikit-learn, so it composes with tooling that clones and
-re-parameterizes estimators. ``fit`` consumes the joint pmf of the
-public and private variables; ``transform`` maps public symbols to
-their code distributions under the fitted encoder.
+``DcaPrivacyFunnel`` is a dataclass whose fields are its parameters:
+``card_z`` followed by the fields of ``DcaConfig``. It follows the
+estimator protocol (``get_params`` / ``set_params`` / ``fit`` /
+``transform`` / ``predict``) without depending on scikit-learn, so it
+composes with tooling that clones and re-parameterizes estimators.
+``fit`` consumes the joint pmf of the public and private variables and
+passes the parameters to ``dca_run``; ``transform`` maps public symbols
+to their code distributions under the fitted encoder, without the
+private variable.
 """
 
-import inspect
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .dca import DcaConfig, DcaResult, dca_run
-from .probability import InvalidDistributionError, JointXY
+from .probability import JointXY
 
 
 class NotFittedError(ValueError):
@@ -21,13 +24,8 @@ class NotFittedError(ValueError):
 
 
 def check_joint_matrix(X) -> JointXY:
-    """Validate a joint pmf array of shape (|X|, |Y|) (or pass through a JointXY)."""
-    if isinstance(X, JointXY):
-        return X
-    arr = np.asarray(X, dtype=float)
-    if arr.ndim != 2:
-        raise InvalidDistributionError("expected a 2-D joint pmf array of shape (|X|, |Y|)")
-    return JointXY.from_joint_matrix(arr)
+    """A JointXY as is, or the source of a joint pmf array of shape (|X|, |Y|)."""
+    return X if isinstance(X, JointXY) else JointXY.from_joint_matrix(X)
 
 
 def check_symbols(X, n_x: int) -> np.ndarray:
@@ -58,64 +56,44 @@ def check_symbols(X, n_x: int) -> np.ndarray:
     raise ValueError(f"expected shape (n,) or (n, {n_x}), got {arr.shape}")
 
 
+@dataclass(eq=False)
 class DcaPrivacyFunnel:
     """Privacy-funnel encoder fitted by the difference-of-convex solver.
 
-    Parameters mirror the solver configuration; ``inner_kind`` selects
-    the ridge (``"ridge"``) or log-domain sparse (``"sparse_log"``)
-    inner problem. After ``fit`` the learned column-stochastic encoder
-    is available as ``encoder_`` with the achieved information-plane
-    coordinates in bits.
+    The parameters are ``card_z``, the code alphabet size, followed by
+    the fields of ``DcaConfig`` in its order and with its defaults;
+    ``beta`` and ``alpha``, which ``DcaConfig`` requires, default to 1.
+    ``inner_kind`` selects the ridge (``"ridge"``) or log-domain sparse
+    (``"sparse_log"``) inner problem. After ``fit`` the learned
+    column-stochastic encoder is available as ``encoder_`` with the
+    achieved information-plane coordinates in bits.
     """
 
-    def __init__(
-        self,
-        card_z: int = 2,
-        beta: float = 1.0,
-        alpha: float = 1.0,
-        inner_kind: str = "ridge",
-        outer_tol: float = DcaConfig.outer_tol,
-        outer_max_iter: int = DcaConfig.outer_max_iter,
-        seed: int = DcaConfig.seed,
-    ):
-        self.card_z = card_z
-        self.beta = beta
-        self.alpha = alpha
-        self.inner_kind = inner_kind
-        self.outer_tol = outer_tol
-        self.outer_max_iter = outer_max_iter
-        self.seed = seed
-
-    @classmethod
-    def _param_names(cls) -> list:
-        sig = inspect.signature(cls.__init__)
-        return [name for name in sig.parameters if name != "self"]
+    card_z: int = 2
+    beta: float = 1.0
+    alpha: float = 1.0
+    inner_kind: str = "ridge"
+    outer_tol: float = DcaConfig.outer_tol
+    outer_max_iter: int = DcaConfig.outer_max_iter
+    seed: int = DcaConfig.seed
 
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def set_params(self, **params) -> "DcaPrivacyFunnel":
-        valid = set(self._param_names())
+        valid = {f.name for f in fields(self)}
         for name, value in params.items():
             if name not in valid:
                 raise ValueError(f"unknown parameter {name!r} for DcaPrivacyFunnel")
             setattr(self, name, value)
         return self
 
-    def _config(self) -> DcaConfig:
-        return DcaConfig(
-            beta=self.beta,
-            alpha=self.alpha,
-            inner_kind=self.inner_kind,
-            outer_tol=self.outer_tol,
-            outer_max_iter=self.outer_max_iter,
-            seed=self.seed,
-        )
-
     def fit(self, X, y=None) -> "DcaPrivacyFunnel":
         """Solve for the encoder of the joint pmf ``X`` (shape (|X|, |Y|))."""
         joint = check_joint_matrix(X)
-        result: DcaResult = dca_run(joint, self.card_z, self._config())
+        rest = self.get_params()
+        card_z = rest.pop("card_z")
+        result: DcaResult = dca_run(joint, card_z, DcaConfig(**rest))
         self.joint_ = joint
         self.result_ = result
         self.encoder_ = result.encoder
@@ -137,11 +115,10 @@ class DcaPrivacyFunnel:
         rows = check_symbols(X, self.encoder_.n_x)
         return rows @ self.encoder_.matrix.T
 
-    def fit_transform(self, X, y=None, symbols=None) -> np.ndarray:
+    def fit_transform(self, X, y=None) -> np.ndarray:
+        """Fit, then return the codes of every public symbol."""
         self.fit(X, y)
-        if symbols is None:
-            symbols = np.arange(self.encoder_.n_x)
-        return self.transform(symbols)
+        return self.transform(np.arange(self.encoder_.n_x))
 
     def predict(self, X) -> np.ndarray:
         """Most likely code symbol for each input symbol."""

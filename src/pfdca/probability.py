@@ -73,10 +73,6 @@ class DiscreteDist:
     def n(self) -> int:
         return self.probs.shape[0]
 
-    @staticmethod
-    def uniform(n: int) -> "DiscreteDist":
-        return DiscreteDist(np.full(n, 1.0 / n))
-
 
 @dataclass(frozen=True, eq=False)
 class CondDist:
@@ -101,10 +97,6 @@ class CondDist:
     @property
     def n_cond(self) -> int:
         return self.matrix.shape[1]
-
-    @staticmethod
-    def identity(n: int) -> "CondDist":
-        return CondDist(np.eye(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +144,7 @@ class JointXY:
         """
         pxy = _frozen_array(pxy, "joint matrix")
         if pxy.ndim != 2:
-            raise InvalidDistributionError("joint matrix must be 2-D")
+            raise InvalidDistributionError("expected a 2-D joint pmf array of shape (|X|, |Y|)")
         total = pxy.sum()
         if abs(total - 1.0) > REPAIR_ATOL:
             raise InvalidDistributionError(f"joint matrix sums to {total!r}")
@@ -177,14 +169,6 @@ class Encoder(CondDist):
     @property
     def n_x(self) -> int:
         return self.n_cond
-
-    @staticmethod
-    def uniform(card_z: int, n_x: int) -> "Encoder":
-        return Encoder(np.full((card_z, n_x), 1.0 / card_z))
-
-    @staticmethod
-    def identity(n: int) -> "Encoder":
-        return Encoder(np.eye(n))
 
 
 def random_encoder(rng: np.random.Generator, card_z: int, n_x: int) -> Encoder:
@@ -310,10 +294,6 @@ def joint_from_dict(payload: dict) -> JointXY:
             f"p_y_given_x rows have {matrix.shape[1]} entries, p_x has {p_x.size}"
         )
     return JointXY(DiscreteDist(p_x), CondDist(matrix))
-
-
-def joint_to_dict(j: JointXY) -> dict:
-    return {"p_x": j.p_x.probs.tolist(), "p_y_given_x": j.y_given_x.matrix.tolist()}
 
 
 def load_joint(path) -> JointXY:

@@ -238,7 +238,7 @@ def test_criterion_9_trivial_limits(default_sweep):
     ]
     collapse_ok = bool(collapse_cell) and all(p.i_zx_bits <= 0.05 for p in collapse_cell)
 
-    ident = Encoder.identity(3)
+    ident = Encoder(np.eye(3))
     i_zx = mutual_information(ident, j.p_x) * NATS_TO_BITS
     i_zy = mutual_information(markov_compose(ident, bayes_invert(j)), j.p_y) * NATS_TO_BITS
     h_x = entropy_oracle(j.p_x.probs) * NATS_TO_BITS

@@ -134,7 +134,7 @@ class TestExhaustive:
 
     def test_guard_rejects_large_alphabets(self):
         n = EXHAUSTIVE_MAX_SYMBOLS + 1
-        j = JointXY(DiscreteDist.uniform(n), CondDist.identity(n))
+        j = JointXY(DiscreteDist(np.full(n, 1.0 / n)), CondDist(np.eye(n)))
         with pytest.raises(ValueError):
             exhaustive_partitions(j)
         with pytest.raises(ExhaustiveGuardError):
@@ -270,7 +270,7 @@ def test_greedy_tie_takes_the_first_pair(monkeypatch):
     # so all six first merges score the same loss, bit for bit, and so do
     # the three second ones. The lexicographically first pair must win, so
     # each level's candidates are the merges of the previous level's first.
-    j = JointXY(DiscreteDist.uniform(4), CondDist.identity(4))
+    j = JointXY(DiscreteDist(np.full(4, 1.0 / 4)), CondDist(np.eye(4)))
     levels, scores = [], pfdca.baseline._scores
 
     def recording(assignments, k, *args):

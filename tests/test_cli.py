@@ -506,6 +506,30 @@ class TestExitCodes:
         assert "PF_THREADS" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("solve",),
+            ("sweep", "--restarts", "1", "--beta-grid", "1", "--alpha-grid", "1", "--card-z", "2"),
+            ("baseline",),
+            ("verify",),
+            ("report",),
+        ],
+    )
+    def test_unwritable_out_is_flag_error(self, tmp_path, demo_dist_file, command, capsys):
+        out = tmp_path / "missing-dir" / "o"
+        if command[0] == "report":
+            base = tmp_path / "base.csv"
+            assert run_cli("baseline", "--dist", demo_dist_file, "--out", base) == 0
+            source = ("--inputs", base)
+        else:
+            source = ("--dist", demo_dist_file)
+        rc = run_cli(command[0], *source, "--out", out, *command[1:])
+        assert rc == EXIT_BAD_FLAGS
+        err = capsys.readouterr().err
+        assert err.startswith(f"pfdca {command[0]}: error: cannot write {out}: ")
+        assert "internal error" not in err
+
     @pytest.mark.parametrize("p_x", [5, ["a", "b"], {"a": 0.5, "b": 0.5}])
     def test_malformed_p_x_is_input_error(self, tmp_path, p_x, capsys):
         dist = tmp_path / "bad.json"

@@ -10,6 +10,7 @@ from pfdca import (
     DcaConfig,
     DiscreteDist,
     Encoder,
+    InvalidDistributionError,
     JointXY,
     dca_run,
     markov_compose,
@@ -35,6 +36,7 @@ from pfdca.dca import (
     _sparse_descent,
     _sparse_gradient,
     _sparse_objective,
+    _sparse_terms,
 )
 from pfdca.probability import bayes_invert, random_encoder, random_interior_encoder
 
@@ -60,9 +62,9 @@ def fd_gradient(value, matrix, step=1e-6):
 
 class TestGradients:
     def test_grad_g_uniform_closed_form(self):
-        j = JointXY(DiscreteDist.uniform(3), CondDist.identity(3))
+        j = JointXY(DiscreteDist(np.full(3, 1.0 / 3)), CondDist(np.eye(3)))
         for beta in (0.3, 1.0, 4.0):
-            got = _grad_g_arr(Encoder.uniform(3, 3).matrix, _Problem.build(j), beta)
+            got = _grad_g_arr(Encoder(np.full((3, 3), 1.0 / 3)).matrix, _Problem.build(j), beta)
             assert np.allclose(got, (1.0 / 3.0) * (np.log(1.0 / 3.0) + 1.0), atol=1e-12)
 
     def test_grad_g_matches_fd(self, demo_joint):
@@ -83,7 +85,7 @@ class TestGradients:
         assert np.allclose(got, expected, atol=1e-12)
 
     def test_grad_f_single_code(self, demo_joint):
-        got = _grad_f_arr(Encoder.uniform(1, 3).matrix, _Problem.build(demo_joint))
+        got = _grad_f_arr(Encoder(np.ones((1, 3))).matrix, _Problem.build(demo_joint))
         assert np.allclose(got, demo_joint.p_x.probs[None, :], atol=1e-12)
 
     def test_grad_f_matches_fd(self, demo_joint):
@@ -95,7 +97,7 @@ class TestGradients:
         assert rel < 1e-6
 
     def test_grad_f_identity_channel_closed_form(self):
-        j = JointXY(DiscreteDist(np.array([0.2, 0.8])), CondDist.identity(2))
+        j = JointXY(DiscreteDist(np.array([0.2, 0.8])), CondDist(np.eye(2)))
         rng = np.random.default_rng(3)
         enc = random_interior_encoder(rng, 2, 2)
         got = _grad_f_arr(enc.matrix, _Problem.build(j))
@@ -105,7 +107,7 @@ class TestGradients:
 
 class TestUpdateCoefficients:
     def test_uniform_encoder_constant(self, demo_joint):
-        c = _compute_c_arr(Encoder.uniform(3, 3).matrix, _Problem.build(demo_joint), 2.5)
+        c = _compute_c_arr(Encoder(np.full((3, 3), 1.0 / 3)).matrix, _Problem.build(demo_joint), 2.5)
         assert np.allclose(c, np.log(1.0 / 3.0), atol=1e-12)
 
     def test_beta_one_reduces_to_log_encoder(self, demo_joint):
@@ -129,11 +131,11 @@ class TestUpdateCoefficients:
 
 class TestTarget:
     def test_uniform_encoder_gives_uniform_target(self, demo_joint):
-        target = _relaxed_target(Encoder.uniform(3, 3).matrix, _Problem.build(demo_joint), 1.7)
+        target = _relaxed_target(Encoder(np.full((3, 3), 1.0 / 3)).matrix, _Problem.build(demo_joint), 1.7)
         assert np.allclose(target, 1.0 / 3.0, atol=1e-12)
         # Linear-solve oracle: constant coefficients solve to a constant,
         # and the softmax of a constant is uniform.
-        c = _compute_c_arr(Encoder.uniform(3, 3).matrix, _Problem.build(demo_joint), 1.7)
+        c = _compute_c_arr(Encoder(np.full((3, 3), 1.0 / 3)).matrix, _Problem.build(demo_joint), 1.7)
         solved = np.linalg.solve(demo_joint.y_given_x.matrix.T, c.T).T
         assert np.allclose(solved, solved[0, 0], atol=1e-10)
 
@@ -163,7 +165,7 @@ class TestTarget:
     def test_rank_deficient_channel_solved(self):
         # The pseudo-inverse is defined below full rank, so the relaxed
         # target and the solver take the source as it is.
-        j = JointXY(DiscreteDist.uniform(3), CondDist(SHORT_CHANNEL))
+        j = JointXY(DiscreteDist(np.full(3, 1.0 / 3)), CondDist(SHORT_CHANNEL))
         rng = np.random.default_rng(14)
         target = _relaxed_target(random_encoder(rng, 2, 3).matrix, _Problem.build(j), 1.0)
         assert np.all(target >= 0.0) and np.allclose(target.sum(axis=0), 1.0, atol=1e-12)
@@ -195,7 +197,7 @@ class TestProblem:
             assert not arr.flags.writeable
 
     def test_released_with_its_source(self):
-        j = JointXY(DiscreteDist.uniform(3), CondDist(np.full((2, 3), 0.5)))
+        j = JointXY(DiscreteDist(np.full(3, 1.0 / 3)), CondDist(np.full((2, 3), 0.5)))
         prob = weakref.ref(_Problem.build(j))
         assert prob() is not None
         del j
@@ -205,9 +207,9 @@ class TestProblem:
     def test_pseudo_inverse_only_for_the_relaxed_step(self):
         # Built on first read, which only the relaxed target makes; below
         # full rank it is the Moore-Penrose pseudo-inverse of P(y|x).
-        j = JointXY(DiscreteDist.uniform(3), CondDist(SHORT_CHANNEL))
+        j = JointXY(DiscreteDist(np.full(3, 1.0 / 3)), CondDist(SHORT_CHANNEL))
         prob = _Problem.build(j)
-        assert np.isfinite(stationarity_gap(Encoder.uniform(2, 3), j, beta=1.0))
+        assert np.isfinite(stationarity_gap(Encoder(np.full((2, 3), 1.0 / 2)), j, beta=1.0))
         assert "b_pinv_t" not in vars(prob)
         a, p = prob.pycx, prob.b_pinv_t
         assert p.shape == (3, 2) and np.all(np.isfinite(p)) and not p.flags.writeable
@@ -248,7 +250,7 @@ class TestInnerRidge:
         # Oracle settings, far tighter than the solver's own.
         tol, max_iter = 1e-16, 20000
         V, _ = _ridge_descent(
-            Encoder.uniform(3, 3).matrix, target.matrix, _Problem.build(demo_joint), 1e-12,
+            Encoder(np.full((3, 3), 1.0 / 3)).matrix, target.matrix, _Problem.build(demo_joint), 1e-12,
             tol, max_iter,
         )
         got = Encoder(V)
@@ -290,7 +292,7 @@ class TestInnerSparse:
         L_star = np.clip(np.log(V), _BOX_LO, _BOX_HI)
         target = markov_compose(Encoder(V), bayes_invert(demo_joint))
         log_t = np.log(target.matrix)
-        grad, _ = _sparse_gradient(L_star, l_xy, log_t, 0.0)
+        grad = _sparse_gradient(_sparse_terms(L_star, l_xy), log_t, 0.0)
         assert np.max(np.abs(grad)) <= 1e-10
         L, _ = _sparse_descent(L_star, l_xy, log_t, 0.0, _INNER_TOL, ORACLE_MAX_ITER)
         assert np.max(np.abs(_softmax_cols(L) - V)) < 1e-9
@@ -299,13 +301,14 @@ class TestInnerSparse:
         rng = np.random.default_rng(12)
         L = -rng.uniform(0.5, 5.0, size=(3, 3))
         l_xy = np.log(bayes_invert(demo_joint).matrix)
-        log_t = np.log(_relaxed_target(Encoder.uniform(3, 3).matrix, _Problem.build(demo_joint), 1.0))
+        log_t = np.log(_relaxed_target(Encoder(np.full((3, 3), 1.0 / 3)).matrix, _Problem.build(demo_joint), 1.0))
         alpha = 0.7
-        with_pen = _sparse_objective(L, l_xy, log_t, alpha)
-        without = _sparse_objective(L, l_xy, log_t, 0.0)
+        terms = _sparse_terms(L, l_xy)
+        with_pen = _sparse_objective(L, terms[1], log_t, alpha)
+        without = _sparse_objective(L, terms[1], log_t, 0.0)
         assert with_pen - without == pytest.approx(-alpha * np.sum(L), rel=1e-12)
-        g1, _ = _sparse_gradient(L, l_xy, log_t, alpha)
-        g0, _ = _sparse_gradient(L, l_xy, log_t, 0.0)
+        g1 = _sparse_gradient(terms, log_t, alpha)
+        g0 = _sparse_gradient(terms, log_t, 0.0)
         assert np.allclose(g1 - g0, -alpha, atol=1e-12)
 
     def test_solution_feasible(self, demo_joint):
@@ -378,7 +381,7 @@ class TestDcaRun:
 
     def test_init_validation(self, demo_joint):
         with pytest.raises(ValueError):
-            dca_run(demo_joint, 3, DcaConfig(beta=1.0, alpha=1.0), init=Encoder.uniform(2, 3))
+            dca_run(demo_joint, 3, DcaConfig(beta=1.0, alpha=1.0), init=Encoder(np.full((2, 3), 1.0 / 2)))
 
     def test_loss_matches_oracle(self, demo_joint):
         res = dca_run(demo_joint, 3, DcaConfig(beta=2.0, alpha=0.3, seed=4))
@@ -409,7 +412,7 @@ class TestDcaRun:
 
 class TestStationarityGap:
     def test_single_code_gap_zero(self, demo_joint):
-        assert stationarity_gap(Encoder.uniform(1, 3), demo_joint, beta=1.0) == 0.0
+        assert stationarity_gap(Encoder(np.ones((1, 3))), demo_joint, beta=1.0) == 0.0
 
     def test_random_encoder_not_stationary(self, demo_joint):
         rng = np.random.default_rng(14)
@@ -445,6 +448,17 @@ class TestStationarityGap:
     def test_constant_single_row_annihilated(self, demo_joint):
         enc = Encoder(np.ones((1, 3)))
         assert stationarity_gap(enc, demo_joint, beta=2.0) == 0.0
+
+    @pytest.mark.parametrize("beta", [-1.0, 0.0, np.nan, np.inf])
+    def test_rejects_beta_the_solver_refuses(self, demo_joint, beta):
+        enc = random_interior_encoder(np.random.default_rng(17), 2, 3)
+        with pytest.raises(ValueError, match="beta must be finite and positive"):
+            stationarity_gap(enc, demo_joint, beta=beta)
+
+    @pytest.mark.parametrize("n_x", [2, 4])
+    def test_rejects_encoder_over_wrong_alphabet(self, demo_joint, n_x):
+        with pytest.raises(InvalidDistributionError):
+            stationarity_gap(Encoder(np.full((2, n_x), 0.5)), demo_joint, beta=1.0)
 
 
 class TestRestrictedConvexityDirect:

@@ -151,7 +151,7 @@ class TestRunVerification:
 
     def test_rank_deficient_source_passes(self):
         # |Y| < |X|: the solver's descent audits run on it like any source.
-        j = JointXY(DiscreteDist.uniform(3), CondDist(np.array([[0.6, 0.5, 0.4], [0.4, 0.5, 0.6]])))
+        j = JointXY(DiscreteDist(np.full(3, 1.0 / 3)), CondDist(np.array([[0.6, 0.5, 0.4], [0.4, 0.5, 0.6]])))
         reports = run_verification(j, seed=0)
         assert len(reports) == 9
         assert all(r.passed for r in reports)

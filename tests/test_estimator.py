@@ -1,9 +1,10 @@
 import warnings
+from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 import pytest
 
-from pfdca import DcaPrivacyFunnel, JointXY
+from pfdca import DcaConfig, DcaPrivacyFunnel, JointXY, dca_run
 from pfdca.estimator import NotFittedError, check_joint_matrix, check_symbols
 
 
@@ -21,6 +22,36 @@ class TestEstimatorProtocol:
     def test_set_params_rejects_unknown(self):
         with pytest.raises(ValueError):
             DcaPrivacyFunnel().set_params(gamma=1.0)
+
+    def test_parameters_are_card_z_and_the_solver_config(self):
+        assert is_dataclass(DcaPrivacyFunnel)
+        assert [f.name for f in fields(DcaPrivacyFunnel)] == ["card_z"] + [f.name for f in fields(DcaConfig)]
+        est_defaults = {f.name: f.default for f in fields(DcaPrivacyFunnel)}
+        for f in fields(DcaConfig):
+            if f.default is not MISSING:
+                assert est_defaults[f.name] == f.default, f.name
+        assert list(DcaPrivacyFunnel().get_params()) == [f.name for f in fields(DcaPrivacyFunnel)]
+
+    def test_default_params_are_pinned(self):
+        assert DcaPrivacyFunnel().get_params() == {
+            "card_z": 2, "beta": 1.0, "alpha": 1.0, "inner_kind": "ridge",
+            "outer_tol": 1e-6, "outer_max_iter": 10000, "seed": 0,
+        }
+
+    def test_equality_is_identity(self):
+        est = DcaPrivacyFunnel()
+        assert est != DcaPrivacyFunnel() and est == est
+        assert len({est, DcaPrivacyFunnel()}) == 2
+
+    @pytest.mark.parametrize("inner_kind", ["ridge", "sparse_log"])
+    def test_fit_is_dca_run_on_the_params(self, demo_joint, inner_kind):
+        params = dict(card_z=3, beta=2.5, alpha=0.3, inner_kind=inner_kind, outer_tol=1e-4, outer_max_iter=7, seed=4)
+        got = DcaPrivacyFunnel(**params).fit(demo_joint).result_
+        card_z = params.pop("card_z")
+        want = dca_run(demo_joint, card_z, DcaConfig(**params))
+        assert np.array_equal(got.encoder.matrix, want.encoder.matrix)
+        assert np.array_equal(got.loss_trace, want.loss_trace)
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
 
     def test_sklearn_clone_compatible(self):
         # sklearn.clone only needs get_params/set_params duck typing.

@@ -12,7 +12,7 @@ from pfdca.probability import bayes_invert, markov_compose, random_encoder
 
 
 def identity_joint(n=3):
-    return JointXY(DiscreteDist.uniform(n), CondDist.identity(n))
+    return JointXY(DiscreteDist(np.full(n, 1.0 / n)), CondDist(np.eye(n)))
 
 
 def backward_block(j):

@@ -20,7 +20,6 @@ from pfdca import (
     dca_run,
     entropy,
     joint_from_dict,
-    joint_to_dict,
     load_joint,
     markov_compose,
     mutual_information,
@@ -79,7 +78,7 @@ class TestValidation:
 
 class TestEntropy:
     def test_uniform_three(self):
-        assert entropy(DiscreteDist.uniform(3)) == pytest.approx(np.log(3), abs=1e-12)
+        assert entropy(DiscreteDist(np.full(3, 1.0 / 3))) == pytest.approx(np.log(3), abs=1e-12)
 
     def test_point_mass(self):
         assert entropy(DiscreteDist(np.array([0.0, 1.0, 0.0]))) == 0.0
@@ -105,7 +104,7 @@ class TestMutualInformation:
         assert mutual_information(enc, demo_joint.p_x) == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_encoder_on_uniform(self):
-        mi = mutual_information(CondDist.identity(3), DiscreteDist.uniform(3))
+        mi = mutual_information(CondDist(np.eye(3)), DiscreteDist(np.full(3, 1.0 / 3)))
         assert mi == pytest.approx(np.log(3), abs=1e-12)
 
     def test_demo_channel_matches_bruteforce(self, demo_joint):
@@ -127,7 +126,7 @@ class TestMutualInformation:
 class TestMarkovCompose:
     def test_identity_encoder_passthrough(self, demo_joint):
         pxcy = bayes_invert(demo_joint)
-        composed = markov_compose(Encoder.identity(3), pxcy)
+        composed = markov_compose(Encoder(np.eye(3)), pxcy)
         assert np.allclose(composed.matrix, pxcy.matrix, atol=1e-15)
 
     def test_constant_encoder_ignores_conditioning(self, demo_joint):
@@ -138,12 +137,12 @@ class TestMarkovCompose:
             assert np.allclose(composed.matrix[:, y], col, atol=1e-12)
 
     def test_uniform_encoder_absorbs(self, demo_joint):
-        composed = markov_compose(Encoder.uniform(3, 3), bayes_invert(demo_joint))
+        composed = markov_compose(Encoder(np.full((3, 3), 1.0 / 3)), bayes_invert(demo_joint))
         assert np.allclose(composed.matrix, 1.0 / 3.0, atol=1e-12)
 
     def test_dimension_mismatch(self, demo_joint):
         with pytest.raises(InvalidDistributionError):
-            markov_compose(Encoder.uniform(2, 4), bayes_invert(demo_joint))
+            markov_compose(Encoder(np.full((2, 4), 1.0 / 2)), bayes_invert(demo_joint))
 
     def test_columns_stochastic_on_random(self):
         rng = np.random.default_rng(13)
@@ -158,7 +157,7 @@ class TestMarkovCompose:
 
 class TestBayesInvert:
     def test_permutation_channel(self):
-        j = JointXY(DiscreteDist.uniform(3), CondDist.identity(3))
+        j = JointXY(DiscreteDist(np.full(3, 1.0 / 3)), CondDist(np.eye(3)))
         assert np.allclose(bayes_invert(j).matrix, np.eye(3), atol=1e-15)
 
     def test_demo_elementwise(self, demo_joint):
@@ -205,7 +204,7 @@ class TestLagrangian:
         expected = mi_bruteforce_oracle(demo_joint.joint_matrix().T) - entropy_oracle(
             demo_joint.p_x.probs
         )
-        got = pf_lagrangian(Encoder.identity(3), demo_joint, 1.0)
+        got = pf_lagrangian(Encoder(np.eye(3)), demo_joint, 1.0)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_decreasing_in_beta(self, demo_joint):
@@ -215,12 +214,17 @@ class TestLagrangian:
 
     def test_rejects_nonpositive_beta(self, demo_joint):
         with pytest.raises(ValueError):
-            pf_lagrangian(Encoder.identity(3), demo_joint, 0.0)
+            pf_lagrangian(Encoder(np.eye(3)), demo_joint, 0.0)
+
+    @pytest.mark.parametrize("beta", [-1.0, np.nan, np.inf, -np.inf])
+    def test_rejects_beta_the_solver_refuses(self, demo_joint, beta):
+        with pytest.raises(ValueError, match="beta must be finite and positive"):
+            pf_lagrangian(Encoder(np.eye(3)), demo_joint, beta)
 
     @pytest.mark.parametrize("n_x", [2, 4])
     def test_rejects_encoder_over_wrong_alphabet(self, demo_joint, n_x):
         with pytest.raises(InvalidDistributionError):
-            pf_lagrangian(Encoder.uniform(2, n_x), demo_joint, 1.0)
+            pf_lagrangian(Encoder(np.full((2, n_x), 1.0 / 2)), demo_joint, 1.0)
 
     @pytest.mark.parametrize("inner_kind", ["ridge", "sparse_log"])
     def test_is_the_loss_the_solver_reports(self, inner_kind):
@@ -272,7 +276,7 @@ class TestInformationInequalities:
 
 class TestJson:
     def test_round_trip(self, demo_joint):
-        payload = joint_to_dict(demo_joint)
+        payload = {"p_x": demo_joint.p_x.probs.tolist(), "p_y_given_x": demo_joint.y_given_x.matrix.tolist()}
         again = joint_from_dict(json.loads(json.dumps(payload)))
         assert np.allclose(again.y_given_x.matrix, demo_joint.y_given_x.matrix, atol=1e-15)
         assert np.allclose(again.p_x.probs, demo_joint.p_x.probs, atol=1e-15)

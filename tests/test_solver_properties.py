@@ -269,7 +269,7 @@ def test_relaxed_step_is_rejected_at_most_once(seed, source, card_z, beta, alpha
         j = JointXY(DiscreteDist(DEMO_PX.copy()), CondDist(DEMO_CHANNEL.copy()))
     elif source == "short":
         # |Y| = 2 < |X| = 3.
-        j = JointXY(DiscreteDist.uniform(3), CondDist(np.array([[0.6, 0.5, 0.4], [0.4, 0.5, 0.6]])))
+        j = JointXY(DiscreteDist(np.full(3, 1.0 / 3)), CondDist(np.array([[0.6, 0.5, 0.4], [0.4, 0.5, 0.6]])))
     else:
         nx = int(rng.integers(2, 5))
         j = full_rank_joint(rng, nx, nx + int(rng.integers(0, 3)), concentration=float(rng.choice([0.3, 1.0, 10.0])))
