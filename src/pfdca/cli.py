@@ -4,7 +4,7 @@ and merge result files into an information-plane report.
 
 argparse parses every flag; a flag left out keeps the default of
 ``DcaConfig`` or ``SweepConfig``, and ``verify`` runs each check at its
-default tolerance.
+fixed tolerance.
 
 Exit codes: 0 success; 1 malformed input (a bad distribution file, such
 as a ``p_x`` that is not a list of numbers, or a result CSV with a bad
@@ -156,10 +156,13 @@ def cmd_sweep(args) -> int:
         jobs = resolve_jobs(args.jobs)
     except ValueError as exc:
         raise CliError(EXIT_BAD_FLAGS, f"bad sweep configuration: {exc}") from exc
+    outs = [f"{args.out}{suffix}" for suffix in ("", ".json", ".frontier.csv")]
+    for path in outs:  # an output that cannot be written fails before the sweep runs
+        open(path, "w").close()
     points = run_sweep(j, cfg, n_jobs=jobs)
-    write_points_csv(points, args.out)
-    write_points_json(points, str(args.out) + ".json")
-    write_points_csv(pareto_frontier(points), str(args.out) + ".frontier.csv")
+    write_points_csv(points, outs[0])
+    write_points_json(points, outs[1])
+    write_points_csv(pareto_frontier(points), outs[2])
     print(f"sweep: {len(points)} runs -> {args.out}")
     return EXIT_OK
 
@@ -180,8 +183,9 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = run_verification(_load_dist(args.dist), seed=args.seed)
+    j = _load_dist(args.dist)
     with open(args.out, "w", encoding="utf-8") as fh:
+        reports = run_verification(j, seed=args.seed)
         for report in reports:
             fh.write(json.dumps(report.to_record()) + "\n")
     failed = 0

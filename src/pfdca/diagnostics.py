@@ -1,8 +1,10 @@
 """Executable numerical certificates for the solver's calculus.
 
-Each check draws deterministic random instances, measures the worst
-violation of a claimed identity or inequality, and reports it against
-a tolerance:
+Each check draws deterministic random instances from one seeded
+generator, measures the worst violation of a claimed identity or
+inequality, and reports it against a fixed tolerance. A draw whose
+violation is undefined is not counted; only the update residual has
+such draws, those whose update leaves the simplex. The checks:
 
 * analytic gradients of both split terms against central finite
   differences;
@@ -26,9 +28,13 @@ from .dca import DESCENT_SLACK, DcaConfig, DcaResult, InnerKind, dca_run
 from .probability import CondDist, DiscreteDist, JointXY, _col_entropies, _neg_plogp_sum, random_interior_encoder
 
 FD_STEP = 1e-6
+GRAD_SAMPLES = 100
 GRAD_TOL = 1e-6
+IDENTITY_SAMPLES = 200
 IDENTITY_TOL = 1e-10
+RESIDUAL_SAMPLES = 20
 RESIDUAL_TOL = 1e-8
+CONVEXITY_PAIRS = 1000
 CONVEXITY_TOL = 1e-9
 
 
@@ -47,68 +53,58 @@ class CheckReport:
         return {**asdict(self), "passed": self.passed}
 
 
-def _fd_gradient(value, matrix, step):
+def _worst(name: str, samples: int, tolerance: float, seed: int, violation) -> CheckReport:
+    """Largest ``violation(rng)`` over ``samples`` counted draws from one
+    seeded generator; a draw that returns None does not count."""
+    rng = np.random.default_rng(seed)
+    worst, counted = -np.inf, 0
+    while counted < samples:
+        v = violation(rng)
+        if v is not None:
+            worst, counted = max(worst, v), counted + 1
+    return CheckReport(name, samples, worst, tolerance)
+
+
+def _encoders(rng, n_x: int, count: int) -> list:
+    """``count`` interior encoder matrices of one code size, drawn after the size."""
+    card_z = int(rng.integers(2, n_x + 2))
+    return [random_interior_encoder(rng, card_z, n_x).matrix for _ in range(count)]
+
+
+def _fd_gradient(value, matrix):
     fd = np.zeros_like(matrix)
-    for z in range(matrix.shape[0]):
-        for x in range(matrix.shape[1]):
-            up = matrix.copy()
-            up[z, x] += step
-            down = matrix.copy()
-            down[z, x] -= step
-            fd[z, x] = (value(up) - value(down)) / (2.0 * step)
+    for idx in np.ndindex(matrix.shape):
+        up, down = matrix.copy(), matrix.copy()
+        up[idx] += FD_STEP
+        down[idx] -= FD_STEP
+        fd[idx] = (value(up) - value(down)) / (2.0 * FD_STEP)
     return fd
 
 
-def check_grad_g_fd(
-    j: JointXY,
-    beta: float,
-    n: int = 100,
-    seed: int = 0,
-    step: float = FD_STEP,
-    tolerance: float = GRAD_TOL,
-) -> CheckReport:
-    """Analytic gradient of the linearized term vs central differences.
-
-    Violations are relative to the largest gradient entry per encoder.
-    """
-    rng = np.random.default_rng(seed)
+def _check_grad_fd(name: str, j: JointXY, seed: int, value, grad, *args) -> CheckReport:
+    """Analytic gradient vs central differences, relative to its largest entry."""
     prob = dca._Problem.build(j)
-    worst = 0.0
-    for _ in range(n):
-        card_z = int(rng.integers(2, j.n_x + 2))
-        enc = random_interior_encoder(rng, card_z, j.n_x)
-        analytic = dca._grad_g_arr(enc.matrix, prob, beta)
-        fd = _fd_gradient(lambda m: dca._g_value_arr(m, prob, beta), enc.matrix, step)
-        worst = max(worst, float(np.max(np.abs(analytic - fd)) / np.max(np.abs(analytic))))
-    return CheckReport("grad_g_vs_fd", n, worst, tolerance)
+
+    def violation(rng):
+        (enc,) = _encoders(rng, j.n_x, 1)
+        analytic = grad(enc, prob, *args)
+        fd = _fd_gradient(lambda m: value(m, prob, *args), enc)
+        return float(np.max(np.abs(analytic - fd)) / np.max(np.abs(analytic)))
+
+    return _worst(name, GRAD_SAMPLES, GRAD_TOL, seed, violation)
 
 
-def check_grad_f_fd(
-    j: JointXY,
-    n: int = 100,
-    seed: int = 0,
-    step: float = FD_STEP,
-    tolerance: float = GRAD_TOL,
-) -> CheckReport:
-    """Analytic gradient of the convex term vs central differences."""
-    rng = np.random.default_rng(seed)
-    prob = dca._Problem.build(j)
-    worst = 0.0
-    for _ in range(n):
-        card_z = int(rng.integers(2, j.n_x + 2))
-        enc = random_interior_encoder(rng, card_z, j.n_x)
-        analytic = dca._grad_f_arr(enc.matrix, prob)
-        fd = _fd_gradient(lambda m: dca._f_value_arr(m, prob), enc.matrix, step)
-        worst = max(worst, float(np.max(np.abs(analytic - fd)) / np.max(np.abs(analytic))))
-    return CheckReport("grad_f_vs_fd", n, worst, tolerance)
+def check_grad_g_fd(j: JointXY, beta: float, seed: int = 0) -> CheckReport:
+    """Gradient of the linearized term vs central differences."""
+    return _check_grad_fd("grad_g_vs_fd", j, seed, dca._g_value_arr, dca._grad_g_arr, beta)
 
 
-def check_expectation_identities(
-    j: JointXY,
-    n: int = 200,
-    seed: int = 0,
-    tolerance: float = IDENTITY_TOL,
-) -> CheckReport:
+def check_grad_f_fd(j: JointXY, seed: int = 0) -> CheckReport:
+    """Gradient of the convex term vs central differences."""
+    return _check_grad_fd("grad_f_vs_fd", j, seed, dca._f_value_arr, dca._grad_f_arr)
+
+
+def check_expectation_identities(j: JointXY, seed: int = 0) -> CheckReport:
     """Averaged update-equation identities on random encoder pairs.
 
     First: the code-and-source average of ``sum_y P(y|x) log P(z|y)``
@@ -116,27 +112,24 @@ def check_expectation_identities(
     previous iterate's log marginal equals
     ``-H(Z) - KL(p_z || p_z_prev)``.
     """
-    rng = np.random.default_rng(seed)
     prob = dca._Problem.build(j)
     px, py = prob.px, prob.py
-    worst = 0.0
-    for _ in range(n):
-        card_z = int(rng.integers(2, j.n_x + 2))
-        enc = random_interior_encoder(rng, card_z, j.n_x).matrix
-        enc_prev = random_interior_encoder(rng, card_z, j.n_x).matrix
+
+    def violation(rng):
+        enc, enc_prev = _encoders(rng, j.n_x, 2)
         pzy = enc @ prob.pxcy
         # identity 1: E_{z,x}[sum_y P(y|x) log P(z|y)] = -H(Z|Y)
         lhs1 = float(np.sum((enc * px[None, :]) * (np.log(pzy) @ prob.pycx)))
         rhs1 = -float(np.sum(py * _col_entropies(pzy)))
-        worst = max(worst, abs(lhs1 - rhs1))
         # identity 2: E_z[log p_z_prev(Z)] = -H(Z) - KL(p_z || p_z_prev)
         pz = enc @ px
         pz_prev = enc_prev @ px
         lhs2 = float(pz @ np.log(pz_prev))
         hz = _neg_plogp_sum(pz)
         kl = float(np.sum(pz * (np.log(pz) - np.log(pz_prev))))
-        worst = max(worst, abs(lhs2 - (-hz - kl)))
-    return CheckReport("expectation_identities", n, worst, tolerance)
+        return max(abs(lhs1 - rhs1), abs(lhs2 - (-hz - kl)))
+
+    return _worst("expectation_identities", IDENTITY_SAMPLES, IDENTITY_TOL, seed, violation)
 
 
 def _random_invertible_pair(rng) -> JointXY:
@@ -178,72 +171,52 @@ def _exact_update_residual(j: JointXY, enc_k: np.ndarray, beta: float):
     return abs(izy + kl - beta * cross + log_partition)
 
 
-def check_update_residual(
-    n: int = 20,
-    seed: int = 0,
-    tolerance: float = RESIDUAL_TOL,
-) -> CheckReport:
+def check_update_residual(seed: int = 0) -> CheckReport:
     """Zero residual of the averaged update equation at the solver's
     closed-form update, on random invertible two-symbol sources with beta
-    log-uniform on [0.1, 10]; draws whose update leaves the simplex are
-    skipped.
+    log-uniform on [0.1, 10].
     """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    checked = 0
-    while checked < n:
+
+    def violation(rng):
         j = _random_invertible_pair(rng)
         beta = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
         u = rng.uniform(0.2, 0.8, size=2)
-        res = _exact_update_residual(j, np.array([u, 1.0 - u]), beta)
-        if res is None:
-            continue
-        worst = max(worst, res)
-        checked += 1
-    return CheckReport("update_residual_at_exact_solutions", n, worst, tolerance)
+        return _exact_update_residual(j, np.array([u, 1.0 - u]), beta)
+
+    return _worst("update_residual_at_exact_solutions", RESIDUAL_SAMPLES, RESIDUAL_TOL, seed, violation)
 
 
-def check_restricted_convexity(
-    j: JointXY,
-    n_pairs: int = 1000,
-    seed: int = 0,
-    beta: float = 1.0,
-    tolerance: float = CONVEXITY_TOL,
-) -> CheckReport:
+def check_restricted_convexity(j: JointXY, seed: int = 0, beta: float = 1.0) -> CheckReport:
     """Strong-convexity lower bound of the linearized term through the
     code-marginal operator, on random encoder pairs.
 
     Reports the negated minimum slack of
     ``g(p) - g(q) - <grad g(q), p - q> - 0.5 * ||marginal(p - q)||^2``.
     """
-    rng = np.random.default_rng(seed)
     prob = dca._Problem.build(j)
-    px = prob.px
-    min_slack = np.inf
-    for _ in range(n_pairs):
-        card_z = int(rng.integers(2, j.n_x + 2))
-        p = random_interior_encoder(rng, card_z, j.n_x).matrix
-        q = random_interior_encoder(rng, card_z, j.n_x).matrix
+
+    def violation(rng):
+        p, q = _encoders(rng, j.n_x, 2)
         gp = dca._g_value_arr(p, prob, beta)
         gq = dca._g_value_arr(q, prob, beta)
         grad_q = dca._grad_g_arr(q, prob, beta)
-        marginal_gap = (p - q) @ px
-        slack = gp - gq - float(np.sum(grad_q * (p - q))) - 0.5 * float(marginal_gap @ marginal_gap)
-        min_slack = min(min_slack, slack)
-    return CheckReport(f"restricted_convexity_beta_{beta:g}", n_pairs, -min_slack, tolerance)
+        marginal_gap = (p - q) @ prob.px
+        return -(gp - gq - float(np.sum(grad_q * (p - q))) - 0.5 * float(marginal_gap @ marginal_gap))
+
+    return _worst(f"restricted_convexity_beta_{beta:g}", CONVEXITY_PAIRS, CONVEXITY_TOL, seed, violation)
 
 
-def audit_descent(result: DcaResult, tolerance: float = DESCENT_SLACK) -> CheckReport:
+def audit_descent(result: DcaResult) -> CheckReport:
     """Largest per-step loss increase along a run's accepted trace."""
     trace = np.asarray(result.loss_trace, dtype=float)
     if trace.size == 0:
         raise ValueError("empty loss trace")
     violation = float(np.max(np.diff(trace))) if trace.size > 1 else 0.0
-    return CheckReport("descent_audit", int(trace.size), violation, tolerance)
+    return CheckReport("descent_audit", int(trace.size), violation, DESCENT_SLACK)
 
 
 def run_verification(j: JointXY, seed: int = 0) -> list:
-    """The certificate suite of the command-line ``verify``, each check at its default tolerance."""
+    """The certificate suite of the command-line ``verify``."""
     reports = [
         check_grad_g_fd(j, beta=1.0, seed=seed),
         check_grad_f_fd(j, seed=seed + 1),

@@ -34,8 +34,15 @@ class InvalidDistributionError(ValueError):
     """Raised when an input fails non-negativity or normalization checks."""
 
 
+def _numbers(values, name: str) -> np.ndarray:
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidDistributionError(f"{name} has an entry that is not a number: {exc}") from exc
+
+
 def _frozen_array(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    arr = _numbers(values, name)
     if arr.size == 0:
         raise InvalidDistributionError(f"{name} is empty")
     if not np.all(np.isfinite(arr)):
@@ -262,13 +269,6 @@ def bayes_invert(j: JointXY) -> CondDist:
     post = joint_yx.T / np.where(unused, 1.0, p_y)[None, :]
     post[:, unused] = j.p_x.probs[:, None]
     return CondDist(post)
-
-
-def _numbers(values, name: str) -> np.ndarray:
-    try:
-        return np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidDistributionError(f"{name} has an entry that is not a number: {exc}") from exc
 
 
 def joint_from_dict(payload: dict) -> JointXY:

@@ -151,8 +151,8 @@ def test_criterion_4_stationarity(default_sweep):
 def test_criterion_5_gradient_oracles():
     j = demo_joint_instance()
     start = time.perf_counter()
-    rg = check_grad_g_fd(j, beta=1.0, n=100, seed=0, tolerance=1e-6)
-    rf = check_grad_f_fd(j, n=100, seed=1, tolerance=1e-6)
+    rg = check_grad_g_fd(j, beta=1.0, seed=0)
+    rf = check_grad_f_fd(j, seed=1)
     elapsed = time.perf_counter() - start
     ok = rg.passed and rf.passed and elapsed < 10.0
     criterion(
@@ -166,8 +166,8 @@ def test_criterion_5_gradient_oracles():
 
 def test_criterion_6_expectation_identities():
     j = demo_joint_instance()
-    ident = check_expectation_identities(j, n=200, seed=2, tolerance=1e-10)
-    resid = check_update_residual(n=20, seed=3, tolerance=1e-8)
+    ident = check_expectation_identities(j, seed=2)
+    resid = check_update_residual(seed=3)
     ok = ident.passed and resid.passed
     criterion(
         6,
@@ -182,7 +182,7 @@ def test_criterion_7_restricted_convexity():
     j = demo_joint_instance()
     worst = -np.inf
     for beta in (0.1, 1.0, 10.0):
-        report = check_restricted_convexity(j, n_pairs=1000, seed=4, beta=beta, tolerance=1e-9)
+        report = check_restricted_convexity(j, seed=4, beta=beta)
         worst = max(worst, report.max_violation)
         if not report.passed:
             criterion(7, "restricted convexity", False, f"beta={beta}: min slack {-report.max_violation:.2e}")

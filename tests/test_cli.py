@@ -255,10 +255,7 @@ class TestVerify:
         assert rc == 1
 
     def test_absurd_tolerance_fails(self, tmp_path, demo_dist_file, monkeypatch):
-        check = pfdca.diagnostics.check_update_residual
-        monkeypatch.setattr(
-            pfdca.diagnostics, "check_update_residual", lambda **kw: check(**kw, tolerance=1e-30)
-        )
+        monkeypatch.setattr(pfdca.diagnostics, "RESIDUAL_TOL", 1e-30)
         out = tmp_path / "checks.jsonl"
         rc = run_cli("verify", "--dist", demo_dist_file, "--out", out)
         assert rc == 5
@@ -529,6 +526,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"pfdca {command[0]}: error: cannot write {out}: ")
         assert "internal error" not in err
+
+    @pytest.mark.parametrize("command, runner", [("sweep", "run_sweep"), ("verify", "run_verification")])
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, demo_dist_file, command, runner, monkeypatch, capsys):
+        def run(*args, **kwargs):
+            raise AssertionError(f"{runner} ran before --out was opened")
+
+        monkeypatch.setattr(pfdca.cli, runner, run)
+        out = tmp_path / "missing-dir" / "x"
+        assert run_cli(command, "--dist", demo_dist_file, "--out", out) == EXIT_BAD_FLAGS
+        assert capsys.readouterr().err.startswith(f"pfdca {command}: error: cannot write {out}: ")
 
     @pytest.mark.parametrize("p_x", [5, ["a", "b"], {"a": 0.5, "b": 0.5}])
     def test_malformed_p_x_is_input_error(self, tmp_path, p_x, capsys):

@@ -1,7 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 
 import pfdca.dca
+import pfdca.diagnostics
 from pfdca import CondDist, DcaConfig, DiscreteDist, Encoder, JointXY, dca_run
 from pfdca.diagnostics import (
     CheckReport,
@@ -30,24 +33,24 @@ class TestReports:
 
 class TestGradientChecks:
     def test_grad_g_passes(self, demo_joint):
-        report = check_grad_g_fd(demo_joint, beta=1.0, n=100, seed=0)
+        report = check_grad_g_fd(demo_joint, beta=1.0, seed=0)
         assert report.passed, report
 
     def test_grad_g_beta_zero_subcase(self, demo_joint):
-        assert check_grad_g_fd(demo_joint, beta=0.0, n=25, seed=1).passed
+        assert check_grad_g_fd(demo_joint, beta=0.0, seed=1).passed
 
     def test_grad_f_passes(self, demo_joint):
-        assert check_grad_f_fd(demo_joint, n=100, seed=0).passed
+        assert check_grad_f_fd(demo_joint, seed=0).passed
 
     def test_deterministic_given_seed(self, demo_joint):
-        a = check_grad_g_fd(demo_joint, beta=1.0, n=1, seed=42)
-        b = check_grad_g_fd(demo_joint, beta=1.0, n=1, seed=42)
+        a = check_grad_g_fd(demo_joint, beta=1.0, seed=42)
+        b = check_grad_g_fd(demo_joint, beta=1.0, seed=42)
         assert a.max_violation == b.max_violation
 
 
 class TestExpectationIdentities:
     def test_passes_on_demo(self, demo_joint):
-        report = check_expectation_identities(demo_joint, n=200, seed=0)
+        report = check_expectation_identities(demo_joint, seed=0)
         assert report.passed
         assert report.max_violation <= 1e-10
 
@@ -89,7 +92,7 @@ class TestUpdateResidual:
         assert not check_update_residual(seed=3).passed
 
     def test_constructed_instances_pass(self):
-        report = check_update_residual(n=20, seed=0)
+        report = check_update_residual(seed=0)
         assert report.passed
         assert report.max_violation <= 1e-8
 
@@ -97,7 +100,7 @@ class TestUpdateResidual:
 class TestRestrictedConvexity:
     @pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
     def test_passes(self, demo_joint, beta):
-        report = check_restricted_convexity(demo_joint, n_pairs=300, seed=0, beta=beta)
+        report = check_restricted_convexity(demo_joint, seed=0, beta=beta)
         assert report.passed
 
     def test_equal_pair_slack_zero(self, demo_joint):
@@ -145,8 +148,9 @@ class TestRunVerification:
         assert len(reports) == 9
         assert all(r.passed for r in reports)
 
-    def test_tolerance_override_fails_checks(self):
-        report = check_update_residual(seed=3, tolerance=1e-30)
+    def test_tolerance_override_fails_checks(self, monkeypatch):
+        monkeypatch.setattr(pfdca.diagnostics, "RESIDUAL_TOL", 1e-30)
+        report = check_update_residual(seed=3)
         assert report.tolerance == 1e-30 and not report.passed
 
     def test_rank_deficient_source_passes(self):
@@ -155,3 +159,36 @@ class TestRunVerification:
         reports = run_verification(j, seed=0)
         assert len(reports) == 9
         assert all(r.passed for r in reports)
+
+    def test_records_pin_the_constants(self, demo_joint):
+        reports = run_verification(demo_joint, seed=0)
+        assert [r.name for r in reports] == [
+            "grad_g_vs_fd",
+            "grad_f_vs_fd",
+            "expectation_identities",
+            "update_residual_at_exact_solutions",
+            "restricted_convexity_beta_0.1",
+            "restricted_convexity_beta_1",
+            "restricted_convexity_beta_10",
+            "descent_audit_ridge",
+            "descent_audit_sparse_log",
+        ]
+        # The descent audits count the entries of their run's loss trace.
+        traces = [
+            dca_run(demo_joint, 3, DcaConfig(beta=1.0, alpha=1.0, inner_kind=kind, seed=0)).loss_trace.size
+            for kind in ("ridge", "sparse_log")
+        ]
+        assert [r.samples for r in reports] == [100, 100, 200, 20, 1000, 1000, 1000, *traces]
+        assert [r.tolerance for r in reports] == [1e-6, 1e-6, 1e-10, 1e-8, 1e-9, 1e-9, 1e-9, 1e-6, 1e-6]
+
+    def test_checks_take_only_source_seed_and_beta(self):
+        signatures = {
+            check_grad_g_fd: ["j", "beta", "seed"],
+            check_grad_f_fd: ["j", "seed"],
+            check_expectation_identities: ["j", "seed"],
+            check_update_residual: ["seed"],
+            check_restricted_convexity: ["j", "seed", "beta"],
+            audit_descent: ["result"],
+        }
+        for check, params in signatures.items():
+            assert list(inspect.signature(check).parameters) == params, check.__name__

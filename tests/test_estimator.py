@@ -4,7 +4,7 @@ from dataclasses import MISSING, fields, is_dataclass
 import numpy as np
 import pytest
 
-from pfdca import DcaConfig, DcaPrivacyFunnel, JointXY, dca_run
+from pfdca import DcaConfig, DcaPrivacyFunnel, InvalidDistributionError, JointXY, dca_run
 from pfdca.estimator import NotFittedError, check_joint_matrix, check_symbols
 
 
@@ -87,6 +87,11 @@ class TestFit:
         assert est.converged_
         assert np.allclose(est.encoder_.matrix.sum(axis=0), 1.0, atol=1e-12)
         assert -1e-12 <= est.i_zy_bits_ <= est.i_zx_bits_ + 1e-12
+
+    @pytest.mark.parametrize("X", [[[0.5, 0.5], [0.1]], "abc", {"a": 1}])
+    def test_non_numeric_joint_matrix_is_invalid(self, X):
+        with pytest.raises(InvalidDistributionError, match="joint matrix has an entry that is not a number"):
+            DcaPrivacyFunnel(card_z=2).fit(X)
 
     def test_fits_joint_matrix_with_zero_row(self):
         # x = 2 has P(x) = 0, as in a source file with p_x = [0.5, 0.5, 0].
