@@ -27,7 +27,7 @@ import numpy as np
 
 # stationarity_gap, bayes_invert and mutual_information are not called
 # here: the benchmark's tracer binds them in this module.
-from .dca import _finite_positive, _Problem, stationarity_gap  # noqa: F401
+from .dca import _check_beta, _Problem, stationarity_gap  # noqa: F401
 from .probability import (  # noqa: F401
     NATS_TO_BITS,
     JointXY,
@@ -95,8 +95,7 @@ def greedy_merge_run(j: JointXY, beta: float) -> list:
     smallest pair. One point is recorded per clustering, including the
     all-singletons start, so the trajectory has |X| points.
     """
-    if not _finite_positive(beta):
-        raise ValueError("beta must be finite and positive")
+    _check_beta(beta)
     prob = _Problem.build(j)
     current = np.arange(j.n_x)
     (i_zy,), (i_zx,) = _scores(current[None], j.n_x, prob)
@@ -149,8 +148,7 @@ def exhaustive_points(j: JointXY, beta: float = 1.0):
     ``EXHAUSTIVE_MAX_SYMBOLS`` (Bell-number growth) raises
     ``ExhaustiveGuardError``.
     """
-    if not _finite_positive(beta):
-        raise ValueError("beta must be finite and positive")
+    _check_beta(beta)
     if j.n_x > EXHAUSTIVE_MAX_SYMBOLS:
         raise ExhaustiveGuardError(
             f"|X|={j.n_x} exceeds exhaustive enumeration guard ({EXHAUSTIVE_MAX_SYMBOLS})"

@@ -34,6 +34,7 @@ from .diagnostics import run_verification
 from .probability import InvalidDistributionError, load_joint
 from .sweep import (
     SweepConfig,
+    _format_value,
     pareto_frontier,
     read_points_csv,
     resolve_jobs,
@@ -78,11 +79,6 @@ def _seed(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
-
-
-def _bits(p) -> list:
-    """The (I(Z;X), I(Z;Y)) cells of a dominance row; empty for no point."""
-    return [format(p.i_zx_bits, ".12g"), format(p.i_zy_bits, ".12g")] if p else ["", ""]
 
 
 def _load_dist(path):
@@ -227,7 +223,9 @@ def cmd_report(args) -> int:
             ]
             best = min(candidates, key=lambda d: (d.i_zy_bits, -d.i_zx_bits), default=None)
             dominated_count += best is not None
-            writer.writerow([b.solver.value, b.card_z, *_bits(b), "true" if best else "false", *_bits(best)])
+            by = [best.i_zx_bits, best.i_zy_bits] if best else ["", ""]
+            row = [b.solver.value, b.card_z, b.i_zx_bits, b.i_zy_bits, best is not None, *by]
+            writer.writerow([_format_value(v) for v in row])
     print(
         f"report: {len(all_points)} points, {dominated_count}/{len(baseline_points)} "
         f"baseline points dominated within {DOMINANCE_SLACK_BITS} bits -> {args.out}"

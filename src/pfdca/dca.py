@@ -471,11 +471,15 @@ def _stationarity_gap_arr(V: np.ndarray, prob: _Problem, beta: float) -> float:
     return float(np.max(np.abs(residual)))
 
 
+def _check_beta(beta: float) -> None:
+    if not _finite_positive(beta):
+        raise ValueError("beta must be finite and positive")
+
+
 def _measure_problem(enc: Encoder, j: JointXY, beta: float) -> _Problem:
     """The problem of ``j`` for a public measure of ``enc`` at ``beta``;
     refuses what the solver refuses."""
-    if not _finite_positive(beta):
-        raise ValueError("beta must be finite and positive")
+    _check_beta(beta)
     if enc.n_x != j.n_x:
         raise InvalidDistributionError(f"encoder conditions on {enc.n_x} symbols, the source has {j.n_x}")
     return _Problem.build(j)

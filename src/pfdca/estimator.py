@@ -36,8 +36,8 @@ def check_symbols(X, n_x: int) -> np.ndarray:
     """
     arr = np.asarray(X)
     if arr.ndim == 1:
-        # A non-finite float has no integer to cast to.
-        if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
+        # Booleans and text are not indices, and a non-finite float has no integer.
+        if arr.dtype.kind not in "iuf" or arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
             raise ValueError(f"symbol indices must be integers in [0, {n_x})")
         idx = arr.astype(int)
         if np.any(idx != arr) or idx.min(initial=0) < 0 or idx.max(initial=0) >= n_x:

@@ -1,8 +1,7 @@
-"""SVD pseudo-inverse of a channel block, used by the solver's relaxed
-target. It is defined at any rank: singular values at or below
-``PINV_RCOND`` times the largest are dropped."""
+"""SVD pseudo-inverse of the solver's channel block, a read-only float
+view of a validated channel, for the relaxed target. It is defined at any
+rank: singular values at or below ``PINV_RCOND`` times the largest are dropped."""
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -10,18 +9,11 @@ import numpy as np
 PINV_RCOND = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
 class MarkovOperator:
-    """A read-only 2-D block with its SVD, computed once on first use."""
+    """A 2-D block with its SVD, computed once on first use."""
 
-    block: np.ndarray
-
-    def __post_init__(self):
-        block = np.array(self.block, dtype=float)
-        if block.ndim != 2:
-            raise ValueError("block must be 2-D")
-        block.setflags(write=False)
-        object.__setattr__(self, "block", block)
+    def __init__(self, block: np.ndarray):
+        self.block = block
 
     @cached_property
     def _svd(self):

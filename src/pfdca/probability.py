@@ -36,9 +36,13 @@ class InvalidDistributionError(ValueError):
 
 def _numbers(values, name: str) -> np.ndarray:
     try:
-        return np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = np.array(values)
+    except (TypeError, ValueError) as exc:  # ragged rows
         raise InvalidDistributionError(f"{name} has an entry that is not a number: {exc}") from exc
+    # Integers and floats only: a float conversion would also parse text and booleans.
+    if arr.dtype.kind not in "iuf":
+        raise InvalidDistributionError(f"{name} has an entry that is not a number")
+    return arr.astype(float, copy=False)
 
 
 def _frozen_array(values, name: str) -> np.ndarray:

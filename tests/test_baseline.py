@@ -19,7 +19,7 @@ from pfdca.baseline import (
     iter_partitions,
 )
 from pfdca.probability import random_encoder
-from pfdca.sweep import Solver, geomspace, points_to_csv
+from pfdca.sweep import Solver, _default_grid, points_to_csv
 from reference_kernels import HardClustering, _merge, clustering_to_encoder
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
@@ -88,7 +88,7 @@ class TestGreedy:
     def test_information_bounds(self, demo_joint):
         h_x = entropy_oracle(demo_joint.p_x.probs) / np.log(2)
         i_xy = mi_bruteforce_oracle(demo_joint.joint_matrix()) / np.log(2)
-        for beta in geomspace(0.1, 10.0, 16):
+        for beta in _default_grid():
             for p in greedy_merge_run(demo_joint, beta):
                 assert p.i_zy_bits <= i_xy + 1e-10
                 assert p.i_zx_bits <= h_x + 1e-10
@@ -120,12 +120,12 @@ class TestExhaustive:
     def test_greedy_points_are_subset(self, demo_joint):
         exhaustive = exhaustive_partitions(demo_joint)
         coords = {(round(p.i_zx_bits, 9), round(p.i_zy_bits, 9)) for p in exhaustive}
-        for beta in geomspace(0.1, 10.0, 16):
+        for beta in _default_grid():
             for p in greedy_merge_run(demo_joint, beta):
                 assert (round(p.i_zx_bits, 9), round(p.i_zy_bits, 9)) in coords
 
     def test_exhaustive_dominates_greedy_per_cluster_count(self, demo_joint):
-        for beta in geomspace(0.1, 10.0, 16):
+        for beta in _default_grid():
             exhaustive = exhaustive_partitions(demo_joint, beta)
             greedy = greedy_merge_run(demo_joint, beta)
             for g in greedy:

@@ -319,6 +319,22 @@ class TestReport:
         lines = (tmp_path / "combined.csv.dominance.csv").read_text().splitlines()
         assert lines[0] == "baseline_solver,card_z,i_zx_bits,i_zy_bits,dominated,by_i_zx_bits,by_i_zy_bits"
         assert lines[1].startswith("greedy,3,")
+        # Every cell: the baseline point's coordinates as the input CSV spells
+        # them, true or false, and a dominating sweep point's coordinates or
+        # two empty cells.
+        base_rows = [line.split(",") for line in base.read_text().splitlines()[1:]]
+        sweep_rows = [line.split(",") for line in sweep.read_text().splitlines()[1:]]
+        zx, zy = CSV_HEADER.index("i_zx_bits"), CSV_HEADER.index("i_zy_bits")
+        sweep_bits = {(r[zx], r[zy]) for r in sweep_rows}
+        assert len(lines) == 1 + len(base_rows)
+        for line, b in zip(lines[1:], base_rows):
+            solver, card_z, i_zx, i_zy, dominated, by_zx, by_zy = line.split(",")
+            assert (solver, card_z, i_zx, i_zy) == (b[0], b[CSV_HEADER.index("card_z")], b[zx], b[zy])
+            assert dominated in ("true", "false")
+            if dominated == "true":
+                assert (by_zx, by_zy) in sweep_bits
+            else:
+                assert line.endswith(",,")
 
     def test_single_file(self, tmp_path, result_files):
         sweep, _ = result_files

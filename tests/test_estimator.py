@@ -88,7 +88,17 @@ class TestFit:
         assert np.allclose(est.encoder_.matrix.sum(axis=0), 1.0, atol=1e-12)
         assert -1e-12 <= est.i_zy_bits_ <= est.i_zx_bits_ + 1e-12
 
-    @pytest.mark.parametrize("X", [[[0.5, 0.5], [0.1]], "abc", {"a": 1}])
+    # Numeric text and booleans are refused too, not parsed as numbers.
+    @pytest.mark.parametrize(
+        "X",
+        [
+            [[0.5, 0.5], [0.1]],
+            "abc",
+            {"a": 1},
+            [["0.25", "0.25"], ["0.25", "0.25"]],
+            [[True, False], [False, False]],
+        ],
+    )
     def test_non_numeric_joint_matrix_is_invalid(self, X):
         with pytest.raises(InvalidDistributionError, match="joint matrix has an entry that is not a number"):
             DcaPrivacyFunnel(card_z=2).fit(X)
@@ -173,6 +183,13 @@ class TestValidationHelpers:
             warnings.simplefilter("error")
             with pytest.raises(ValueError):
                 check_symbols(np.array([0.0, value]), 3)
+
+    def test_check_symbols_boolean_indices(self):
+        # A 1-D boolean array is not a list of symbol indices; 2-D boolean
+        # rows are one-hot weights.
+        with pytest.raises(ValueError, match="symbol indices must be integers"):
+            check_symbols(np.array([True, False]), 3)
+        assert np.array_equal(check_symbols(np.array([[False, True, False]]), 3), [[0.0, 1.0, 0.0]])
 
     def test_check_symbols_negative_weight(self):
         with pytest.raises(ValueError):

@@ -115,10 +115,6 @@ class TestPinv:
         assert np.max(np.abs((b @ bp).T - b @ bp)) < 1e-12
         assert np.max(np.abs((bp @ b).T - bp @ b)) < 1e-12
 
-    def test_shape_check(self):
-        with pytest.raises(ValueError):
-            MarkovOperator(np.ones(3))
-
 
 class TestSoftmax:
     def test_all_equal_gives_uniform(self):

@@ -299,14 +299,16 @@ class TestJson:
         with pytest.raises(InvalidDistributionError):
             joint_from_dict({"p_x": [0.5, 0.5], "p_y_given_x": [[0.5, 0.5], [0.5]]})
 
-    @pytest.mark.parametrize("p_x", [5, ["a", "b"], {"a": 0.5, "b": 0.5}, None])
+    # Text and booleans are refused, not parsed as numbers.
+    @pytest.mark.parametrize("p_x", [5, ["a", "b"], {"a": 0.5, "b": 0.5}, None, ["0.5", "0.5"], [True, False]])
     def test_p_x_not_a_list_of_numbers(self, p_x):
         with pytest.raises(InvalidDistributionError, match="p_x"):
             joint_from_dict({"p_x": p_x, "p_y_given_x": [[0.5, 0.5], [0.5, 0.5]]})
 
     def test_entry_not_a_number(self):
-        with pytest.raises(InvalidDistributionError, match="p_y_given_x has an entry that is not a number"):
-            joint_from_dict({"p_x": [0.5, 0.5], "p_y_given_x": [[0.5, "a"], [0.5, 0.5]]})
+        for cell in ("a", "1"):
+            with pytest.raises(InvalidDistributionError, match="p_y_given_x has an entry that is not a number"):
+                joint_from_dict({"p_x": [0.5, 0.5], "p_y_given_x": [[0.5, cell], [0.5, 0.5]]})
 
     def test_bad_normalization(self):
         with pytest.raises(InvalidDistributionError):

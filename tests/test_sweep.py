@@ -10,8 +10,8 @@ from pfdca.sweep import (
     Solver,
     SweepConfig,
     TradeoffPoint,
+    _default_grid,
     derive_seed,
-    geomspace,
     pareto_frontier,
     points_to_csv,
     read_points_csv,
@@ -46,26 +46,14 @@ def point(i_zx, i_zy, solver=Solver.DCA_RIDGE, **kw):
 
 
 class TestGeomspace:
-    def test_two_points(self):
-        assert geomspace(0.1, 10.0, 2) == [0.1, 10.0]
-
-    def test_geometric_midpoint(self):
-        got = geomspace(0.1, 10.0, 3)
-        assert got[0] == 0.1 and got[2] == 10.0
-        assert got[1] == pytest.approx(1.0, abs=1e-12)
-
     def test_sixteen_point_ratio(self):
-        got = geomspace(0.1, 10.0, 16)
+        # The default beta and alpha grid: 16 geometric points, endpoints exact.
+        got = _default_grid()
         assert len(got) == 16
+        assert got[0] == 0.1 and got[-1] == 10.0
         expected_ratio = 100.0 ** (1.0 / 15.0)
         for lo, hi in zip(got, got[1:]):
             assert hi / lo == pytest.approx(expected_ratio, rel=1e-12)
-
-    def test_rejects_bad_ranges(self):
-        with pytest.raises(ValueError):
-            geomspace(0.0, 1.0, 4)
-        with pytest.raises(ValueError):
-            geomspace(0.1, 10.0, 1)
 
 
 class TestSeeds:
