@@ -20,6 +20,7 @@ verification check failed; 6 internal error (a bug, not bad input; set
 """
 
 import argparse
+import bisect
 import csv
 import itertools
 import json
@@ -208,20 +209,23 @@ def cmd_report(args) -> int:
     if not all_points:
         raise CliError(EXIT_BAD_INPUT, "no records found in the input files")
     write_points_csv(pareto_frontier(all_points), args.out)
-    dca_points = [p for p in all_points if p.q]
+    # Sorted by i_zx_bits, the solver points at or above a baseline point's
+    # i_zx_bits less the slack are a suffix; best_from[i] is the point of
+    # least (i_zy_bits, -i_zx_bits) in the suffix from i.
+    dca_points = sorted((p for p in all_points if p.q), key=lambda d: d.i_zx_bits)
+    zx_sorted = [d.i_zx_bits for d in dca_points]
+    best_from = [*itertools.accumulate(
+        reversed(dca_points), lambda a, d: min(a, d, key=lambda p: (p.i_zy_bits, -p.i_zx_bits))
+    )][::-1] + [None]
     baseline_points = [p for p in all_points if not p.q]
     dominated_count = 0
     with open(str(args.out) + ".dominance.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(DOMINANCE_HEADER)
         for b in baseline_points:
-            candidates = [
-                d
-                for d in dca_points
-                if d.i_zx_bits >= b.i_zx_bits - DOMINANCE_SLACK_BITS
-                and d.i_zy_bits <= b.i_zy_bits + DOMINANCE_SLACK_BITS
-            ]
-            best = min(candidates, key=lambda d: (d.i_zy_bits, -d.i_zx_bits), default=None)
+            best = best_from[bisect.bisect_left(zx_sorted, b.i_zx_bits - DOMINANCE_SLACK_BITS)]
+            if best and best.i_zy_bits > b.i_zy_bits + DOMINANCE_SLACK_BITS:
+                best = None
             dominated_count += best is not None
             by = [best.i_zx_bits, best.i_zy_bits] if best else ["", ""]
             row = [b.solver.value, b.card_z, b.i_zx_bits, b.i_zy_bits, best is not None, *by]

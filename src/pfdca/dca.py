@@ -16,16 +16,16 @@ two inner solvers:
   ``0.5 * ||lse_x(l_xy + l_zx) - log q||^2 + alpha * ||l_zx||_1``,
   followed by a softmax back to probabilities.
 
-Every Armijo search (the ``sparse_log`` solve and the exact step below)
-starts at the spectral step ``<s,s>/<s,y>`` of Barzilai and Borwein,
-where ``s`` is the last accepted move and ``y`` the change of gradient
-along it, as in spectral projected gradient (Birgin, Martinez and
-Raydan, SIAM J. Optim. 2000). The step is clipped to [1e-6, 1e6], and a
-search without positive curvature ``<s,y>`` starts at 1. In the exact
-step, ``s`` leaves out coordinates that are zero before or after the
-move: the clamped log in that gradient jumps there, which is not
-curvature. The Armijo test itself is unchanged, so every accepted step
-still decreases its objective.
+One search, ``_spectral_descent``, serves both the ``sparse_log`` solve
+and the exact step below: spectral projected gradient (Birgin, Martinez
+and Raydan, SIAM J. Optim. 2000) with halving Armijo backtracking, a
+relative stop and one budget. Each backtracking search starts at the
+step ``<s,s>/<s,y>`` of Barzilai and Borwein, where ``s`` is the last
+accepted move and ``y`` the change of gradient along it, clipped to
+[1e-6, 1e6]; a search without positive curvature ``<s,y>`` starts at 1.
+In the exact step, ``s`` leaves out coordinates that are zero before or
+after the move: the clamped log in that gradient jumps there, which is
+not curvature. Every accepted step decreases its objective.
 
 Both inner problems are relaxations, so a candidate step can increase
 the true loss (most visibly for large ``alpha``), and a run that merely
@@ -384,78 +384,70 @@ def _sparse_gradient(terms, log_target, alpha):
     return np.einsum("zy,zxy->zx", lse - log_target, weights) - alpha
 
 
-def _sparse_descent(L, l_xy, log_target, alpha, tol, max_iter):
-    """Armijo projected gradient on the log-likelihood box [_BOX_LO, _BOX_HI].
-
-    Each backtracking search starts at the spectral step of the last
-    accepted move and tries it times each factor of ``_ARMIJO_STEPS`` in
-    turn. The accepted trial's log-sum-exp is reused for the next
-    gradient.
-    """
-    # Iterates keep the start's memory layout, which sets the order of
-    # every sum; a C-ordered start gives every caller the same bits.
-    L = np.ascontiguousarray(L)
-    terms = _sparse_terms(L, l_xy)
-    obj = _sparse_objective(L, terms[1], log_target, alpha)
+def _spectral_descent(x, evaluate, gradient, project, move, tol, max_iter):
+    """The one Armijo search (see the module docstring). ``evaluate(x)``
+    gives ``(objective, aux)``, ``gradient(x, aux)`` reuses ``aux``, and
+    ``move(x, prev)`` is the accepted move the spectral step reads.
+    Returns ``(x, objective, aux, stopped)``: ``stopped`` when the loop
+    ended before its budget, so any larger budget returns the same ``x``."""
+    obj, aux = evaluate(x)
     first, prev = _SPECTRAL_FALLBACK, None
     for _ in range(max_iter):
-        grad = _sparse_gradient(terms, log_target, alpha)
+        grad = gradient(x, aux)
         if prev is not None:
-            first = _spectral_step(L - prev[0], grad - prev[1])
+            first = _spectral_step(move(x, prev[0]), grad - prev[1])
         for step in _ARMIJO_STEPS:
-            trial = np.maximum(L - (first * step) * grad, _BOX_LO)
-            np.minimum(trial, _BOX_HI, out=trial)
-            trial_terms = _sparse_terms(trial, l_xy)
-            trial_obj = _sparse_objective(trial, trial_terms[1], log_target, alpha)
-            if trial_obj <= obj + _ARMIJO_DECREASE * float(np.add.reduce(grad * (trial - L), axis=None)):
+            trial = project(x - (first * step) * grad)
+            trial_obj, trial_aux = evaluate(trial)
+            if trial_obj <= obj + _ARMIJO_DECREASE * float(np.add.reduce(grad * (trial - x), axis=None)):
                 break
         else:
-            break
+            return x, obj, aux, True
         done = abs(obj - trial_obj) <= tol * max(1.0, abs(obj))
-        prev = L, grad
-        L, obj, terms = trial, trial_obj, trial_terms
+        prev = x, grad
+        x, obj, aux = trial, trial_obj, trial_aux
         if done:
-            break
-    return L, obj
+            return x, obj, aux, True
+    return x, obj, aux, False
+
+
+def _sparse_descent(L, l_xy, log_target, alpha, tol, max_iter):
+    """The q=1 solve on the log-likelihood box [_BOX_LO, _BOX_HI]:
+    returns the iterate and its objective."""
+
+    def evaluate(L):
+        terms = _sparse_terms(L, l_xy)
+        return _sparse_objective(L, terms[1], log_target, alpha), terms
+
+    # Iterates keep the start's memory layout, which sets the order of
+    # every sum; a C-ordered start gives every caller the same bits.
+    return _spectral_descent(
+        np.ascontiguousarray(L), evaluate, lambda L, terms: _sparse_gradient(terms, log_target, alpha),
+        lambda L: np.minimum(np.maximum(L, _BOX_LO, out=L), _BOX_HI, out=L), np.subtract, tol, max_iter,
+    )[:2]
 
 
 def _surrogate_descent(V, grad_g_k, prob: _Problem, tol, max_iter):
-    """Projected-gradient descent on the linearized objective
-    ``f(p) - <grad_g_k, p>`` starting from the current iterate.
-
-    Any decrease here certifies a decrease of the true loss, so this is
-    the exact step that the guard falls back on. Each backtracking search
-    starts at the spectral step of the last accepted move, taken over the
-    coordinates positive before and after it, and tries it times each
-    factor of ``_ARMIJO_STEPS`` in turn. Returns the iterate, whether the
-    loop stopped before using its whole budget, in which case any larger
-    budget returns the same iterate, and ``f`` at the iterate.
+    """The exact step the guard falls back on: descent over the column
+    simplices on the linearized objective ``f(p) - <grad_g_k, p>``, any
+    decrease of which certifies a decrease of the true loss. Returns the
+    iterate, whether the search stopped before its budget, and ``f`` at
+    the iterate.
     """
-    f = _f_value_arr(V, prob)
-    obj = f - float(np.add.reduce(grad_g_k * V, axis=None))
-    first, prev = _SPECTRAL_FALLBACK, None
-    for _ in range(max_iter):
-        grad = _grad_f_arr(V, prob) - grad_g_k
-        if prev is not None:
-            # A coordinate that enters or leaves zero jumps in its
-            # clamped-log gradient, which is not curvature: the spectral
-            # pair leaves it out.
-            s = np.where(np.minimum(V, prev[0]) > 0.0, V - prev[0], 0.0)
-            first = _spectral_step(s, grad - prev[1])
-        for step in _ARMIJO_STEPS:
-            trial = _simplex_project_columns(V - (first * step) * grad)
-            trial_f = _f_value_arr(trial, prob)
-            trial_obj = trial_f - float(np.add.reduce(grad_g_k * trial, axis=None))
-            if trial_obj <= obj + _ARMIJO_DECREASE * float(np.add.reduce(grad * (trial - V), axis=None)):
-                break
-        else:
-            return V, True, f
-        done = abs(obj - trial_obj) <= tol * max(1.0, abs(obj))
-        prev = V, grad
-        V, obj, f = trial, trial_obj, trial_f
-        if done:
-            return V, True, f
-    return V, False, f
+
+    def evaluate(V):
+        f = _f_value_arr(V, prob)
+        return f - float(np.add.reduce(grad_g_k * V, axis=None)), f
+
+    def move(V, prev):
+        # A coordinate that enters or leaves zero jumps in its clamped-log
+        # gradient, which is not curvature: the spectral pair leaves it out.
+        return np.where(np.minimum(V, prev) > 0.0, V - prev, 0.0)
+
+    V, _, f, stopped = _spectral_descent(
+        V, evaluate, lambda V, f: _grad_f_arr(V, prob) - grad_g_k, _simplex_project_columns, move, tol, max_iter
+    )
+    return V, stopped, f
 
 
 # ---------------------------------------------------------------------------

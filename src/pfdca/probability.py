@@ -39,8 +39,10 @@ def _numbers(values, name: str) -> np.ndarray:
         arr = np.array(values)
     except (TypeError, ValueError) as exc:  # ragged rows
         raise InvalidDistributionError(f"{name} has an entry that is not a number: {exc}") from exc
-    # Integers and floats only: a float conversion would also parse text and booleans.
-    if arr.dtype.kind not in "iuf":
+    # Integers and floats only: a float conversion would also parse text and
+    # booleans, and NumPy reads a boolean among numbers as 0 or 1.
+    cells = () if isinstance(values, np.ndarray) else np.array(values, dtype=object).flat
+    if arr.dtype.kind not in "iuf" or any(isinstance(v, (bool, np.bool_)) for v in cells):
         raise InvalidDistributionError(f"{name} has an entry that is not a number")
     return arr.astype(float, copy=False)
 

@@ -336,6 +336,36 @@ class TestReport:
             else:
                 assert line.endswith(",,")
 
+    def test_dominance_matches_pairwise_rule(self, tmp_path):
+        # Coordinates from a small set of hundredths, so that ties and
+        # points exactly one slack (0.01 bits) apart occur often. Each
+        # baseline row must name the solver point the pairwise rule picks:
+        # the least (i_zy_bits, -i_zx_bits) of those with i_zx_bits >=
+        # b - slack and i_zy_bits <= b + slack.
+        slack = pfdca.cli.DOMINANCE_SLACK_BITS
+        values = [f"{i / 100:.12g}" for i in range(8)]
+        solvers = [("dca_ridge", 2), ("dca_sparse", 1), ("greedy", 0), ("exhaustive", 0)]
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            rows = [(*solvers[rng.integers(4)], *rng.choice(values, 2)) for _ in range(rng.integers(1, 40))]
+            path = tmp_path / f"points-{seed}.csv"
+            path.write_text("\n".join([",".join(CSV_HEADER)] + [
+                f"{name},{q},1,1,3,0,0,{zx},{zy},0,true,10,0" for name, q, zx, zy in rows
+            ]) + "\n")
+            out = tmp_path / f"report-{seed}.csv"
+            assert run_cli("report", "--inputs", path, "--out", out) == 0
+            lines = (tmp_path / f"report-{seed}.csv.dominance.csv").read_text().splitlines()
+            got = [line.split(",")[4:] for line in lines[1:]]
+            solver_points = [(float(zx), float(zy), zx, zy) for _, q, zx, zy in rows if q]
+            want = []
+            for _, q, zx, zy in rows:
+                if q:
+                    continue
+                found = [d for d in solver_points if d[0] >= float(zx) - slack and d[1] <= float(zy) + slack]
+                best = min(found, key=lambda d: (d[1], -d[0]), default=None)
+                want.append(["true", best[2], best[3]] if best else ["false", "", ""])
+            assert got == want, seed
+
     def test_single_file(self, tmp_path, result_files):
         sweep, _ = result_files
         out = tmp_path / "single.csv"

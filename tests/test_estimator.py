@@ -97,6 +97,8 @@ class TestFit:
             {"a": 1},
             [["0.25", "0.25"], ["0.25", "0.25"]],
             [[True, False], [False, False]],
+            [[1, 0], [0, False]],
+            [[0.5, 0.5], [0.0, False]],
         ],
     )
     def test_non_numeric_joint_matrix_is_invalid(self, X):

@@ -300,15 +300,24 @@ class TestJson:
             joint_from_dict({"p_x": [0.5, 0.5], "p_y_given_x": [[0.5, 0.5], [0.5]]})
 
     # Text and booleans are refused, not parsed as numbers.
-    @pytest.mark.parametrize("p_x", [5, ["a", "b"], {"a": 0.5, "b": 0.5}, None, ["0.5", "0.5"], [True, False]])
+    @pytest.mark.parametrize(
+        "p_x", [5, ["a", "b"], {"a": 0.5, "b": 0.5}, None, ["0.5", "0.5"], [True, False], [1, False], [0.0, True]]
+    )
     def test_p_x_not_a_list_of_numbers(self, p_x):
         with pytest.raises(InvalidDistributionError, match="p_x"):
             joint_from_dict({"p_x": p_x, "p_y_given_x": [[0.5, 0.5], [0.5, 0.5]]})
 
     def test_entry_not_a_number(self):
-        for cell in ("a", "1"):
+        # A boolean among numbers is refused too, though NumPy would read it as 0 or 1.
+        for rows in (
+            [[0.5, "a"], [0.5, 0.5]],
+            [[0.5, "1"], [0.5, 0.5]],
+            [[1, 0], [0, True]],
+            [[1.0, 0.0], [False, 1.0]],
+            [np.array([1, 0]), [0, np.True_]],
+        ):
             with pytest.raises(InvalidDistributionError, match="p_y_given_x has an entry that is not a number"):
-                joint_from_dict({"p_x": [0.5, 0.5], "p_y_given_x": [[0.5, cell], [0.5, 0.5]]})
+                joint_from_dict({"p_x": [0.5, 0.5], "p_y_given_x": rows})
 
     def test_bad_normalization(self):
         with pytest.raises(InvalidDistributionError):

@@ -23,6 +23,7 @@ from conftest import DEMO_CHANNEL, DEMO_PX
 from pfdca import CondDist, DcaConfig, DiscreteDist, JointXY, dca_run
 from pfdca.dca import (
     _ACCEPT_SLACK,
+    _ARMIJO_STEPS,
     _BOOST_DECREASE,
     _BOOST_MAX_STEP,
     _BOOST_MIN_STEP,
@@ -137,6 +138,29 @@ def test_plain_step_that_stops_early_is_the_full_budget_step():
         assert full_stopped
         assert np.array_equal(plain, full)
     assert stopped_early >= 20
+
+
+def test_exact_step_no_step_passes(monkeypatch):
+    # A NaN in grad_g_k makes every objective NaN, which fails every Armijo
+    # test: all steps are tried, and the step returns its start, stopped,
+    # with f at the start, as the untrimmed reference does. The search
+    # reaches the gradient and the projection through the module's globals.
+    V, g, prob = subproblem(7)
+    g[0, 0] = np.nan
+    calls = {"_grad_f_arr": 0, "_simplex_project_columns": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(pfdca.dca, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(pfdca.dca, name, counted)
+    got, stopped, f = _surrogate_descent(V, g, prob, INNER_TOL, _SURROGATE_STEP_ITERS)
+    assert calls == {"_grad_f_arr": 1, "_simplex_project_columns": len(_ARMIJO_STEPS)}
+    want, want_stopped = ref.untrimmed_surrogate_descent(
+        V, g, prob.pxcy, prob.pycx, prob.px, prob.py, LOG_CLAMP, INNER_TOL, _SURROGATE_STEP_ITERS
+    )
+    assert np.array_equal(got, V) and np.array_equal(want, V)
+    assert stopped and want_stopped
+    assert f == _f_value_arr(V, prob)
 
 
 @pytest.mark.parametrize("inner_kind", ["ridge", "sparse_log"])
