@@ -120,6 +120,7 @@ def cmd_solve(args) -> int:
         "i_zy_bits": res.i_zy_bits,
         "stationarity_gap": res.stationarity_gap,
         "fallback_steps": res.fallback_steps,
+        "mirror_steps": res.mirror_steps,
         "boosted_steps": res.boosted_steps,
         "defect": res.defect,
         "loss_trace": res.loss_trace.tolist(),

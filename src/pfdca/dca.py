@@ -34,26 +34,40 @@ stationary point of the loss. The outer loop therefore guards every
 step with the decrease guarantee of the exact linearized update: a
 candidate is accepted only if the loss drops by at least half the
 squared movement of the code marginal (up to slack). The schedule has
-one rule: the relaxed step is tried every iteration until the guard
-first rejects it or it first stalls (its loss drop is at most the outer
-tolerance; a stalled step is still taken). From then on the run takes
-exact steps alone: direct projected-gradient descent on the linearized
-objective ``f(p) - <grad g(p_k), p>``, any decrease of which certifies
-a decrease of the true loss. Every inner solve, relaxed or exact, runs
-at the one small budget ``_SURROGATE_STEP_ITERS``: descent needs a
-decrease of the linearized surrogate, not its minimizer (Souza, Oliveira
-and Soubeyran, Optim. Lett. 2016). The run declares convergence when an
-exact step stops on ``_INNER_TOL`` before its budget, and so is the step
-any larger budget would give, without improving the loss beyond the
-outer tolerance. This preserves the monotone-descent certificate and
-leaves the final encoder approximately stationary.
+three phases, each ending for good at its first failure:
 
-Every step taken that does not end the run, relaxed or exact, is
-boosted, as in the boosted DC algorithm of Aragon Artacho, Fleming and
-Vuong (Math. Program. 2018), in the linearly constrained form of Aragon
-Artacho, Campoy and Vuong (Set-Valued Var. Anal. 2022): a line search
-along the step's own direction ``d = y - x`` from its result ``y`` takes
-the first of ``y + lam * d``, for ``lam`` from
+1. The relaxed step is tried every iteration until the guard first
+   rejects it or it first stalls (its loss drop is at most the outer
+   tolerance; a stalled step is still taken).
+2. The mirror step: ``f`` is 1-smooth relative to
+   ``h(V) = sum_x p(x) sum_z V log V`` (Bauschke, Bolte and Teboulle,
+   Math. Oper. Res. 2017; Lu, Freund and Nesterov, SIAM J. Optim. 2018),
+   so the unit Bregman step on the linearized objective lowers the
+   true loss by at least ``D_h(V, V+)``. It has a closed form per
+   column, ``V+(z|x) ~ V**(1+beta) * p_z**(1-beta) *
+   exp(-sum_y P(y|x) log P(z|y))``, with no projection and no line
+   search. It is taken while it passes the guard and lowers the loss
+   by more than the outer tolerance; the first that does not is
+   discarded and its iteration takes an exact step instead.
+3. Exact steps alone: direct projected-gradient descent on the
+   linearized objective ``f(p) - <grad g(p_k), p>``, any decrease of
+   which certifies a decrease of the true loss.
+
+Every inner solve, relaxed or exact, runs at the one small budget
+``_SURROGATE_STEP_ITERS``: descent needs a decrease of the linearized
+surrogate, not its minimizer (Souza, Oliveira and Soubeyran, Optim.
+Lett. 2016). The run declares convergence when an exact step stops on
+``_INNER_TOL`` before its budget, and so is the step any larger budget
+would give, without improving the loss beyond the outer tolerance. This
+preserves the monotone-descent certificate and leaves the final encoder
+approximately stationary.
+
+Every step taken that does not end the run, relaxed, mirror or exact,
+is boosted, as in the boosted DC algorithm of Aragon Artacho, Fleming
+and Vuong (Math. Program. 2018), in the linearly constrained form of
+Aragon Artacho, Campoy and Vuong (Set-Valued Var. Anal. 2022): a line
+search along the step's own direction ``d = y - x`` from its result
+``y`` takes the first of ``y + lam * d``, for ``lam`` from
 ``min(lam_max, _BOOST_MAX_STEP)`` halving down to ``_BOOST_MIN_STEP``,
 whose loss lies at least ``_BOOST_DECREASE * lam**2 * ||d||^2`` below
 that of ``y``. ``lam_max`` is measured on the face of ``y``: it is where
@@ -65,10 +79,10 @@ projects back to itself, so a step that moves only such columns gets no
 trial. A boost only lowers the loss further, so the certificate holds,
 and fewer outer iterations are needed.
 
-Exact (fallback) steps are counted on the result, and so are accepted
-boosts, after relaxed and exact steps alike;
-an accepted ascent beyond ``DESCENT_SLACK`` (never produced by the
-guard) would be flagged as a defect.
+Mirror steps and exact (fallback) steps are counted on the result, and
+so are accepted boosts, after every kind of step alike; an accepted
+ascent beyond ``DESCENT_SLACK`` (never produced by the guard) would be
+flagged as a defect.
 """
 
 import functools
@@ -159,6 +173,11 @@ def _finite_positive(*values) -> bool:
     return all(math.isfinite(v) and v > 0 for v in values)
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not, though it is Integral."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 class InnerKind(str, Enum):
     """Which relaxed inner problem drives the update."""
 
@@ -180,9 +199,9 @@ class DcaConfig:
             raise ValueError("beta and alpha must be finite and positive")
         if not _finite_positive(self.outer_tol):
             raise ValueError("outer_tol must be finite and positive")
-        if not isinstance(self.outer_max_iter, Integral) or self.outer_max_iter < 1:
+        if not _is_int(self.outer_max_iter) or self.outer_max_iter < 1:
             raise ValueError("outer_max_iter must be an integer >= 1")
-        if not isinstance(self.seed, Integral) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "inner_kind", InnerKind(self.inner_kind))
 
@@ -199,7 +218,9 @@ class DcaResult:
     loss_nats: float
     defect: bool = False
     fallback_steps: int = 0
-    # Accepted boosts, after relaxed and exact steps alike.
+    # Accepted closed-form mirror steps.
+    mirror_steps: int = 0
+    # Accepted boosts, after relaxed, mirror and exact steps alike.
     boosted_steps: int = 0
 
 
@@ -293,6 +314,15 @@ def _softmax_cols(logits: np.ndarray) -> np.ndarray:
     return e / np.add.reduce(e, axis=0, keepdims=True)
 
 
+def _mirror_step(V: np.ndarray, prob: _Problem, beta: float) -> np.ndarray:
+    """Closed-form exact DC step: the unit Bregman step of the linearized
+    objective under ``h(V) = sum_x p(x) sum_z V log V``, which ``f`` is
+    1-smooth relative to. In log space, per column,
+    ``V+ ~ V**(1+beta) * p_z**(1-beta) * exp(-sum_y P(y|x) log P(z|y))``;
+    there is no projection and no division by p(x)."""
+    return _softmax_cols(_compute_c_arr(V, prob, beta) + _clog(V) - _clog(V @ prob.pxcy) @ prob.pycx)
+
+
 def _relaxed_target(V: np.ndarray, prob: _Problem, beta: float) -> np.ndarray:
     """Closed-form update target for P(Z|Y): softmax over codes of the
     block pseudo-inverse applied to the update coefficients, entry (z, x)
@@ -340,6 +370,14 @@ def _g_value_arr(V: np.ndarray, prob: _Problem, beta: float) -> float:
     """Linearized part -H(Z) + beta * I(Z;X), natural extension."""
     hz, izx = _code_terms(V, prob)
     return -hz + beta * izx
+
+
+def _certified(drop: float, cand: np.ndarray, V: np.ndarray, prob: _Problem) -> bool:
+    """The guard's decrease certificate for the step ``V -> cand``: the
+    loss drop is at least half the squared movement of the code marginal,
+    up to ``_CERT_SLACK``. Written so that a NaN fails it."""
+    move = (cand - V) @ prob.px
+    return drop >= 0.5 * float(move @ move) - _CERT_SLACK
 
 
 def _ridge_descent(V, target, prob: _Problem, alpha, tol, max_iter):
@@ -535,7 +573,7 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
     ``cfg.outer_max_iter`` iterations; the reported trace holds the loss
     after every accepted step, starting at the initial encoder.
     """
-    if not isinstance(card_z, Integral) or card_z < 1:
+    if not _is_int(card_z) or card_z < 1:
         raise ValueError(f"card_z must be an integer >= 1, got {card_z!r}")
     if init is not None:
         if init.card_z != card_z or init.n_x != j.n_x:
@@ -553,8 +591,8 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
     loss = _loss(V, prob, beta)
     trace = [loss]
     converged = False
-    fallback_steps = boosted_steps = 0
-    relaxed_phase = True
+    fallback_steps = mirror_steps = boosted_steps = 0
+    relaxed_phase = mirror_phase = True
     iterations = 0
 
     for it in range(1, cfg.outer_max_iter + 1):
@@ -570,13 +608,23 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
                 cand, _ = _ridge_descent(V, target, prob, alpha, _INNER_TOL, _SURROGATE_STEP_ITERS)
             cand_loss = _loss(cand, prob, beta)
             drop = loss - cand_loss
-            # The decrease certificate is written so that a NaN fails it.
-            move = (cand - V) @ prob.px
-            if drop < -_ACCEPT_SLACK or not drop >= 0.5 * float(move @ move) - _CERT_SLACK:
+            if drop < -_ACCEPT_SLACK or not _certified(drop, cand, V, prob):
                 cand = None
             # A rejected or stalled relaxed step ends the relaxed phase; a
-            # stalled one is still taken, and exact steps polish from there.
+            # stalled one is still taken, and mirror steps go on from there.
             relaxed_phase = cand is not None and drop > cfg.outer_tol
+        if cand is None and mirror_phase:
+            # Closed-form exact step, taken while it passes the guard and
+            # lowers the loss past the outer tolerance; the first that does
+            # not is discarded and ends the mirror phase.
+            cand = _mirror_step(V, prob, beta)
+            cand_loss = _loss(cand, prob, beta)
+            drop = loss - cand_loss
+            if drop > cfg.outer_tol and _certified(drop, cand, V, prob):
+                mirror_steps += 1
+            else:
+                cand = None
+                mirror_phase = False
         if cand is None:
             # Guarded step: descend the linearization directly. A step that
             # stopped before its budget is the one any larger budget gives,
@@ -592,7 +640,7 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
                     trace.append(loss)
                 converged = True
                 break
-        # Every step taken that does not end the run, relaxed or exact, is
+        # Every step taken that does not end the run, of any kind, is
         # boosted along its own direction.
         boosted = _boosted_step(V, cand, cand_loss, prob, beta)
         if boosted is not None:
@@ -616,5 +664,6 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
         loss_nats=loss,
         defect=defect,
         fallback_steps=fallback_steps,
+        mirror_steps=mirror_steps,
         boosted_steps=boosted_steps,
     )

@@ -14,11 +14,10 @@ import os
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from multiprocessing import get_context
-from numbers import Integral
 
 import numpy as np
 
-from .dca import DcaConfig, InnerKind, _finite_positive, dca_run
+from .dca import DcaConfig, InnerKind, _finite_positive, _is_int, dca_run
 from .probability import JointXY
 
 PARETO_BIN_BITS = 0.02
@@ -93,11 +92,11 @@ class SweepConfig:
             values = tuple(self.card_z_values)
             # A repeated size would rerun its cells with the same seeds.
             if not values or len(set(values)) < len(values) or not all(
-                isinstance(v, Integral) and v >= 1 for v in values
+                _is_int(v) and v >= 1 for v in values
             ):
                 raise ValueError(f"card_z_values must be distinct positive integers, got {values}")
             object.__setattr__(self, "card_z_values", tuple(int(v) for v in values))
-        if not isinstance(self.restarts, Integral) or self.restarts < 1:
+        if not _is_int(self.restarts) or self.restarts < 1:
             raise ValueError("restarts must be an integer >= 1")
         object.__setattr__(self, "inner_kind", InnerKind(self.inner_kind))
         # Check the solver fields here, as every cell's config will.

@@ -361,7 +361,9 @@ class TestDcaRun:
         assert np.array_equal(r1.loss_trace, r2.loss_trace)
         assert np.array_equal(r1.encoder.matrix, r2.encoder.matrix)
 
-    @pytest.mark.parametrize("field, value", [("seed", -1), ("outer_max_iter", 2.5)])
+    @pytest.mark.parametrize(
+        "field, value", [("seed", -1), ("outer_max_iter", 2.5), ("seed", False), ("outer_max_iter", True)]
+    )
     def test_config_refuses_values_that_would_fail_later(self, field, value):
         with pytest.raises(ValueError, match=field):
             DcaConfig(beta=1.0, alpha=1.0, **{field: value})
@@ -370,7 +372,7 @@ class TestDcaRun:
         cfg = DcaConfig(beta=1.0, alpha=1.0, outer_max_iter=np.int32(3), seed=np.int64(4))
         assert dca_run(demo_joint, 2, cfg).iterations <= 3
 
-    @pytest.mark.parametrize("card_z", [2.5, 2.0, "2", 0])
+    @pytest.mark.parametrize("card_z", [2.5, 2.0, "2", 0, True])
     def test_refuses_card_z_that_is_not_a_positive_integer(self, demo_joint, card_z):
         with pytest.raises(ValueError, match="card_z must be an integer"):
             dca_run(demo_joint, card_z, DcaConfig(beta=1.0, alpha=1.0))

@@ -122,6 +122,11 @@ class TestFit:
         with pytest.raises(ValueError, match="card_z must be an integer"):
             DcaPrivacyFunnel(card_z=2.5).fit(demo_joint)
 
+    def test_boolean_card_z_refused(self, demo_joint):
+        # bool is Integral, but True is not a code size.
+        with pytest.raises(ValueError, match="card_z must be an integer"):
+            DcaPrivacyFunnel(card_z=True).fit(demo_joint)
+
     def test_negative_seed_refused_before_the_run(self, demo_joint):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             DcaPrivacyFunnel(seed=-3).fit(demo_joint)

@@ -9,7 +9,8 @@ solver on random sources, full rank or not: every inner solve, exact or
 relaxed, runs at one budget, the exact step that ends a converged run is
 the full-budget step, every boost along an exact step's direction is a
 feasible step of sufficient descent, its outputs stay valid, and its
-relaxed step follows the one-rule schedule.
+relaxed and mirror steps follow the three-phase schedule. The mirror step
+is checked against its closed form's optimality condition.
 """
 
 import numpy as np
@@ -33,7 +34,10 @@ from pfdca.dca import (
     _f_value_arr,
     _boosted_step,
     _grad_g_arr,
+    _CERT_SLACK,
+    _grad_f_arr,
     _loss,
+    _mirror_step,
     _Problem,
     _ridge_descent,
     _simplex_project_columns,
@@ -286,8 +290,9 @@ def test_dca_run_on_rank_deficient_sources(seed, nx, ny_short, card_z, beta, alp
 )
 def test_relaxed_step_is_rejected_at_most_once(seed, source, card_z, beta, alpha, inner_kind):
     # The relaxed step is tried every iteration until its first rejection
-    # or stall, so at most one attempt is not an accepted step. Each
-    # attempt computes the update coefficients once.
+    # or stall, then the mirror step until its first rejection, so at most
+    # one attempt of each is not an accepted step. Each attempt of either
+    # computes the update coefficients once.
     rng = np.random.default_rng(seed)
     if source == "demo":
         j = JointXY(DiscreteDist(DEMO_PX.copy()), CondDist(DEMO_CHANNEL.copy()))
@@ -298,17 +303,28 @@ def test_relaxed_step_is_rejected_at_most_once(seed, source, card_z, beta, alpha
         nx = int(rng.integers(2, 5))
         j = full_rank_joint(rng, nx, nx + int(rng.integers(0, 3)), concentration=float(rng.choice([0.3, 1.0, 10.0])))
     cfg = DcaConfig(beta=beta, alpha=alpha, inner_kind=inner_kind, outer_max_iter=300, seed=seed % 1000)
-    attempts = 0
+    attempts = mirror_attempts = 0
 
     def counted(*args):
         nonlocal attempts
         attempts += 1
         return _compute_c_arr(*args)
 
+    def mirror_counted(*args):
+        nonlocal mirror_attempts
+        mirror_attempts += 1
+        return _mirror_step(*args)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pfdca.dca, "_compute_c_arr", counted)
+        mp.setattr(pfdca.dca, "_mirror_step", mirror_counted)
         res = dca_run(j, card_z, cfg)
-    assert attempts - (res.iterations - res.fallback_steps) in (0, 1)
+    assert attempts - (res.iterations - res.fallback_steps) in (0, 1, 2)
+    # Every iteration takes one step: an accepted relaxed step, a mirror
+    # step or an exact step.
+    relaxed_accepted = res.iterations - res.mirror_steps - res.fallback_steps
+    assert attempts - mirror_attempts - relaxed_accepted in (0, 1)
+    assert mirror_attempts - res.mirror_steps in (0, 1)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -356,6 +372,67 @@ def test_every_boost_is_a_feasible_sufficient_descent(seed, nx, ny, concentratio
         assert y_loss in res.loss_trace
     check_run(res)
     assert res.converged
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nx=st.integers(1, 6),
+    ny=st.integers(1, 8),
+    zero_x=st.booleans(),
+    card_z=st.integers(2, 5),
+    beta=st.floats(0.1, 10.0),
+    inner_kind=st.sampled_from(["ridge", "sparse_log"]),
+)
+def test_mirror_step_is_the_closed_form_bregman_step(seed, nx, ny, zero_x, card_z, beta, inner_kind):
+    # Channels with zero cells, |Y| below, at or above |X|, and with
+    # zero_x a public symbol of zero mass. The unit Bregman step under
+    # h(V) = sum_x p(x) sum_z V log V meets its optimality condition on
+    # the support of V: log V+ - log V + (grad f - grad g) / p(x) is one
+    # constant per column with p(x) > 0. Every accepted mirror step of a
+    # run passes the guard's certificate.
+    rng = np.random.default_rng(seed)
+    channel = rng.dirichlet(np.full(ny, 0.5), nx).T
+    channel[channel < 0.1] = 0.0
+    channel /= channel.sum(axis=0)
+    px = rng.dirichlet(np.full(nx, 2.0))
+    if zero_x and nx > 1:
+        px[0] = 0.0
+        px /= px.sum()
+    j = JointXY(DiscreteDist(px), CondDist(channel))
+    prob = _Problem.build(j)
+    V = rng.dirichlet(np.full(card_z, 0.5), nx).T
+    V[V < 1e-3] = 0.0
+    V /= V.sum(axis=0)
+
+    new = _mirror_step(V, prob, beta)
+    assert np.all(np.isfinite(new)) and np.all(new >= 0.0)
+    assert np.allclose(new.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+    supp = V > 0.0
+    assert np.all(new[supp] > 0.0)
+    diff = _grad_f_arr(V, prob) - _grad_g_arr(V, prob, beta)
+    for x in np.flatnonzero(px > 0.0):
+        s = supp[:, x]
+        scaled = diff[s, x] / px[x]
+        resid = np.log(new[s, x]) - np.log(V[s, x]) + scaled
+        assert np.ptp(resid) <= 1e-9 * (1.0 + np.max(np.abs(scaled)))
+
+    calls = []
+
+    def recorded(V, prob, beta):
+        out = _mirror_step(V, prob, beta)
+        calls.append((V, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pfdca.dca, "_mirror_step", recorded)
+        res = dca_run(j, card_z, DcaConfig(beta=beta, alpha=1.0, inner_kind=inner_kind, seed=seed % 1000))
+    check_run(res)
+    assert len(calls) - res.mirror_steps in (0, 1)
+    for V, out in calls[:res.mirror_steps]:
+        drop = _loss(V, prob, beta) - _loss(out, prob, beta)
+        move = (out - V) @ prob.px
+        assert drop >= 0.5 * float(move @ move) - _CERT_SLACK
 
 
 def test_exact_step_that_zeroes_a_coordinate_is_still_boosted():

@@ -176,6 +176,8 @@ class TestRunSweep:
             ("card_z_values", (2, 2)),
             ("card_z_values", (2, 2.5)),
             ("outer_max_iter", 2.5),
+            ("restarts", True),
+            ("card_z_values", (True,)),
         ],
     )
     def test_config_refuses_values_that_would_fail_later(self, field, value):
