@@ -71,19 +71,10 @@ def _point(
     solver: Solver, beta: float, card_z: int, iterations: int, i_zy: float, i_zx: float
 ) -> TradeoffPoint:
     """The trade-off point of one clustering, from its I(Z;Y) and I(Z;X) in nats."""
+    # Positional, in TradeoffPoint's field order: alpha, restart and seed are 0.
     return TradeoffPoint(
-        solver=solver,
-        beta=beta,
-        alpha=0.0,
-        card_z=card_z,
-        restart=0,
-        seed=0,
-        i_zx_bits=i_zx * NATS_TO_BITS,
-        i_zy_bits=i_zy * NATS_TO_BITS,
-        loss_nats=i_zy - beta * i_zx,
-        converged=True,
-        iterations=iterations,
-        stationarity_gap=0.0,
+        solver, beta, 0.0, card_z, 0, 0, i_zx * NATS_TO_BITS, i_zy * NATS_TO_BITS,
+        i_zy - beta * i_zx, True, iterations, 0.0,
     )
 
 

@@ -21,7 +21,6 @@ verification check failed; 6 internal error (a bug, not bad input; set
 
 import argparse
 import bisect
-import csv
 import itertools
 import json
 import os
@@ -35,7 +34,7 @@ from .diagnostics import run_verification
 from .probability import InvalidDistributionError, load_joint
 from .sweep import (
     SweepConfig,
-    _format_value,
+    _row_formatter,
     pareto_frontier,
     read_points_csv,
     resolve_jobs,
@@ -66,6 +65,10 @@ _Q_KIND = {1: InnerKind.SPARSE_LOG, 2: InnerKind.RIDGE}
 
 DOMINANCE_HEADER = ["baseline_solver", "card_z", "i_zx_bits", "i_zy_bits", "dominated",
                     "by_i_zx_bits", "by_i_zy_bits"]
+# A dominance row's by_* cells are the dominating solver point's
+# coordinates, or empty when the baseline point is not dominated.
+_DOMINATED_ROW = _row_formatter([str, int, float, float, bool, float, float])
+_UNDOMINATED_ROW = _row_formatter([str, int, float, float, bool, str, str])
 
 
 def _comma_list(kind):
@@ -221,16 +224,17 @@ def cmd_report(args) -> int:
     baseline_points = [p for p in all_points if not p.q]
     dominated_count = 0
     with open(str(args.out) + ".dominance.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DOMINANCE_HEADER)
+        fh.write(",".join(DOMINANCE_HEADER) + "\n")
         for b in baseline_points:
             best = best_from[bisect.bisect_left(zx_sorted, b.i_zx_bits - DOMINANCE_SLACK_BITS)]
             if best and best.i_zy_bits > b.i_zy_bits + DOMINANCE_SLACK_BITS:
                 best = None
             dominated_count += best is not None
-            by = [best.i_zx_bits, best.i_zy_bits] if best else ["", ""]
-            row = [b.solver.value, b.card_z, b.i_zx_bits, b.i_zy_bits, best is not None, *by]
-            writer.writerow([_format_value(v) for v in row])
+            row = [b.solver.value, b.card_z, b.i_zx_bits, b.i_zy_bits, best is not None]
+            if best:
+                fh.write(_DOMINATED_ROW(row + [best.i_zx_bits, best.i_zy_bits]))
+            else:
+                fh.write(_UNDOMINATED_ROW(row + ["", ""]))
     print(
         f"report: {len(all_points)} points, {dominated_count}/{len(baseline_points)} "
         f"baseline points dominated within {DOMINANCE_SLACK_BITS} bits -> {args.out}"

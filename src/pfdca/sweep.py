@@ -11,9 +11,10 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from multiprocessing import get_context
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,9 +39,12 @@ _SOLVER_Q = {
 }
 
 
-@dataclass(frozen=True)
-class TradeoffPoint:
-    """One achieved (I(Z;X), I(Z;Y)) pair plus its provenance."""
+class TradeoffPoint(NamedTuple):
+    """One achieved (I(Z;X), I(Z;Y)) pair plus its provenance.
+
+    A named tuple, so it is cheap to build and to send from a pool worker,
+    and it compares equal to the plain tuple of its values.
+    """
 
     solver: Solver
     beta: float
@@ -61,9 +65,9 @@ class TradeoffPoint:
 
 
 # The on-disk record: the solver, its norm order q, then every other field
-# of TradeoffPoint in declaration order.
-_FIELDS = fields(TradeoffPoint)
-CSV_HEADER = ["solver", "q"] + [f.name for f in _FIELDS[1:]]
+# of TradeoffPoint in declaration order. _FIELDS holds (name, type) pairs.
+_FIELDS = tuple(TradeoffPoint.__annotations__.items())
+CSV_HEADER = ["solver", "q", *TradeoffPoint._fields[1:]]
 
 
 def _default_grid() -> tuple:
@@ -231,26 +235,41 @@ def pareto_frontier(points: list) -> list:
     return survivors
 
 
-def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return format(v + 0.0 if v != 0.0 else 0.0, ".12g")
-    return str(v)
+def _row_formatter(types):
+    """The CSV row of a list of cells of the given column types, by one
+    format string: a float column is written ``%.12g`` after ``+ 0.0``, so
+    -0.0 writes 0 and a NumPy float is read through ``float``; a bool
+    column is ``true`` or ``false`` by truth value; any other column is
+    ``str(v)``. The list is changed in place."""
+    text = ",".join("%.12g" if t is float else "%s" for t in types) + "\n"
+    floats = [i for i, t in enumerate(types) if t is float]
+    bools = [i for i, t in enumerate(types) if t is bool]
+
+    def row(cells: list) -> str:
+        for i in floats:
+            cells[i] += 0.0
+        for i in bools:
+            cells[i] = "true" if cells[i] else "false"
+        return text % tuple(cells)
+
+    return row
 
 
-def point_to_record(p: TradeoffPoint) -> dict:
-    return {"solver": p.solver.value, "q": p.q, **{k: getattr(p, k) for k in CSV_HEADER[2:]}}
+# The solver's value and q, then the declared types of the other fields.
+_POINT_ROW = _row_formatter([str, int, *(t for _, t in _FIELDS[1:])])
+
+
+def _cells(p: TradeoffPoint) -> list:
+    """The values of a point's record in ``CSV_HEADER`` order."""
+    return [p.solver.value, p.q, *p[1:]]
 
 
 def _write_csv_rows(fh, points) -> int:
     """Write the header and one row per point to ``fh``; returns the row count."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    fh.write(",".join(CSV_HEADER) + "\n")
     n = 0
     for n, p in enumerate(points, 1):
-        rec = point_to_record(p)
-        writer.writerow([_format_value(rec[k]) for k in CSV_HEADER])
+        fh.write(_POINT_ROW(_cells(p)))
     return n
 
 
@@ -268,7 +287,7 @@ def write_points_csv(points, path) -> int:
 
 def write_points_json(points: list, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump([point_to_record(p) for p in points], fh, indent=1)
+        json.dump([dict(zip(CSV_HEADER, _cells(p))) for p in points], fh, indent=1)
         fh.write("\n")
 
 
@@ -310,7 +329,7 @@ def read_points_csv(path) -> list:
                 raise ValueError(f"{path}: row with {len(row)} fields")
             cells = dict(zip(CSV_HEADER, row))
             try:
-                p = TradeoffPoint(**{f.name: _PARSERS[f.type](cells[f.name]) for f in _FIELDS})
+                p = TradeoffPoint(**{name: _PARSERS[t](cells[name]) for name, t in _FIELDS})
                 if int(cells["q"]) != p.q:
                     raise ValueError(f"q={cells['q']} contradicts solver {p.solver.value}")
             except ValueError as exc:

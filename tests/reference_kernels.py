@@ -24,6 +24,11 @@ greedy candidate, each clustering a ``HardClustering`` merged by
 kernels above, kept here so that the package shares no merge, relabel or
 information code with this reference.
 Tests assert that the package's baselines write the same CSV bytes.
+
+``points_csv`` writes trade-off points one cell at a time, by the type of
+each value (``format_value`` over ``point_to_record``), as the package
+wrote them before it formatted a whole row with one format string. Tests
+assert that the package writes the same bytes.
 """
 
 import numpy as np
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 from pfdca.baseline import iter_partitions
 from pfdca.dca import stationarity_gap
 from pfdca.probability import NATS_TO_BITS, CondDist, DiscreteDist, Encoder, bayes_invert
-from pfdca.sweep import Solver, TradeoffPoint
+from pfdca.sweep import CSV_HEADER, Solver, TradeoffPoint
 
 ARMIJO_SHRINK = 0.5
 ARMIJO_DECREASE = 1e-4
@@ -332,3 +337,23 @@ def baseline_points(j, beta):
     for idx, assignment in enumerate(iter_partitions(j.n_x)):
         points.append(baseline_point(j, HardClustering(assignment), beta, Solver.EXHAUSTIVE, idx))
     return points
+
+
+def format_value(v) -> str:
+    """One CSV cell: a bool as true/false, a float as .12g with -0.0 as 0,
+    anything else as str()."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return format(v + 0.0 if v != 0.0 else 0.0, ".12g")
+    return str(v)
+
+
+def point_to_record(p) -> dict:
+    return {"solver": p.solver.value, "q": p.q, **{k: getattr(p, k) for k in CSV_HEADER[2:]}}
+
+
+def points_csv(points) -> str:
+    """The CSV text of the points: the header, then one row per point."""
+    rows = [CSV_HEADER] + [[format_value(v) for v in point_to_record(p).values()] for p in points]
+    return "".join(",".join(cells) + "\n" for cells in rows)

@@ -1,5 +1,4 @@
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -220,7 +219,7 @@ def test_zero_probability_output_matches_source_without_it(seed):
 
 def bits(points) -> list:
     """Every field of every point, floats as hex: -0.0 and 0.0 differ."""
-    return [tuple(v.hex() if isinstance(v, float) else v for v in astuple(p)) for p in points]
+    return [tuple(v.hex() if isinstance(v, float) else v for v in p) for p in points]
 
 
 @pytest.mark.parametrize("block", [1, 3, pfdca.baseline._BLOCK])

@@ -1,9 +1,13 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pfdca.sweep
+import reference_kernels as ref
 from pfdca.probability import JointXY
 from pfdca.sweep import (
     CSV_HEADER,
@@ -26,6 +30,28 @@ SMALL = dict(
     alpha_grid=(0.5, 2.0),
     card_z_values=(2, 3),
     restarts=2,
+)
+
+
+# Floats a CSV cell must spell as the per-cell rule did: signed zeros,
+# subnormals, magnitudes near the ends of the double range, NaN and inf.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300, -1e300,
+               1.7976931348623157e308, float("nan"), float("inf"), -float("inf")]
+any_float = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+any_point = st.builds(
+    TradeoffPoint,
+    st.sampled_from(Solver),
+    any_float,
+    any_float,
+    st.integers(1, 64),
+    st.integers(0, 1000),
+    st.integers(0, 2**64 - 1),
+    any_float,
+    any_float,
+    any_float,
+    st.booleans(),
+    st.integers(0, 10**6),
+    any_float,
 )
 
 
@@ -300,6 +326,34 @@ class TestCsv:
             "stationarity_gap",
         ]
         assert record["solver"] == "greedy" and record["q"] == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(any_point, max_size=6))
+    def test_rows_match_the_per_cell_reference(self, points):
+        assert points_to_csv(points) == ref.points_csv(points)
+
+    def test_numpy_scalars_round_trip(self, tmp_path):
+        # Array code hands back NumPy scalars: the bool column writes by
+        # truth value and a float column through float, so the file reads back.
+        p = point(np.float32(0.1), np.float64(0.25), converged=np.bool_(True), card_z=np.int64(3),
+                  seed=np.uint64(2**64 - 1), stationarity_gap=np.float32(-0.0))
+        path = tmp_path / "numpy.csv"
+        write_points_csv([p], path)
+        assert path.read_text().splitlines()[1] == (
+            "dca_ridge,2,1,1,3,0,18446744073709551615,0.10000000149,0.25,0,true,10,0"
+        )
+        (again,) = read_points_csv(path)
+        assert again == point(0.10000000149, 0.25, seed=2**64 - 1)
+        assert again.converged is True
+
+    def test_point_pickles_and_is_immutable(self):
+        # Pool workers send points back pickled.
+        p = point(0.5, 0.25, solver=Solver.DCA_SPARSE, seed=2**64 - 1)
+        again = pickle.loads(pickle.dumps(p))
+        assert again == p and type(again) is TradeoffPoint
+        assert again.solver is Solver.DCA_SPARSE and again.q == 1
+        with pytest.raises(AttributeError):
+            p.beta = 2.0
 
     @staticmethod
     def _one_row_csv(tmp_path, **cells):
