@@ -9,20 +9,20 @@ coefficients. The encoder is then pulled toward that target by one of
 two inner solvers:
 
 * ``ridge``: projected gradient on
-  ``0.5 * ||A v - q||^2 + alpha * ||v||^2`` over column simplices with
-  fixed step 1/L;
-* ``sparse_log``: projected gradient with Armijo backtracking on the
-  box-constrained log-likelihood objective
+  ``0.5 * ||A v - q||^2 + alpha * ||v||^2`` over column simplices;
+* ``sparse_log``: projected gradient on the box-constrained
+  log-likelihood objective
   ``0.5 * ||lse_x(l_xy + l_zx) - log q||^2 + alpha * ||l_zx||_1``,
   followed by a softmax back to probabilities.
 
-One search, ``_spectral_descent``, serves both the ``sparse_log`` solve
-and the exact step below: spectral projected gradient (Birgin, Martinez
-and Raydan, SIAM J. Optim. 2000) with halving Armijo backtracking, a
-relative stop and one budget. Each backtracking search starts at the
-step ``<s,s>/<s,y>`` of Barzilai and Borwein, where ``s`` is the last
-accepted move and ``y`` the change of gradient along it, clipped to
-[1e-6, 1e6]; a search without positive curvature ``<s,y>`` starts at 1.
+One search, ``_spectral_descent``, serves all three inner solves, the
+``ridge`` and ``sparse_log`` fits and the exact step below: spectral
+projected gradient (Birgin, Martinez and Raydan, SIAM J. Optim. 2000)
+with halving Armijo backtracking, a relative stop and one budget. Each
+backtracking search starts at the step ``<s,s>/<s,y>`` of Barzilai and
+Borwein, where ``s`` is the last accepted move and ``y`` the change of
+gradient along it, clipped to [1e-6, 1e6]; a search without positive
+curvature ``<s,y>`` starts at 1.
 In the exact step, ``s`` leaves out coordinates that are zero before or
 after the move: the clamped log in that gradient jumps there, which is
 not curvature. Every accepted step decreases its objective.
@@ -257,12 +257,6 @@ class _Problem:
         out.flags.writeable = False
         return out
 
-    @functools.cached_property
-    def a_smax(self) -> float:
-        """Largest singular value of the forward block (the ridge step's
-        Lipschitz constant)."""
-        return float(np.linalg.norm(self.pxcy.T, 2))
-
 
 # One problem per live source. Keys are held weakly, so a source that is
 # dropped takes its arrays with it; the values never refer to their key.
@@ -380,25 +374,6 @@ def _certified(drop: float, cand: np.ndarray, V: np.ndarray, prob: _Problem) -> 
     return drop >= 0.5 * float(move @ move) - _CERT_SLACK
 
 
-def _ridge_descent(V, target, prob: _Problem, alpha, tol, max_iter):
-    """Fixed-step projected gradient for the simplex-constrained ridge fit."""
-    a_t = prob.pxcy          # (nx, ny): right-multiplication applies the block
-    a = prob.pxcy.T
-    lip = prob.a_smax ** 2 + 2.0 * alpha
-    resid = V @ a_t - target
-    obj = 0.5 * float(np.add.reduce(resid * resid, axis=None)) + alpha * float(np.add.reduce(V * V, axis=None))
-    for _ in range(max_iter):
-        grad = resid @ a + 2.0 * alpha * V
-        V = _simplex_project_columns(V - grad / lip)
-        resid = V @ a_t - target
-        new_obj = 0.5 * float(np.add.reduce(resid * resid, axis=None)) + alpha * float(np.add.reduce(V * V, axis=None))
-        done = abs(obj - new_obj) <= tol * max(1.0, abs(obj))
-        obj = new_obj
-        if done:
-            break
-    return V, obj
-
-
 def _sparse_terms(L, l_xy):
     """``(s, lse)`` of the q=1 inner problem at ``L`` of shape (|Z|, |X|):
     ``s[z, x, y] = L[z, x] + l_xy[x, y]`` and its log-sum-exp over x."""
@@ -447,6 +422,23 @@ def _spectral_descent(x, evaluate, gradient, project, move, tol, max_iter):
         if done:
             return x, obj, aux, True
     return x, obj, aux, False
+
+
+def _ridge_descent(V, target, prob: _Problem, alpha, tol, max_iter):
+    """The q=2 solve, the ridge fit ``0.5 * ||V @ pxcy - target||^2 +
+    alpha * ||V||^2`` over the column simplices: returns the iterate and
+    its objective."""
+    pxcy = prob.pxcy
+
+    def evaluate(V):
+        resid = V @ pxcy - target
+        fit = 0.5 * float(np.add.reduce(resid * resid, axis=None))
+        return fit + alpha * float(np.add.reduce(V * V, axis=None)), resid
+
+    return _spectral_descent(
+        V, evaluate, lambda V, resid: resid @ pxcy.T + 2.0 * alpha * V, _simplex_project_columns, np.subtract,
+        tol, max_iter,
+    )[:2]
 
 
 def _sparse_descent(L, l_xy, log_target, alpha, tol, max_iter):

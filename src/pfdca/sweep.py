@@ -10,6 +10,7 @@ so the sweep is reproducible and independent of execution schedule.
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
@@ -64,10 +65,11 @@ class TradeoffPoint(NamedTuple):
         return _SOLVER_Q[self.solver]
 
 
-# The on-disk record: the solver, its norm order q, then every other field
-# of TradeoffPoint in declaration order. _FIELDS holds (name, type) pairs.
-_FIELDS = tuple(TradeoffPoint.__annotations__.items())
+# The on-disk record: the solver's value, its norm order q, then every other
+# field of TradeoffPoint in declaration order. _CELL_TYPES holds the type of
+# each column.
 CSV_HEADER = ["solver", "q", *TradeoffPoint._fields[1:]]
+_CELL_TYPES = (str, int, *tuple(TradeoffPoint.__annotations__.values())[1:])
 
 
 def _default_grid() -> tuple:
@@ -255,8 +257,7 @@ def _row_formatter(types):
     return row
 
 
-# The solver's value and q, then the declared types of the other fields.
-_POINT_ROW = _row_formatter([str, int, *(t for _, t in _FIELDS[1:])])
+_POINT_ROW = _row_formatter(_CELL_TYPES)
 
 
 def _cells(p: TradeoffPoint) -> list:
@@ -286,14 +287,17 @@ def write_points_csv(points, path) -> int:
 
 
 def write_points_json(points: list, path) -> None:
+    """Write the points as a JSON list of records; each cell is converted by
+    its column type, so a NumPy scalar writes as the Python number."""
+    records = [{name: t(v) for name, t, v in zip(CSV_HEADER, _CELL_TYPES, _cells(p))} for p in points]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump([dict(zip(CSV_HEADER, _cells(p))) for p in points], fh, indent=1)
+        json.dump(records, fh, indent=1)
         fh.write("\n")
 
 
 def _parse_float(text: str) -> float:
     v = float(text)
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise ValueError("a number is not finite")
     return v
 
@@ -304,8 +308,9 @@ def _parse_bool(text: str) -> bool:
     return text == "true"
 
 
-# Cell parser per TradeoffPoint field type.
-_PARSERS = {Solver: Solver, int: int, float: _parse_float, bool: _parse_bool}
+# One cell parser per CSV_HEADER column, by its type.
+_PARSERS = {int: int, float: _parse_float, bool: _parse_bool}
+_ROW_PARSERS = (Solver, *(_PARSERS[t] for t in _CELL_TYPES[1:]))
 
 
 def read_points_csv(path) -> list:
@@ -327,11 +332,12 @@ def read_points_csv(path) -> list:
         for row in reader:
             if len(row) != len(CSV_HEADER):
                 raise ValueError(f"{path}: row with {len(row)} fields")
-            cells = dict(zip(CSV_HEADER, row))
             try:
-                p = TradeoffPoint(**{name: _PARSERS[t](cells[name]) for name, t in _FIELDS})
-                if int(cells["q"]) != p.q:
-                    raise ValueError(f"q={cells['q']} contradicts solver {p.solver.value}")
+                cells = [parse(cell) for parse, cell in zip(_ROW_PARSERS, row)]
+                q = cells.pop(1)
+                p = TradeoffPoint._make(cells)
+                if q != p.q:
+                    raise ValueError(f"q={row[1]} contradicts solver {p.solver.value}")
             except ValueError as exc:
                 raise ValueError(f"{path}: bad row {row!r}: {exc}") from exc
             points.append(p)

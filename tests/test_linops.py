@@ -62,19 +62,6 @@ class TestOperators:
         composed = markov_compose(enc, bayes_invert(demo_joint))
         assert np.max(np.abs(enc.matrix @ _Problem.build(demo_joint).pxcy - composed.matrix)) < 1e-14
 
-    def test_operator_norm_matches_dense_kron(self, demo_joint):
-        # Power iteration on the dense Kronecker build of the forward
-        # operator I_{n_z} (x) P(x|y)^T against the ridge step's a_smax.
-        prob = _Problem.build(demo_joint)
-        for n_z in (1, 2, 4):
-            dense = np.kron(np.eye(n_z), prob.pxcy.T)
-            v = np.full(dense.shape[1], 1.0 / np.sqrt(dense.shape[1]))
-            for _ in range(500):
-                w = dense.T @ (dense @ v)
-                v = w / np.linalg.norm(w)
-            dense_norm = np.linalg.norm(dense @ v)
-            assert dense_norm == pytest.approx(prob.a_smax, abs=1e-8)
-
 
 class TestPinv:
     def test_identity_block(self):

@@ -303,10 +303,12 @@ class TestCsv:
             read_points_csv(path)
 
     def test_bad_row_rejected(self, tmp_path):
+        # A row with too few fields, and one with a field too many.
         path = tmp_path / "bad.csv"
-        path.write_text(",".join(CSV_HEADER) + "\ndca_ridge,2,oops\n")
-        with pytest.raises(ValueError):
-            read_points_csv(path)
+        for row in ("dca_ridge,2,oops", points_to_csv([point(1.0, 0.5)]).split("\n")[1] + ",0"):
+            path.write_text(",".join(CSV_HEADER) + f"\n{row}\n")
+            with pytest.raises(ValueError, match=f"row with {row.count(',') + 1} fields"):
+                read_points_csv(path)
 
     def test_header_line_is_pinned(self):
         # The on-disk order; reordering a TradeoffPoint field must fail here.
@@ -346,6 +348,20 @@ class TestCsv:
         assert again == point(0.10000000149, 0.25, seed=2**64 - 1)
         assert again.converged is True
 
+    def test_numpy_scalars_write_json(self, tmp_path):
+        # Each cell is converted by its column type, so a point of NumPy
+        # scalars writes the file of the same point in Python numbers.
+        p_numpy = point(np.float32(0.25), np.float64(0.5), beta=np.float32(1.5), card_z=np.int64(3),
+                        converged=np.bool_(False), stationarity_gap=np.float32(0.125))
+        p_python = point(0.25, 0.5, beta=1.5, card_z=3, converged=False, stationarity_gap=0.125)
+        write_points_json([p_numpy], tmp_path / "numpy.json")
+        write_points_json([p_python], tmp_path / "python.json")
+        text = (tmp_path / "numpy.json").read_text()
+        assert json.loads(text) == json.loads((tmp_path / "python.json").read_text())
+        assert text == (tmp_path / "python.json").read_text()
+        (record,) = json.loads(text)
+        assert record["card_z"] == 3 and record["converged"] is False
+
     def test_point_pickles_and_is_immutable(self):
         # Pool workers send points back pickled.
         p = point(0.5, 0.25, solver=Solver.DCA_SPARSE, seed=2**64 - 1)
@@ -378,3 +394,13 @@ class TestCsv:
     def test_q_contradicting_solver_rejected(self, tmp_path, value):
         with pytest.raises(ValueError, match="contradicts solver dca_ridge"):
             read_points_csv(self._one_row_csv(tmp_path, q=value))
+
+    @pytest.mark.parametrize("cells", [
+        dict(solver="dca_lasso"), dict(solver=""), dict(q="two"), dict(q="2.0"),
+        dict(beta="nan"), dict(alpha="inf"), dict(i_zx_bits="-inf"), dict(i_zy_bits="NaN"),
+        dict(loss_nats="x"), dict(stationarity_gap=""), dict(card_z="3.5"), dict(restart="-"),
+        dict(seed="1e3"), dict(iterations=""),
+    ])
+    def test_malformed_cell_rejected(self, tmp_path, cells):
+        with pytest.raises(ValueError, match="one.csv: bad row"):
+            read_points_csv(self._one_row_csv(tmp_path, **cells))
