@@ -31,27 +31,27 @@ Both inner problems are relaxations, so a candidate step can increase
 the true loss (most visibly for large ``alpha``), and a run that merely
 stalls at the relaxed update's biased fixed point has not reached a
 stationary point of the loss. The outer loop therefore guards every
-step with the decrease guarantee of the exact linearized update: a
-candidate is accepted only if the loss drops by at least half the
-squared movement of the code marginal (up to slack). The schedule has
-three phases, each ending for good at its first failure:
+step with the decrease guarantee of the exact linearized update. Two
+kinds of closed-form step come first, in this order:
 
-1. The relaxed step is tried every iteration until the guard first
-   rejects it or it first stalls (its loss drop is at most the outer
-   tolerance; a stalled step is still taken).
-2. The mirror step: ``f`` is 1-smooth relative to
-   ``h(V) = sum_x p(x) sum_z V log V`` (Bauschke, Bolte and Teboulle,
-   Math. Oper. Res. 2017; Lu, Freund and Nesterov, SIAM J. Optim. 2018),
-   so the unit Bregman step on the linearized objective lowers the
-   true loss by at least ``D_h(V, V+)``. It has a closed form per
-   column, ``V+(z|x) ~ V**(1+beta) * p_z**(1-beta) *
-   exp(-sum_y P(y|x) log P(z|y))``, with no projection and no line
-   search. It is taken while it passes the guard and lowers the loss
-   by more than the outer tolerance; the first that does not is
-   discarded and its iteration takes an exact step instead.
-3. Exact steps alone: direct projected-gradient descent on the
-   linearized objective ``f(p) - <grad g(p_k), p>``, any decrease of
-   which certifies a decrease of the true loss.
+* the relaxed step, the ``ridge`` or ``sparse_log`` fit above;
+* the mirror step: ``f`` is 1-smooth relative to
+  ``h(V) = sum_x p(x) sum_z V log V`` (Bauschke, Bolte and Teboulle,
+  Math. Oper. Res. 2017; Lu, Freund and Nesterov, SIAM J. Optim. 2018),
+  so the unit Bregman step on the linearized objective lowers the true
+  loss by at least ``D_h(V, V+)``. It has a closed form per column,
+  ``V+(z|x) ~ V**(1+beta) * p_z**(1-beta) *
+  exp(-sum_y P(y|x) log P(z|y))``, with no projection and no line
+  search.
+
+One rule guards both. A candidate is taken when it lowers the loss by
+more than the outer tolerance and by at least half the squared movement
+of the code marginal (up to ``_CERT_SLACK``). The first candidate of a
+kind that fails is discarded, that kind is dropped for the rest of the
+run, and the same iteration tries the next kind. Once no kind is left,
+every iteration takes the exact step: direct projected-gradient descent
+on the linearized objective ``f(p) - <grad g(p_k), p>``, any decrease of
+which certifies a decrease of the true loss.
 
 Every inner solve, relaxed or exact, runs at the one small budget
 ``_SURROGATE_STEP_ITERS``: descent needs a decrease of the linearized
@@ -110,8 +110,6 @@ from .probability import (
 
 # Per-step slack on the monotone-descent certificate.
 DESCENT_SLACK = 1e-6
-# Accepted-step slack used by the guard itself.
-_ACCEPT_SLACK = 1e-12
 # Slack on the quadratic decrease certificate enforced per accepted step:
 # loss drop >= 0.5 * ||marginal movement||^2 - _CERT_SLACK.
 _CERT_SLACK = 1e-6
@@ -577,51 +575,44 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
 
     prob = _Problem.build(j)
     beta, alpha = cfg.beta, cfg.alpha
-    sparse = cfg.inner_kind is InnerKind.SPARSE_LOG
-    l_xy = _clog(prob.pxcy) if sparse else None
+    if cfg.inner_kind is InnerKind.SPARSE_LOG:
+        l_xy = _clog(prob.pxcy)
+
+        def relaxed(V, prob, beta):
+            L0 = np.clip(_clog(V), _BOX_LO, _BOX_HI)
+            log_target = _clog(_relaxed_target(V, prob, beta))
+            return _softmax_cols(_sparse_descent(L0, l_xy, log_target, alpha, _INNER_TOL, _SURROGATE_STEP_ITERS)[0])
+    else:
+        def relaxed(V, prob, beta):
+            target = _relaxed_target(V, prob, beta)
+            return _ridge_descent(V, target, prob, alpha, _INNER_TOL, _SURROGATE_STEP_ITERS)[0]
+
+    # The closed-form kinds still in play, in the order they are tried.
+    kinds = [relaxed, _mirror_step]
 
     loss = _loss(V, prob, beta)
     trace = [loss]
     converged = False
     fallback_steps = mirror_steps = boosted_steps = 0
-    relaxed_phase = mirror_phase = True
     iterations = 0
 
     for it in range(1, cfg.outer_max_iter + 1):
         iterations = it
         cand = None
-        if relaxed_phase:
-            target = _relaxed_target(V, prob, beta)
-            if sparse:
-                L0 = np.clip(_clog(V), _BOX_LO, _BOX_HI)
-                L, _ = _sparse_descent(L0, l_xy, _clog(target), alpha, _INNER_TOL, _SURROGATE_STEP_ITERS)
-                cand = _softmax_cols(L)
-            else:
-                cand, _ = _ridge_descent(V, target, prob, alpha, _INNER_TOL, _SURROGATE_STEP_ITERS)
+        while cand is None and kinds:
+            # The guard (see the module docstring): a candidate that fails
+            # it is discarded and drops its kind for the rest of the run.
+            cand = kinds[0](V, prob, beta)
             cand_loss = _loss(cand, prob, beta)
             drop = loss - cand_loss
-            if drop < -_ACCEPT_SLACK or not _certified(drop, cand, V, prob):
+            if not (drop > cfg.outer_tol and _certified(drop, cand, V, prob)):
                 cand = None
-            # A rejected or stalled relaxed step ends the relaxed phase; a
-            # stalled one is still taken, and mirror steps go on from there.
-            relaxed_phase = cand is not None and drop > cfg.outer_tol
-        if cand is None and mirror_phase:
-            # Closed-form exact step, taken while it passes the guard and
-            # lowers the loss past the outer tolerance; the first that does
-            # not is discarded and ends the mirror phase.
-            cand = _mirror_step(V, prob, beta)
-            cand_loss = _loss(cand, prob, beta)
-            drop = loss - cand_loss
-            if drop > cfg.outer_tol and _certified(drop, cand, V, prob):
-                mirror_steps += 1
-            else:
-                cand = None
-                mirror_phase = False
+                del kinds[0]
         if cand is None:
-            # Guarded step: descend the linearization directly. A step that
-            # stopped before its budget is the one any larger budget gives,
-            # so if it cannot improve past the outer tolerance the run has
-            # converged.
+            # No kind is left: descend the linearization directly. A step
+            # that stopped before its budget is the one any larger budget
+            # gives, so if it cannot improve past the outer tolerance the
+            # run has converged.
             fallback_steps += 1
             grad_g_k = _grad_g_arr(V, prob, beta)
             cand, stopped, cand_f = _surrogate_descent(V, grad_g_k, prob, _INNER_TOL, _SURROGATE_STEP_ITERS)
@@ -632,6 +623,8 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
                     trace.append(loss)
                 converged = True
                 break
+        elif kinds[0] is not relaxed:
+            mirror_steps += 1
         # Every step taken that does not end the run, of any kind, is
         # boosted along its own direction.
         boosted = _boosted_step(V, cand, cand_loss, prob, beta)

@@ -112,6 +112,15 @@ class CondDist:
         return self.matrix.shape[1]
 
 
+def _condition(joint: np.ndarray, given: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """P(A|B) as an (|A|, |B|) matrix from the (|B|, |A|) pmf ``joint`` and its
+    marginals ``given`` (B) and ``other`` (A); a zero-mass b gets ``other``."""
+    unused = given <= 0.0
+    out = (joint / np.where(unused, 1.0, given)[:, None]).T
+    out[:, unused] = other[:, None]
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class JointXY:
     """Known joint source: marginal over X plus the channel P(Y|X).
@@ -163,10 +172,7 @@ class JointXY:
             raise InvalidDistributionError(f"joint matrix sums to {total!r}")
         pxy = pxy / total
         p_x = pxy.sum(axis=1)
-        unused = p_x <= 0.0
-        channel = (pxy / np.where(unused, 1.0, p_x)[:, None]).T
-        channel[:, unused] = pxy.sum(axis=0)[:, None]
-        return JointXY(DiscreteDist(p_x), CondDist(channel))
+        return JointXY(DiscreteDist(p_x), CondDist(_condition(pxy, p_x, pxy.sum(axis=0))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,12 +275,7 @@ def bayes_invert(j: JointXY) -> CondDist:
     which keeps the channel column-stochastic, and every quantity built
     on it weights that column by P(y) = 0.
     """
-    p_y = j.p_y.probs
-    unused = p_y <= 0.0
-    joint_yx = j.y_given_x.matrix * j.p_x.probs[None, :]
-    post = joint_yx.T / np.where(unused, 1.0, p_y)[None, :]
-    post[:, unused] = j.p_x.probs[:, None]
-    return CondDist(post)
+    return CondDist(_condition(j.y_given_x.matrix * j.p_x.probs[None, :], j.p_y.probs, j.p_x.probs))
 
 
 def joint_from_dict(payload: dict) -> JointXY:

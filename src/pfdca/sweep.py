@@ -182,8 +182,8 @@ def sweep_tasks(j: JointXY, cfg: SweepConfig) -> list:
 
 def resolve_jobs(n_jobs: int | None = None) -> int:
     """Worker count: explicit argument (the CLI's ``--jobs``), else
-    PF_THREADS, else 1. A count below 1, or a PF_THREADS that is not an
-    integer, raises ValueError."""
+    PF_THREADS, else 1. A count that is not an integer (a bool is not),
+    or is below 1, raises ValueError."""
     source = "--jobs"
     if n_jobs is None:
         source, env = "PF_THREADS", os.environ.get("PF_THREADS", "").strip()
@@ -191,9 +191,11 @@ def resolve_jobs(n_jobs: int | None = None) -> int:
             n_jobs = int(env) if env else 1
         except ValueError:
             raise ValueError(f"PF_THREADS must be an integer, got {env!r}") from None
+    if not _is_int(n_jobs):
+        raise ValueError(f"{source} must be an integer, got {n_jobs!r}")
     if n_jobs < 1:
         raise ValueError(f"{source} must be at least 1, got {n_jobs}")
-    return n_jobs
+    return int(n_jobs)
 
 
 def run_sweep(j: JointXY, cfg: SweepConfig, n_jobs: int | None = None) -> list[TradeoffPoint]:

@@ -127,6 +127,18 @@ class TestRunSweep:
         parallel = run_sweep(demo_joint, cfg, n_jobs=2)
         assert serial == parallel
 
+    @pytest.mark.parametrize("n_jobs", [2.5, "2", True])
+    def test_worker_count_that_is_not_an_integer_refused(self, demo_joint, n_jobs):
+        # Unchecked, 2.5 fails inside the pool, "2" on a comparison, and
+        # True runs one worker.
+        cfg = SweepConfig(beta_grid=(1.0,), alpha_grid=(1.0,), card_z_values=(2, 3, 4, 5), restarts=1)
+        with pytest.raises(ValueError, match="--jobs must be an integer"):
+            run_sweep(demo_joint, cfg, n_jobs=n_jobs)
+
+    def test_numpy_integer_worker_count(self, demo_joint):
+        cfg = SweepConfig(beta_grid=(1.0,), alpha_grid=(1.0,), card_z_values=(2, 3, 4, 5), restarts=1)
+        assert run_sweep(demo_joint, cfg, n_jobs=np.int64(2)) == run_sweep(demo_joint, cfg, n_jobs=1)
+
     def test_pool_has_no_more_workers_than_cells(self, demo_joint, monkeypatch):
         started = []
 
@@ -230,6 +242,15 @@ class TestResolveJobs:
     def test_count_below_one_refused(self, n_jobs):
         with pytest.raises(ValueError, match="--jobs must be at least 1"):
             resolve_jobs(n_jobs)
+
+    @pytest.mark.parametrize("n_jobs", [2.0, False])
+    def test_count_that_is_not_an_integer_refused(self, n_jobs):
+        with pytest.raises(ValueError, match="--jobs must be an integer"):
+            resolve_jobs(n_jobs)
+
+    def test_numpy_integer_count_taken(self):
+        jobs = resolve_jobs(np.int64(2))
+        assert jobs == 2 and type(jobs) is int
 
     def test_pf_threads_below_one_refused(self, monkeypatch):
         monkeypatch.setenv("PF_THREADS", "0")
