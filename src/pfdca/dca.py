@@ -8,21 +8,25 @@ softmax over codes of the block pseudo-inverse applied to the gradient
 coefficients. The encoder is then pulled toward that target by one of
 two inner solvers:
 
-* ``ridge``: projected gradient on
-  ``0.5 * ||A v - q||^2 + alpha * ||v||^2`` over column simplices;
+* ``ridge``: the fit ``0.5 * ||A v - q||^2 + alpha * ||v||^2`` over
+  column simplices. Its minimizer under the column-sum constraints alone
+  is one linear solve with ``A A^T + 2 alpha I``; when that point is
+  non-negative, it is the answer (the bound multipliers are zero), and
+  otherwise projected gradient finds it;
 * ``sparse_log``: projected gradient on the box-constrained
   log-likelihood objective
   ``0.5 * ||lse_x(l_xy + l_zx) - log q||^2 + alpha * ||l_zx||_1``,
   followed by a softmax back to probabilities.
 
 One search, ``_spectral_descent``, serves all three inner solves, the
-``ridge`` and ``sparse_log`` fits and the exact step below: spectral
-projected gradient (Birgin, Martinez and Raydan, SIAM J. Optim. 2000)
-with halving Armijo backtracking, a relative stop and one budget. Each
-backtracking search starts at the step ``<s,s>/<s,y>`` of Barzilai and
-Borwein, where ``s`` is the last accepted move and ``y`` the change of
-gradient along it, clipped to [1e-6, 1e6]; a search without positive
-curvature ``<s,y>`` starts at 1.
+``sparse_log`` fit, the ``ridge`` fit where its closed form does not
+hold, and the exact step below: spectral projected gradient (Birgin,
+Martinez and Raydan, SIAM J. Optim. 2000) with halving Armijo
+backtracking, a relative stop and one budget. Each backtracking search
+starts at the step ``<s,s>/<s,y>`` of Barzilai and Borwein, where ``s``
+is the last accepted move and ``y`` the change of gradient along it,
+clipped to [1e-6, 1e6]; a search without positive curvature ``<s,y>``
+starts at 1.
 In the exact step, ``s`` leaves out coordinates that are zero before or
 after the move: the clamped log in that gradient jumps there, which is
 not curvature. Every accepted step decreases its objective.
@@ -99,6 +103,7 @@ from .linops import MarkovOperator
 from .probability import (
     LOG_CLAMP,
     NATS_TO_BITS,
+    STOCHASTIC_ATOL,
     Encoder,
     InvalidDistributionError,
     JointXY,
@@ -337,17 +342,13 @@ def _simplex_project_columns(m: np.ndarray) -> np.ndarray:
     probability simplex (Duchi et al., ICML 2008). ``m`` is not modified."""
     n, cols = m.shape
     counts, col_idx = _project_indices(n, cols)
-    u = m.copy(order="K")
-    u.sort(axis=0)
-    u = u[::-1]
+    u = np.sort(m, axis=0)[::-1]
     shifted = u.cumsum(axis=0)
     shifted -= 1.0
-    active = np.divide(shifted, counts)
-    np.subtract(u, active, out=active)
-    rho = n - 1 - (active[::-1] > 0.0).argmax(axis=0)
-    theta = shifted[rho, col_idx]
-    theta /= rho + 1.0
-    out = m - theta
+    ratio = shifted / counts
+    # u - ratio > 0 exactly when u > ratio, for finite floats.
+    rho = n - 1 - (u > ratio)[::-1].argmax(axis=0)
+    out = m - ratio[rho, col_idx]
     np.maximum(out, 0.0, out=out)
     return out
 
@@ -425,7 +426,15 @@ def _spectral_descent(x, evaluate, gradient, project, move, tol, max_iter):
 def _ridge_descent(V, target, prob: _Problem, alpha, tol, max_iter):
     """The q=2 solve, the ridge fit ``0.5 * ||V @ pxcy - target||^2 +
     alpha * ||V||^2`` over the column simplices: returns the iterate and
-    its objective."""
+    its objective.
+
+    With ``A = pxcy`` and ``G = A A^T + 2 alpha I`` (SPD for alpha > 0),
+    the minimizer under the column-sum constraints alone is
+    ``V* = (T A^T + 1 lam^T) G^-1`` with
+    ``lam^T = (1^T G - 1^T T A^T) / |Z|``. When ``V*`` is non-negative and
+    its columns sum to 1 within ``STOCHASTIC_ATOL``, the bound multipliers
+    are zero and ``V*`` is the minimizer over the simplices; otherwise
+    the spectral search runs from ``V``."""
     pxcy = prob.pxcy
 
     def evaluate(V):
@@ -433,6 +442,21 @@ def _ridge_descent(V, target, prob: _Problem, alpha, tol, max_iter):
         fit = 0.5 * float(np.add.reduce(resid * resid, axis=None))
         return fit + alpha * float(np.add.reduce(V * V, axis=None)), resid
 
+    # G, then T A^T + 1 lam^T.
+    gram = pxcy @ pxcy.T
+    gram.flat[:: gram.shape[0] + 1] += 2.0 * alpha
+    rhs = target @ pxcy.T
+    rhs += (np.add.reduce(gram, axis=0) - np.add.reduce(rhs, axis=0)) / rhs.shape[0]
+    try:
+        # G is symmetric, so V* = rhs G^-1 is the transpose of G^-1 rhs^T.
+        closed = np.linalg.solve(gram, rhs.T).T
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        # Together the two tests refuse a NaN or an infinite entry.
+        sums = np.add.reduce(closed, axis=0).tolist()
+        if closed.min() >= 0.0 and all(abs(s - 1.0) <= STOCHASTIC_ATOL for s in sums):
+            return closed, evaluate(closed)[0]
     return _spectral_descent(
         V, evaluate, lambda V, resid: resid @ pxcy.T + 2.0 * alpha * V, _simplex_project_columns, np.subtract,
         tol, max_iter,

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+import pfdca.dca
 from conftest import FIXED_POINT_BETA, lagrangian_oracle, stationary_encoder_oracle
 from pfdca import (
     CondDist,
@@ -285,13 +286,28 @@ class TestInnerRidge:
 
 
     @pytest.mark.parametrize("alpha", [1e-3, 0.1, 1.0, 10.0, 1e6])
-    def test_random_sources_stay_stochastic_and_descend(self, alpha):
+    def test_random_sources_stay_stochastic_and_descend(self, alpha, monkeypatch):
         # At the solver's own budget, on random sources with |Y| < |X| or
-        # repeated channel columns among them, and card_z from 1 to 5. The
-        # search's first trial is a unit step, far longer than the Lipschitz
-        # step 1 / (||pxcy||^2 + 2 alpha) at large alpha, so only its
-        # backtracking keeps the objective down.
+        # repeated channel columns among them, and card_z from 1 to 5. Each
+        # case is solved as it comes, which takes the closed form or the
+        # search, and again with the closed form's solve failing, which
+        # always takes the search. The search's first trial is a unit step,
+        # far longer than the Lipschitz step 1 / (||pxcy||^2 + 2 alpha) at
+        # large alpha, so only its backtracking keeps the objective down
+        # there. From alpha = 1 up, the closed form takes every case.
+        searches = []
+
+        def recorded(*args):
+            searches.append(args)
+            return spectral(*args)
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        spectral = pfdca.dca._spectral_descent
+        monkeypatch.setattr(pfdca.dca, "_spectral_descent", recorded)
         rng = np.random.default_rng(12)
+        searched = []
         for case in range(40):
             nx = int(rng.integers(2, 6))
             channel = rng.dirichlet(np.full(int(rng.integers(1, nx + 2)), 0.5), nx).T
@@ -306,10 +322,20 @@ class TestInnerRidge:
                 r = V @ prob.pxcy - target
                 return 0.5 * np.sum(r * r) + alpha * np.sum(V * V)
 
-            got, obj = _ridge_descent(start, target, prob, alpha, _INNER_TOL, _SURROGATE_STEP_ITERS)
-            assert np.all(got >= 0.0) and np.allclose(got.sum(axis=0), 1.0, atol=1e-12)
-            assert obj == pytest.approx(objective(got), rel=1e-12, abs=1e-15)
-            assert obj <= objective(start) + 1e-12 * max(1.0, objective(start))
+            def check(got, obj):
+                assert np.all(got >= 0.0) and np.allclose(got.sum(axis=0), 1.0, atol=1e-12)
+                assert obj == pytest.approx(objective(got), rel=1e-12, abs=1e-15)
+                assert obj <= objective(start) + 1e-12 * max(1.0, objective(start))
+
+            before = len(searches)
+            check(*_ridge_descent(start, target, prob, alpha, _INNER_TOL, _SURROGATE_STEP_ITERS))
+            searched.append(len(searches) > before)
+            with monkeypatch.context() as mp:
+                mp.setattr(np.linalg, "solve", singular)
+                check(*_ridge_descent(start, target, prob, alpha, _INNER_TOL, _SURROGATE_STEP_ITERS))
+            assert len(searches) == before + searched[-1] + 1
+        assert not all(searched)
+        assert any(searched) == (alpha < 1.0)
 
 
 class TestInnerSparse:

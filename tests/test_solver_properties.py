@@ -10,7 +10,9 @@ relaxed, runs at one budget, the exact step that ends a converged run is
 the full-budget step, every boost along an exact step's direction is a
 feasible step of sufficient descent, its outputs stay valid, and its
 relaxed and mirror steps follow the one guard rule. The mirror step is
-checked against its closed form's optimality condition.
+checked against its closed form's optimality condition, and the ridge
+fit's closed form against a long run of the search and its KKT
+conditions.
 """
 
 import numpy as np
@@ -38,6 +40,7 @@ from pfdca.dca import (
     _loss,
     _mirror_step,
     _Problem,
+    _relaxed_target,
     _ridge_descent,
     _simplex_project_columns,
     _sparse_descent,
@@ -165,6 +168,63 @@ def test_exact_step_no_step_passes(monkeypatch):
     assert np.array_equal(got, V) and np.array_equal(want, V)
     assert stopped and want_stopped
     assert f == _f_value_arr(V, prob)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nx=st.integers(1, 5),
+    ny=st.integers(1, 6),
+    repeated=st.booleans(),
+    zero_x=st.booleans(),
+    card_z=st.integers(1, 6),
+    log_alpha=st.floats(-9.0, 9.0),
+)
+def test_ridge_fit_closed_form_is_its_minimizer(seed, nx, ny, repeated, zero_x, card_z, log_alpha):
+    # Sources with |Y| below, at or above |X|, a repeated channel column
+    # and a public symbol of zero mass, and alpha from 1e-9 to 1e9. The
+    # ridge fit at the solver's budget returns a point of the column
+    # simplices. When it takes the closed form, that point is no worse
+    # than a long run of the search (forced by a failing solve), and it
+    # meets the KKT conditions with every bound multiplier zero: the
+    # gradient V G - T A^T is one constant per column.
+    rng = np.random.default_rng(seed)
+    alpha = 10.0**log_alpha
+    channel = rng.dirichlet(np.full(ny, 0.5), nx).T
+    px = rng.dirichlet(np.full(nx, 2.0))
+    if nx > 1:
+        if repeated:
+            channel[:, 1] = channel[:, 0]
+        if zero_x:
+            px[-1] = 0.0
+            px /= px.sum()
+    prob = _Problem.build(JointXY(DiscreteDist(px), CondDist(channel)))
+    start = rng.dirichlet(np.ones(card_z), nx).T
+    target = _relaxed_target(rng.dirichlet(np.ones(card_z), nx).T, prob, float(rng.uniform(0.1, 10.0)))
+    searches = []
+
+    def recorded(*args):
+        searches.append(args)
+        return spectral(*args)
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    spectral = pfdca.dca._spectral_descent
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pfdca.dca, "_spectral_descent", recorded)
+        V, obj = _ridge_descent(start, target, prob, alpha, INNER_TOL, _SURROGATE_STEP_ITERS)
+    assert np.all(V >= 0.0)
+    assert np.allclose(V.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+    if searches:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "solve", singular)
+        _, oracle = _ridge_descent(start, target, prob, alpha, 1e-15, FULL_BUDGET)
+    assert obj <= oracle + 1e-12 * max(1.0, abs(oracle))
+    a = prob.pxcy
+    grad = (V @ a - target) @ a.T + 2.0 * alpha * V
+    assert np.all(np.ptp(grad, axis=0) <= 1e-12 * (1.0 + 2.0 * alpha + float(np.sum(a * a))))
 
 
 @pytest.mark.parametrize("inner_kind", ["ridge", "sparse_log"])
