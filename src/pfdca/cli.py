@@ -1,6 +1,7 @@
 """Command-line surface: solve one instance, sweep the hyperparameter
-grid, run deterministic baselines, verify the numerical certificates,
-and merge result files into an information-plane report.
+grid into a CSV of trade-off points and a ``.frontier.csv`` of their
+lower frontier, run deterministic baselines, verify the numerical
+certificates, and merge result files into an information-plane report.
 
 argparse parses every flag; a flag left out keeps the default of
 ``DcaConfig`` or ``SweepConfig``, and ``verify`` runs each check at its
@@ -11,9 +12,8 @@ as a ``p_x`` that is not a list of numbers, or a result CSV with a bad
 row, such as a number that is not finite, a ``converged`` cell other
 than true/false, or a ``q`` that contradicts its solver); 2 bad flags
 (a flag the command does not take, a negative ``--seed``, a number
-that is not finite, a ``--card-z`` list that repeats a size, a worker
-count below 1, a ``PF_THREADS`` that is not an integer, or an ``--out``
-path that cannot be written); 3 solve hit
+that is not finite, a ``--card-z`` list that repeats a size, a ``--jobs``
+below 1, or an ``--out`` path that cannot be written); 3 solve hit
 the iteration cap; 4 exhaustive baseline guard exceeded; 5 a
 verification check failed; 6 internal error (a bug, not bad input; set
 ``PFDCA_DEBUG`` to print its traceback).
@@ -40,7 +40,6 @@ from .sweep import (
     resolve_jobs,
     run_sweep,
     write_points_csv,
-    write_points_json,
 )
 
 EXIT_OK = 0
@@ -157,13 +156,12 @@ def cmd_sweep(args) -> int:
         jobs = resolve_jobs(args.jobs)
     except ValueError as exc:
         raise CliError(EXIT_BAD_FLAGS, f"bad sweep configuration: {exc}") from exc
-    outs = [f"{args.out}{suffix}" for suffix in ("", ".json", ".frontier.csv")]
-    for path in outs:  # an output that cannot be written fails before the sweep runs
+    frontier_out = f"{args.out}.frontier.csv"
+    for path in (args.out, frontier_out):  # an output that cannot be written fails before the sweep runs
         open(path, "w").close()
     points = run_sweep(j, cfg, n_jobs=jobs)
-    write_points_csv(points, outs[0])
-    write_points_json(points, outs[1])
-    write_points_csv(pareto_frontier(points), outs[2])
+    write_points_csv(points, args.out)
+    write_points_csv(pareto_frontier(points), frontier_out)
     print(f"sweep: {len(points)} runs -> {args.out}")
     return EXIT_OK
 
@@ -281,9 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--card-z", type=_comma_list(int), dest="card_z_values",
                          help="code alphabet sizes", **grid)
     p_sweep.add_argument("--restarts", type=int, default=SweepConfig.restarts)
-    p_sweep.add_argument(
-        "--jobs", type=int, default=None, help="worker processes (default: PF_THREADS or 1)"
-    )
+    p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_base = sub.add_parser("baseline", help="deterministic clustering baselines")

@@ -9,9 +9,7 @@ so the sweep is reproducible and independent of execution schedule.
 
 import csv
 import io
-import json
 import math
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 from multiprocessing import get_context
@@ -130,15 +128,15 @@ def derive_seed(base_seed: int, beta_idx: int, alpha_idx: int, card_z: int, rest
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _run_cell_full(args):
-    """(TradeoffPoint, DcaResult) for one grid cell."""
-    j, cfg, beta_idx, alpha_idx, card_z, restart = args
+def _run_cell(j: JointXY, cfg: SweepConfig, cell: tuple) -> TradeoffPoint:
+    """The trade-off point of one (beta_idx, alpha_idx, card_z, restart) cell."""
+    beta_idx, alpha_idx, card_z, restart = cell
     beta = cfg.beta_grid[beta_idx]
     alpha = cfg.alpha_grid[alpha_idx]
-    seed = derive_seed(cfg.base_seed, beta_idx, alpha_idx, card_z, restart)
+    seed = derive_seed(cfg.base_seed, *cell)
     res = dca_run(j, card_z, cfg._run_config(beta, alpha, seed))
     solver = Solver.DCA_RIDGE if cfg.inner_kind is InnerKind.RIDGE else Solver.DCA_SPARSE
-    point = TradeoffPoint(
+    return TradeoffPoint(
         solver=solver,
         beta=beta,
         alpha=alpha,
@@ -152,7 +150,6 @@ def _run_cell_full(args):
         iterations=res.iterations,
         stationarity_gap=res.stationarity_gap,
     )
-    return point, res
 
 
 # (source, config) of the sweep this process serves as a pool worker, set
@@ -165,14 +162,14 @@ def _init_worker(j: JointXY, cfg: SweepConfig) -> None:
     _WORKER_SWEEP = (j, cfg)
 
 
-def _run_worker_cell(cell) -> TradeoffPoint:
-    return _run_cell_full(_WORKER_SWEEP + cell)[0]
+def _run_worker_cell(cell: tuple) -> TradeoffPoint:
+    return _run_cell(*_WORKER_SWEEP, cell)
 
 
 def sweep_tasks(j: JointXY, cfg: SweepConfig) -> list:
-    """Grid-ordered task tuples consumed by the cell runners."""
+    """The (beta_idx, alpha_idx, card_z, restart) cells of the sweep, in grid order."""
     return [
-        (j, cfg, bi, ai, card_z, restart)
+        (bi, ai, card_z, restart)
         for bi in range(len(cfg.beta_grid))
         for ai in range(len(cfg.alpha_grid))
         for card_z in cfg.resolve_card_z(j)
@@ -180,39 +177,29 @@ def sweep_tasks(j: JointXY, cfg: SweepConfig) -> list:
     ]
 
 
-def resolve_jobs(n_jobs: int | None = None) -> int:
-    """Worker count: explicit argument (the CLI's ``--jobs``), else
-    PF_THREADS, else 1. A count that is not an integer (a bool is not),
-    or is below 1, raises ValueError."""
-    source = "--jobs"
-    if n_jobs is None:
-        source, env = "PF_THREADS", os.environ.get("PF_THREADS", "").strip()
-        try:
-            n_jobs = int(env) if env else 1
-        except ValueError:
-            raise ValueError(f"PF_THREADS must be an integer, got {env!r}") from None
+def resolve_jobs(n_jobs: int) -> int:
+    """The worker count (the CLI's ``--jobs``) as an int. A count that is
+    not an integer (a bool is not), or is below 1, raises ValueError."""
     if not _is_int(n_jobs):
-        raise ValueError(f"{source} must be an integer, got {n_jobs!r}")
+        raise ValueError(f"--jobs must be an integer, got {n_jobs!r}")
     if n_jobs < 1:
-        raise ValueError(f"{source} must be at least 1, got {n_jobs}")
+        raise ValueError(f"--jobs must be at least 1, got {n_jobs}")
     return int(n_jobs)
 
 
-def run_sweep(j: JointXY, cfg: SweepConfig, n_jobs: int | None = None) -> list[TradeoffPoint]:
+def run_sweep(j: JointXY, cfg: SweepConfig, n_jobs: int = 1) -> list[TradeoffPoint]:
     """One solver run per (beta, alpha, card_z, restart) cell.
 
     Output order is deterministic (grid order) regardless of the worker
     count used to compute it. Each worker receives the source and the
     config once, when it starts; its tasks are grid indices.
     """
-    tasks = sweep_tasks(j, cfg)
-    jobs = min(resolve_jobs(n_jobs), len(tasks))   # no worker without a task
-    if jobs == 1 or len(tasks) < 4:
-        return [_run_cell_full(t)[0] for t in tasks]
-    cells = [t[2:] for t in tasks]
+    cells = sweep_tasks(j, cfg)
+    jobs = min(resolve_jobs(n_jobs), len(cells))   # no worker without a task
+    if jobs == 1 or len(cells) < 4:
+        return [_run_cell(j, cfg, cell) for cell in cells]
     with get_context("fork").Pool(processes=jobs, initializer=_init_worker, initargs=(j, cfg)) as pool:
-        points = pool.map(_run_worker_cell, cells, chunksize=max(1, len(cells) // (jobs * 8)))
-    return points
+        return pool.map(_run_worker_cell, cells, chunksize=max(1, len(cells) // (jobs * 8)))
 
 
 def pareto_frontier(points: list) -> list:
@@ -286,15 +273,6 @@ def write_points_csv(points, path) -> int:
     """Write the points row by row as they come from any iterable; returns the row count."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         return _write_csv_rows(fh, points)
-
-
-def write_points_json(points: list, path) -> None:
-    """Write the points as a JSON list of records; each cell is converted by
-    its column type, so a NumPy scalar writes as the Python number."""
-    records = [{name: t(v) for name, t, v in zip(CSV_HEADER, _CELL_TYPES, _cells(p))} for p in points]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(records, fh, indent=1)
-        fh.write("\n")
 
 
 def _parse_float(text: str) -> float:

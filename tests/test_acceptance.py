@@ -44,7 +44,8 @@ from pfdca.diagnostics import (
     check_update_residual,
 )
 from pfdca.probability import NATS_TO_BITS, random_encoder
-from pfdca.sweep import SweepConfig, _run_cell_full, pareto_frontier, sweep_tasks
+import pfdca.sweep
+from pfdca.sweep import SweepConfig, pareto_frontier, run_sweep
 
 SWEEP_BUDGET_SECONDS = 300.0
 
@@ -60,14 +61,25 @@ def demo_joint_instance() -> JointXY:
 
 @pytest.fixture(scope="module")
 def default_sweep():
-    """Default ridge sweep with per-run results retained."""
+    """Default ridge sweep, serial, with each run's full result retained by
+    wrapping the sweep's ``dca_run`` while it runs."""
     j = demo_joint_instance()
     cfg = SweepConfig()
-    start = time.perf_counter()
-    outcomes = [_run_cell_full(task) for task in sweep_tasks(j, cfg)]
-    elapsed = time.perf_counter() - start
-    points = [p for p, _ in outcomes]
-    results = [r for _, r in outcomes]
+    results = []
+    original = pfdca.sweep.dca_run
+
+    def recorded(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    pfdca.sweep.dca_run = recorded
+    try:
+        start = time.perf_counter()
+        points = run_sweep(j, cfg)
+        elapsed = time.perf_counter() - start
+    finally:
+        pfdca.sweep.dca_run = original
+    assert len(results) == len(points)
     return j, cfg, points, results, elapsed
 
 
@@ -257,7 +269,7 @@ def test_criterion_9_trivial_limits(default_sweep):
     )
 
 
-def test_criterion_10_determinism(tmp_path, demo_dist_file, monkeypatch):
+def test_criterion_10_determinism(tmp_path, demo_dist_file):
     flags = [
         "--beta-grid", "0.1,1,10",
         "--alpha-grid", "0.5,2",
@@ -266,10 +278,9 @@ def test_criterion_10_determinism(tmp_path, demo_dist_file, monkeypatch):
         "--seed", "0",
     ]
     blobs = []
-    for name, threads in (("first", "1"), ("second", "2")):
-        monkeypatch.setenv("PF_THREADS", threads)
+    for name, jobs in (("first", "1"), ("second", "2")):
         out = tmp_path / f"{name}.csv"
-        rc = cli_main(["sweep", "--dist", str(demo_dist_file), "--out", str(out), *flags])
+        rc = cli_main(["sweep", "--dist", str(demo_dist_file), "--out", str(out), *flags, "--jobs", jobs])
         assert rc == 0
         blobs.append(
             (out.read_bytes(), (tmp_path / f"{name}.csv.frontier.csv").read_bytes())
@@ -279,5 +290,5 @@ def test_criterion_10_determinism(tmp_path, demo_dist_file, monkeypatch):
         10,
         "byte-identical sweeps across thread counts",
         ok,
-        f"csv+frontier identical across PF_THREADS=1,2 ({len(blobs[0][0])} bytes)",
+        f"csv+frontier identical across --jobs 1,2 ({len(blobs[0][0])} bytes)",
     )

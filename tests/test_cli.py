@@ -109,22 +109,20 @@ class TestSweep:
         assert rc == 0
         points = read_points_csv(out)
         assert len(points) == 3 * 2 * 2
-        assert (tmp_path / "sweep.csv.json").exists()
         frontier = read_points_csv(tmp_path / "sweep.csv.frontier.csv")
         assert 0 < len(frontier) <= len(points)
-        mirror = json.loads((tmp_path / "sweep.csv.json").read_text())
-        assert len(mirror) == len(points)
-        assert set(mirror[0]) == set(CSV_HEADER)
 
-    def test_byte_identical_reruns_across_thread_counts(
-        self, tmp_path, demo_dist_file, monkeypatch
-    ):
+    def test_writes_only_the_csv_and_its_frontier(self, tmp_path, demo_dist_file):
+        (tmp_path / "out").mkdir()
+        assert run_cli("sweep", "--dist", demo_dist_file, "--out", tmp_path / "out" / "s.csv", *self.ARGS) == 0
+        assert sorted(f.name for f in (tmp_path / "out").iterdir()) == ["s.csv", "s.csv.frontier.csv"]
+
+    def test_byte_identical_reruns_across_thread_counts(self, tmp_path, demo_dist_file):
         outs = []
-        for name, threads in (("a.csv", "1"), ("b.csv", "2")):
-            monkeypatch.setenv("PF_THREADS", threads)
+        for name, jobs in (("a.csv", "1"), ("b.csv", "2")):
             out = tmp_path / name
-            assert run_cli("sweep", "--dist", demo_dist_file, "--out", out, *self.ARGS) == 0
-            outs.append(out.read_bytes())
+            assert run_cli("sweep", "--dist", demo_dist_file, "--out", out, *self.ARGS, "--jobs", jobs) == 0
+            outs.append((out.read_bytes(), (tmp_path / f"{name}.frontier.csv").read_bytes()))
         assert outs[0] == outs[1]
 
     @pytest.fixture
@@ -161,13 +159,6 @@ class TestSweep:
         assert run_cli("sweep", "--dist", demo_dist_file, "--out", out, *flags) == EXIT_BAD_FLAGS
         assert not out.exists()
         assert "pfdca sweep: error:" in capsys.readouterr().err
-
-    def test_zero_pf_threads_is_flag_error(self, tmp_path, demo_dist_file, monkeypatch, capsys, sweep_config):
-        monkeypatch.setenv("PF_THREADS", "0")
-        out = tmp_path / "o.csv"
-        assert run_cli("sweep", "--dist", demo_dist_file, "--out", out) == EXIT_BAD_FLAGS
-        assert "PF_THREADS must be at least 1" in capsys.readouterr().err
-        assert not out.exists()
 
 
 class TestBaseline:
@@ -538,17 +529,6 @@ class TestExitCodes:
         assert rc == EXIT_BAD_FLAGS
         assert not out.exists()
         assert capsys.readouterr().err.startswith("usage: pfdca verify ")
-
-    def test_bad_pf_threads_is_flag_error(self, tmp_path, demo_dist_file, monkeypatch, capsys):
-        monkeypatch.setenv("PF_THREADS", "abc")
-        out = tmp_path / "o.csv"
-        rc = run_cli(
-            "sweep", "--dist", demo_dist_file, "--out", out,
-            "--beta-grid", "1", "--alpha-grid", "1", "--card-z", "2",
-        )
-        assert rc == EXIT_BAD_FLAGS
-        assert "PF_THREADS" in capsys.readouterr().err
-        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command",

@@ -1,4 +1,3 @@
-import json
 import pickle
 
 import numpy as np
@@ -21,8 +20,8 @@ from pfdca.sweep import (
     read_points_csv,
     resolve_jobs,
     run_sweep,
+    sweep_tasks,
     write_points_csv,
-    write_points_json,
 )
 
 SMALL = dict(
@@ -139,7 +138,10 @@ class TestRunSweep:
         cfg = SweepConfig(beta_grid=(1.0,), alpha_grid=(1.0,), card_z_values=(2, 3, 4, 5), restarts=1)
         assert run_sweep(demo_joint, cfg, n_jobs=np.int64(2)) == run_sweep(demo_joint, cfg, n_jobs=1)
 
-    def test_pool_has_no_more_workers_than_cells(self, demo_joint, monkeypatch):
+    @pytest.fixture
+    def pools_started(self, monkeypatch):
+        """The worker count of every pool run_sweep builds; the pool runs its
+        tasks in this process."""
         started = []
 
         class FakePool:
@@ -161,10 +163,34 @@ class TestRunSweep:
 
         monkeypatch.setattr(pfdca.sweep, "get_context", lambda method: FakeContext())
         monkeypatch.setattr(pfdca.sweep, "_WORKER_SWEEP", ())   # restored after the in-process initializer
+        return started
+
+    def test_pool_has_no_more_workers_than_cells(self, demo_joint, pools_started):
         cfg = SweepConfig(beta_grid=(1.0,), alpha_grid=(1.0,), card_z_values=(2, 3, 4, 5, 6), restarts=1)
         points = run_sweep(demo_joint, cfg, n_jobs=16)
-        assert started == [5]
+        assert pools_started == [5]
         assert points == run_sweep(demo_joint, cfg, n_jobs=1)
+
+    def test_worker_count_comes_only_from_the_argument(self, demo_joint, pools_started, monkeypatch):
+        # The environment does not choose the worker count: without n_jobs
+        # the sweep is serial.
+        monkeypatch.setenv("PF_THREADS", "2")
+        cfg = SweepConfig(beta_grid=(1.0,), alpha_grid=(1.0,), card_z_values=(2, 3, 4, 5), restarts=1)
+        points = run_sweep(demo_joint, cfg)
+        assert pools_started == []
+        assert len(points) == 4
+
+    def test_tasks_are_index_cells_in_grid_order(self, demo_joint):
+        cfg = SweepConfig(beta_grid=(0.5, 2.0), alpha_grid=(1.0, 3.0, 9.0), card_z_values=(3, 2), restarts=2)
+        cells = sweep_tasks(demo_joint, cfg)
+        assert cells == [
+            (bi, ai, card_z, restart)
+            for bi in range(2) for ai in range(3) for card_z in (3, 2) for restart in range(2)
+        ]
+        points = run_sweep(demo_joint, cfg)
+        assert [(p.beta, p.alpha, p.card_z, p.restart) for p in points] == [
+            (cfg.beta_grid[bi], cfg.alpha_grid[ai], card_z, restart) for bi, ai, card_z, restart in cells
+        ]
 
     def test_pool_sends_the_source_once_per_worker(self, demo_joint, monkeypatch):
         # Tasks are pickled in this process; the workers get the source from
@@ -232,12 +258,6 @@ class TestResolveJobs:
         monkeypatch.setenv("PF_THREADS", "3")
         assert resolve_jobs(2) == 2
 
-    def test_pf_threads_then_one(self, monkeypatch):
-        monkeypatch.setenv("PF_THREADS", "3")
-        assert resolve_jobs() == 3
-        monkeypatch.delenv("PF_THREADS")
-        assert resolve_jobs() == 1
-
     @pytest.mark.parametrize("n_jobs", [0, -3])
     def test_count_below_one_refused(self, n_jobs):
         with pytest.raises(ValueError, match="--jobs must be at least 1"):
@@ -251,11 +271,6 @@ class TestResolveJobs:
     def test_numpy_integer_count_taken(self):
         jobs = resolve_jobs(np.int64(2))
         assert jobs == 2 and type(jobs) is int
-
-    def test_pf_threads_below_one_refused(self, monkeypatch):
-        monkeypatch.setenv("PF_THREADS", "0")
-        with pytest.raises(ValueError, match="PF_THREADS must be at least 1"):
-            resolve_jobs()
 
 
 class TestParetoFrontier:
@@ -339,17 +354,6 @@ class TestCsv:
             "loss_nats,converged,iterations,stationarity_gap"
         )
 
-    def test_json_record_key_order_is_pinned(self, tmp_path):
-        path = tmp_path / "points.json"
-        write_points_json([point(1.0, 0.5, solver=Solver.GREEDY)], path)
-        (record,) = json.loads(path.read_text())
-        assert list(record) == [
-            "solver", "q", "beta", "alpha", "card_z", "restart", "seed",
-            "i_zx_bits", "i_zy_bits", "loss_nats", "converged", "iterations",
-            "stationarity_gap",
-        ]
-        assert record["solver"] == "greedy" and record["q"] == 0
-
     @settings(max_examples=300, deadline=None)
     @given(st.lists(any_point, max_size=6))
     def test_rows_match_the_per_cell_reference(self, points):
@@ -368,20 +372,6 @@ class TestCsv:
         (again,) = read_points_csv(path)
         assert again == point(0.10000000149, 0.25, seed=2**64 - 1)
         assert again.converged is True
-
-    def test_numpy_scalars_write_json(self, tmp_path):
-        # Each cell is converted by its column type, so a point of NumPy
-        # scalars writes the file of the same point in Python numbers.
-        p_numpy = point(np.float32(0.25), np.float64(0.5), beta=np.float32(1.5), card_z=np.int64(3),
-                        converged=np.bool_(False), stationarity_gap=np.float32(0.125))
-        p_python = point(0.25, 0.5, beta=1.5, card_z=3, converged=False, stationarity_gap=0.125)
-        write_points_json([p_numpy], tmp_path / "numpy.json")
-        write_points_json([p_python], tmp_path / "python.json")
-        text = (tmp_path / "numpy.json").read_text()
-        assert json.loads(text) == json.loads((tmp_path / "python.json").read_text())
-        assert text == (tmp_path / "python.json").read_text()
-        (record,) = json.loads(text)
-        assert record["card_z"] == 3 and record["converged"] is False
 
     def test_point_pickles_and_is_immutable(self):
         # Pool workers send points back pickled.
