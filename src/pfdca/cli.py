@@ -13,10 +13,11 @@ row, such as a number that is not finite, a ``converged`` cell other
 than true/false, or a ``q`` that contradicts its solver); 2 bad flags
 (a flag the command does not take, a negative ``--seed``, a number
 that is not finite, a ``--card-z`` list that repeats a size, a ``--jobs``
-below 1, or an ``--out`` path that cannot be written); 3 solve hit
-the iteration cap; 4 exhaustive baseline guard exceeded; 5 a
-verification check failed; 6 internal error (a bug, not bad input; set
-``PFDCA_DEBUG`` to print its traceback).
+below 1, or an ``--out`` path that cannot be written); 3 a ``solve``
+run that did not converge within the solver's 10,000-iteration cap;
+4 exhaustive baseline guard exceeded; 5 a verification check failed;
+6 internal error (a bug, not bad input; set ``PFDCA_DEBUG`` to print
+its traceback).
 """
 
 import argparse
@@ -100,8 +101,6 @@ def cmd_solve(args) -> int:
             beta=args.beta,
             alpha=args.alpha,
             inner_kind=_Q_KIND[args.q],
-            outer_tol=args.tol,
-            outer_max_iter=args.max_iter,
             seed=args.seed,
         )
     except ValueError as exc:
@@ -149,8 +148,6 @@ def cmd_sweep(args) -> int:
             restarts=args.restarts,
             inner_kind=_Q_KIND[args.q],
             base_seed=args.seed,
-            outer_tol=args.tol,
-            outer_max_iter=args.max_iter,
             **grid,
         )
         jobs = resolve_jobs(args.jobs)
@@ -256,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_solver(p):
         p.add_argument("--q", type=int, choices=(1, 2), default=2, help="inner penalty norm order")
-        p.add_argument("--max-iter", type=int, default=DcaConfig.outer_max_iter, dest="max_iter")
-        p.add_argument("--tol", type=float, default=DcaConfig.outer_tol)
 
     p_solve = sub.add_parser("solve", help="run one solver instance")
     add_common(p_solve)

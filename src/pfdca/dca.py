@@ -49,22 +49,24 @@ kinds of closed-form step come first, in this order:
   search.
 
 One rule guards both. A candidate is taken when it lowers the loss by
-more than the outer tolerance and by at least half the squared movement
-of the code marginal (up to ``_CERT_SLACK``). The first candidate of a
-kind that fails is discarded, that kind is dropped for the rest of the
-run, and the same iteration tries the next kind. Once no kind is left,
-every iteration takes the exact step: direct projected-gradient descent
-on the linearized objective ``f(p) - <grad g(p_k), p>``, any decrease of
-which certifies a decrease of the true loss.
+more than the outer tolerance ``_OUTER_TOL`` and by at least half the
+squared movement of the code marginal (up to ``_CERT_SLACK``). The
+first candidate of a kind that fails is discarded, that kind is dropped
+for the rest of the run, and the same iteration tries the next kind.
+Once no kind is left, every iteration takes the exact step: direct
+projected-gradient descent on the linearized objective
+``f(p) - <grad g(p_k), p>``, any decrease of which certifies a decrease
+of the true loss.
 
 Every inner solve, relaxed or exact, runs at the one small budget
 ``_SURROGATE_STEP_ITERS``: descent needs a decrease of the linearized
 surrogate, not its minimizer (Souza, Oliveira and Soubeyran, Optim.
 Lett. 2016). The run declares convergence when an exact step stops on
 ``_INNER_TOL`` before its budget, and so is the step any larger budget
-would give, without improving the loss beyond the outer tolerance. This
-preserves the monotone-descent certificate and leaves the final encoder
-approximately stationary.
+would give, without improving the loss beyond ``_OUTER_TOL``. A run
+that has not converged after ``_OUTER_MAX_ITER`` outer iterations stops
+there. This preserves the monotone-descent certificate and leaves the
+final encoder approximately stationary.
 
 Every step taken that does not end the run, relaxed, mirror or exact,
 is boosted, as in the boosted DC algorithm of Aragon Artacho, Fleming
@@ -94,7 +96,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -123,6 +125,9 @@ _CERT_SLACK = 1e-6
 _SURROGATE_STEP_ITERS = 20
 # Relative-decrease tolerance of every inner solve.
 _INNER_TOL = 1e-9
+# The outer stop: the loss drop a step must beat, and the iteration cap.
+_OUTER_TOL = 1e-6
+_OUTER_MAX_ITER = 10000
 # Box on the q=1 log-likelihoods: every entry lies in [_BOX_LO, _BOX_HI].
 _BOX_LO = -30.0
 _BOX_HI = -1e-6
@@ -172,8 +177,9 @@ def _spectral_step(s: np.ndarray, y: np.ndarray) -> float:
 
 
 def _finite_positive(*values) -> bool:
-    """Whether every value is a finite number above zero; NaN is not."""
-    return all(math.isfinite(v) and v > 0 for v in values)
+    """Whether every value is a finite number above zero. NaN is not, and
+    numeric text and booleans are not numbers, as in distribution files."""
+    return all(isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v) and v > 0 for v in values)
 
 
 def _is_int(value) -> bool:
@@ -193,17 +199,14 @@ class DcaConfig:
     beta: float
     alpha: float
     inner_kind: InnerKind = InnerKind.RIDGE
-    outer_tol: float = 1e-6
-    outer_max_iter: int = 10000
     seed: int = 0
 
     def __post_init__(self):
         if not _finite_positive(self.beta, self.alpha):
             raise ValueError("beta and alpha must be finite and positive")
-        if not _finite_positive(self.outer_tol):
-            raise ValueError("outer_tol must be finite and positive")
-        if not _is_int(self.outer_max_iter) or self.outer_max_iter < 1:
-            raise ValueError("outer_max_iter must be an integer >= 1")
+        # A NumPy float32 would carry its precision into every loss.
+        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "alpha", float(self.alpha))
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "inner_kind", InnerKind(self.inner_kind))
@@ -583,8 +586,8 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
     """Run the guarded difference-of-convex iteration to convergence.
 
     Stops once an exact step that stopped before its budget cannot lower
-    the loss by more than ``cfg.outer_tol``, or after
-    ``cfg.outer_max_iter`` iterations; the reported trace holds the loss
+    the loss by more than ``_OUTER_TOL``, or, without converging, after
+    ``_OUTER_MAX_ITER`` iterations; the reported trace holds the loss
     after every accepted step, starting at the initial encoder.
     """
     if not _is_int(card_z) or card_z < 1:
@@ -620,7 +623,7 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
     fallback_steps = mirror_steps = boosted_steps = 0
     iterations = 0
 
-    for it in range(1, cfg.outer_max_iter + 1):
+    for it in range(1, _OUTER_MAX_ITER + 1):
         iterations = it
         cand = None
         while cand is None and kinds:
@@ -629,7 +632,7 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
             cand = kinds[0](V, prob, beta)
             cand_loss = _loss(cand, prob, beta)
             drop = loss - cand_loss
-            if not (drop > cfg.outer_tol and _certified(drop, cand, V, prob)):
+            if not (drop > _OUTER_TOL and _certified(drop, cand, V, prob)):
                 cand = None
                 del kinds[0]
         if cand is None:
@@ -641,7 +644,7 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
             grad_g_k = _grad_g_arr(V, prob, beta)
             cand, stopped, cand_f = _surrogate_descent(V, grad_g_k, prob, _INNER_TOL, _SURROGATE_STEP_ITERS)
             cand_loss = _loss(cand, prob, beta, cand_f)
-            if stopped and loss - cand_loss <= cfg.outer_tol:
+            if stopped and loss - cand_loss <= _OUTER_TOL:
                 if cand_loss <= loss:
                     V, loss = cand, cand_loss
                     trace.append(loss)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dca import DcaConfig, DcaResult, dca_run
-from .probability import JointXY
+from .probability import JointXY, _numbers
 
 
 class NotFittedError(ValueError):
@@ -32,12 +32,13 @@ def check_symbols(X, n_x: int) -> np.ndarray:
     """Normalize symbol input to row distributions over X.
 
     Accepts integer symbol indices of shape (n,) or row distributions
-    (one-hot or soft) of shape (n, |X|).
+    (one-hot or soft) of shape (n, |X|). In either shape, numeric text
+    and booleans are not numbers, as in distribution files.
     """
-    arr = np.asarray(X)
+    arr = _numbers(X, "symbol input")
     if arr.ndim == 1:
-        # Booleans and text are not indices, and a non-finite float has no integer.
-        if arr.dtype.kind not in "iuf" or arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
+        # A non-finite float has no integer.
+        if not np.all(np.isfinite(arr)):
             raise ValueError(f"symbol indices must be integers in [0, {n_x})")
         idx = arr.astype(int)
         if np.any(idx != arr) or idx.min(initial=0) < 0 or idx.max(initial=0) >= n_x:
@@ -46,13 +47,12 @@ def check_symbols(X, n_x: int) -> np.ndarray:
         rows[np.arange(idx.shape[0]), idx] = 1.0
         return rows
     if arr.ndim == 2 and arr.shape[1] == n_x:
-        rows = np.asarray(arr, dtype=float)
-        if not np.all(np.isfinite(rows) & (rows >= 0)):
+        if not np.all(np.isfinite(arr) & (arr >= 0)):
             raise ValueError("row weights must be finite and non-negative")
-        sums = rows.sum(axis=1, keepdims=True)
+        sums = arr.sum(axis=1, keepdims=True)
         if np.any(sums <= 0):
             raise ValueError("every row needs positive total weight")
-        return rows / sums
+        return arr / sums
     raise ValueError(f"expected shape (n,) or (n, {n_x}), got {arr.shape}")
 
 
@@ -73,8 +73,6 @@ class DcaPrivacyFunnel:
     beta: float = 1.0
     alpha: float = 1.0
     inner_kind: str = "ridge"
-    outer_tol: float = DcaConfig.outer_tol
-    outer_max_iter: int = DcaConfig.outer_max_iter
     seed: int = DcaConfig.seed
 
     def get_params(self, deep: bool = True) -> dict:

@@ -83,15 +83,14 @@ class SweepConfig:
     restarts: int = 10
     inner_kind: InnerKind = InnerKind.RIDGE
     base_seed: int = DcaConfig.seed
-    outer_tol: float = DcaConfig.outer_tol
-    outer_max_iter: int = DcaConfig.outer_max_iter
 
     def __post_init__(self):
         for name in ("beta_grid", "alpha_grid"):
-            grid = tuple(float(v) for v in getattr(self, name))
-            if not grid or not _finite_positive(*grid) or list(grid) != sorted(grid):
+            values = tuple(getattr(self, name))
+            # Checked before float(), which would also read text and booleans.
+            if not values or not _finite_positive(*values) or list(values) != sorted(values):
                 raise ValueError(f"{name} must be finite, positive and sorted ascending")
-            object.__setattr__(self, name, grid)
+            object.__setattr__(self, name, tuple(float(v) for v in values))
         if self.card_z_values is not None:
             values = tuple(self.card_z_values)
             # A repeated size would rerun its cells with the same seeds.
@@ -107,14 +106,7 @@ class SweepConfig:
         self._run_config(self.beta_grid[0], self.alpha_grid[0], self.base_seed)
 
     def _run_config(self, beta: float, alpha: float, seed: int) -> DcaConfig:
-        return DcaConfig(
-            beta=beta,
-            alpha=alpha,
-            inner_kind=self.inner_kind,
-            outer_tol=self.outer_tol,
-            outer_max_iter=self.outer_max_iter,
-            seed=seed,
-        )
+        return DcaConfig(beta=beta, alpha=alpha, inner_kind=self.inner_kind, seed=seed)
 
     def resolve_card_z(self, j: JointXY) -> tuple:
         if self.card_z_values is not None:

@@ -7,6 +7,7 @@ import pytest
 
 import pfdca.baseline
 import pfdca.cli
+import pfdca.dca
 import pfdca.diagnostics
 from pfdca import DcaConfig, InnerKind, dca_run, load_joint
 from pfdca.cli import EXIT_BAD_FLAGS, EXIT_BAD_INPUT, EXIT_INTERNAL, main
@@ -74,10 +75,8 @@ class TestSolve:
 
     def test_matches_library_run_bit_for_bit(self, tmp_path, demo_dist_file):
         out = tmp_path / "o.json"
-        rc = run_cli(
-            "solve", "--dist", demo_dist_file, "--out", out, "--tol", 1e-5, "--max-iter", 40, "--q", 1
-        )
-        cfg = DcaConfig(beta=1.0, alpha=1.0, inner_kind=InnerKind.SPARSE_LOG, outer_tol=1e-5, outer_max_iter=40)
+        rc = run_cli("solve", "--dist", demo_dist_file, "--out", out, "--q", 1)
+        cfg = DcaConfig(beta=1.0, alpha=1.0, inner_kind=InnerKind.SPARSE_LOG)
         res = dca_run(load_joint(demo_dist_file), 3, cfg)
         assert rc == 0 and res.converged
         payload = json.loads(out.read_text())
@@ -87,11 +86,9 @@ class TestSolve:
         assert payload["mirror_steps"] == res.mirror_steps > 0
         assert payload["boosted_steps"] == res.boosted_steps > 0
 
-    def test_iteration_cap_exit_code(self, tmp_path, demo_dist_file):
-        rc = run_cli(
-            "solve", "--dist", demo_dist_file, "--out", tmp_path / "o.json",
-            "--max-iter", 1, "--beta", 3.0, "--seed", 2,
-        )
+    def test_iteration_cap_exit_code(self, tmp_path, demo_dist_file, monkeypatch):
+        monkeypatch.setattr(pfdca.dca, "_OUTER_MAX_ITER", 1)
+        rc = run_cli("solve", "--dist", demo_dist_file, "--out", tmp_path / "o.json", "--beta", 3.0, "--seed", 2)
         assert rc == 3
 
 
@@ -451,13 +448,13 @@ class TestExitCodes:
         [
             ("solve", "--beta", "nan"),
             ("solve", "--alpha", "inf"),
-            ("solve", "--tol", "nan"),
-            ("solve", "--tol", "inf"),
+            ("solve", "--alpha", "nan"),
+            ("solve", "--beta", "inf"),
             ("baseline", "--beta", "nan"),
             ("baseline", "--solver", "exhaustive", "--beta", "inf"),
             ("sweep", "--beta-grid", "nan,2"),
             ("sweep", "--alpha-grid", "0.5,inf"),
-            ("sweep", "--tol", "nan"),
+            ("sweep", "--alpha-grid", "nan"),
         ],
     )
     def test_non_finite_number_is_flag_error(self, tmp_path, demo_dist_file, command):
@@ -475,6 +472,11 @@ class TestExitCodes:
             ("baseline", "--set", "x=1"),
             ("baseline", "--seed", "3"),
             ("sweep", "--set", "beta_grid=1"),
+            # The outer stop is the solver's own, not a flag.
+            ("solve", "--tol", "1e-6"),
+            ("solve", "--max-iter", "5"),
+            ("sweep", "--tol", "1e-6"),
+            ("sweep", "--max-iter", "5"),
         ],
     )
     def test_flag_the_command_does_not_read_is_flag_error(self, tmp_path, demo_dist_file, command, capsys):

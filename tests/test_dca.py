@@ -9,10 +9,12 @@ from conftest import FIXED_POINT_BETA, lagrangian_oracle, stationary_encoder_ora
 from pfdca import (
     CondDist,
     DcaConfig,
+    DcaPrivacyFunnel,
     DiscreteDist,
     Encoder,
     InvalidDistributionError,
     JointXY,
+    SweepConfig,
     dca_run,
     markov_compose,
     stationarity_gap,
@@ -416,15 +418,33 @@ class TestDcaRun:
         assert np.array_equal(r1.encoder.matrix, r2.encoder.matrix)
 
     @pytest.mark.parametrize(
-        "field, value", [("seed", -1), ("outer_max_iter", 2.5), ("seed", False), ("outer_max_iter", True)]
+        "field, value",
+        # Numeric text and booleans are not numbers, as in distribution files.
+        [("seed", -1), ("seed", False), ("beta", True), ("alpha", np.True_), ("beta", "2"), ("alpha", "0.5")],
     )
     def test_config_refuses_values_that_would_fail_later(self, field, value):
         with pytest.raises(ValueError, match=field):
-            DcaConfig(beta=1.0, alpha=1.0, **{field: value})
+            DcaConfig(**{"beta": 1.0, "alpha": 1.0, field: value})
 
     def test_config_takes_numpy_integers(self, demo_joint):
-        cfg = DcaConfig(beta=1.0, alpha=1.0, outer_max_iter=np.int32(3), seed=np.int64(4))
-        assert dca_run(demo_joint, 2, cfg).iterations <= 3
+        # beta and alpha are read as Python floats, so a float32 beta does
+        # not make the loss a float32.
+        cfg = DcaConfig(beta=np.float32(0.3), alpha=np.int32(1), seed=np.int64(4))
+        assert type(cfg.beta) is float and type(cfg.alpha) is float
+        res = dca_run(demo_joint, 2, cfg)
+        want = dca_run(demo_joint, 2, DcaConfig(beta=float(np.float32(0.3)), alpha=1.0, seed=4))
+        assert res.converged and type(res.loss_nats) is float
+        assert np.array_equal(res.loss_trace, want.loss_trace)
+
+    @pytest.mark.parametrize("field, value", [("outer_tol", 1e-3), ("outer_max_iter", 5)])
+    def test_outer_stop_is_not_a_parameter(self, field, value):
+        # The stop rule is the solver's constants, not a field of any config.
+        with pytest.raises(TypeError):
+            DcaConfig(beta=1.0, alpha=1.0, **{field: value})
+        with pytest.raises(TypeError):
+            SweepConfig(**{field: value})
+        with pytest.raises(ValueError, match="unknown parameter"):
+            DcaPrivacyFunnel().set_params(**{field: value})
 
     @pytest.mark.parametrize("card_z", [2.5, 2.0, "2", 0, True])
     def test_refuses_card_z_that_is_not_a_positive_integer(self, demo_joint, card_z):
@@ -445,16 +465,17 @@ class TestDcaRun:
             lagrangian_oracle(res.encoder.matrix, demo_joint, 2.0), abs=1e-10
         )
 
-    def test_descent_certificate_stepwise(self, demo_joint):
+    def test_descent_certificate_stepwise(self, demo_joint, monkeypatch):
         # Chain single outer steps to observe consecutive iterates and check
         # the marginal-movement lower bound on each accepted decrease.
+        monkeypatch.setattr(pfdca.dca, "_OUTER_MAX_ITER", 1)
         px = demo_joint.p_x.probs
         for beta, alpha, seed in [(1.0, 1.0, 0), (2.929, 0.464, 1), (0.341, 2.154, 2)]:
             rng = np.random.default_rng(seed)
             enc = random_encoder(rng, 3, 3)
             prev_loss = lagrangian_oracle(enc.matrix, demo_joint, beta)
             for _ in range(25):
-                cfg = DcaConfig(beta=beta, alpha=alpha, outer_max_iter=1, seed=seed)
+                cfg = DcaConfig(beta=beta, alpha=alpha, seed=seed)
                 res = dca_run(demo_joint, 3, cfg, init=enc)
                 step_drop = prev_loss - res.loss_nats
                 marginal_move = (res.encoder.matrix - enc.matrix) @ px

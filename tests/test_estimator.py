@@ -34,8 +34,7 @@ class TestEstimatorProtocol:
 
     def test_default_params_are_pinned(self):
         assert DcaPrivacyFunnel().get_params() == {
-            "card_z": 2, "beta": 1.0, "alpha": 1.0, "inner_kind": "ridge",
-            "outer_tol": 1e-6, "outer_max_iter": 10000, "seed": 0,
+            "card_z": 2, "beta": 1.0, "alpha": 1.0, "inner_kind": "ridge", "seed": 0,
         }
 
     def test_equality_is_identity(self):
@@ -45,7 +44,7 @@ class TestEstimatorProtocol:
 
     @pytest.mark.parametrize("inner_kind", ["ridge", "sparse_log"])
     def test_fit_is_dca_run_on_the_params(self, demo_joint, inner_kind):
-        params = dict(card_z=3, beta=2.5, alpha=0.3, inner_kind=inner_kind, outer_tol=1e-4, outer_max_iter=7, seed=4)
+        params = dict(card_z=3, beta=2.5, alpha=0.3, inner_kind=inner_kind, seed=4)
         got = DcaPrivacyFunnel(**params).fit(demo_joint).result_
         card_z = params.pop("card_z")
         want = dca_run(demo_joint, card_z, DcaConfig(**params))
@@ -127,6 +126,12 @@ class TestFit:
         with pytest.raises(ValueError, match="card_z must be an integer"):
             DcaPrivacyFunnel(card_z=True).fit(demo_joint)
 
+    @pytest.mark.parametrize("params", [dict(beta=True), dict(alpha="0.5")])
+    def test_boolean_or_text_parameter_refused(self, demo_joint, params):
+        # Numeric text and booleans are not numbers, as in distribution files.
+        with pytest.raises(ValueError, match="beta and alpha must be finite and positive"):
+            DcaPrivacyFunnel(**params).fit(demo_joint)
+
     def test_negative_seed_refused_before_the_run(self, demo_joint):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             DcaPrivacyFunnel(seed=-3).fit(demo_joint)
@@ -192,11 +197,22 @@ class TestValidationHelpers:
                 check_symbols(np.array([0.0, value]), 3)
 
     def test_check_symbols_boolean_indices(self):
-        # A 1-D boolean array is not a list of symbol indices; 2-D boolean
-        # rows are one-hot weights.
-        with pytest.raises(ValueError, match="symbol indices must be integers"):
+        # Booleans are not symbol indices, and not row weights either.
+        with pytest.raises(ValueError, match="not a number"):
             check_symbols(np.array([True, False]), 3)
-        assert np.array_equal(check_symbols(np.array([[False, True, False]]), 3), [[0.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="not a number"):
+            check_symbols(np.array([[False, True, False]]), 3)
+
+    @pytest.mark.parametrize("X", [[["0.5", "0.5", "0"]], ["0", "1"], [[0.5, True, 0.0]], [0, True]])
+    def test_check_symbols_refuses_text_and_booleans_among_numbers(self, X):
+        # Numeric text and booleans are not numbers in either shape, as in
+        # distribution files, though NumPy would parse the text and read a
+        # boolean among numbers as 1.
+        with pytest.raises(ValueError, match="not a number"):
+            check_symbols(X, 3)
+
+    def test_check_symbols_takes_integer_rows(self):
+        assert np.array_equal(check_symbols([[0, 2, 2]], 3), [[0.0, 0.5, 0.5]])
 
     def test_check_symbols_negative_weight(self):
         with pytest.raises(ValueError):

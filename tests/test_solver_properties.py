@@ -30,6 +30,7 @@ from pfdca.dca import (
     _BOOST_MAX_STEP,
     _BOOST_MIN_STEP,
     _INNER_TOL,
+    _OUTER_TOL,
     _SURROGATE_STEP_ITERS,
     _compute_c_arr,
     _f_value_arr,
@@ -238,7 +239,7 @@ def test_every_exact_step_runs_at_the_one_budget(seed, beta, inner_kind):
     rng = np.random.default_rng(seed)
     nx, ny = int(rng.integers(2, 6)), int(rng.integers(1, 7))
     j = JointXY(DiscreteDist(rng.dirichlet(np.full(nx, 2.0))), CondDist(rng.dirichlet(np.full(ny, 0.3), nx).T))
-    cfg = DcaConfig(beta=beta, alpha=1.0, inner_kind=inner_kind, outer_max_iter=3000, seed=seed)
+    cfg = DcaConfig(beta=beta, alpha=1.0, inner_kind=inner_kind, seed=seed)
     calls, relaxed_budgets = [], []
 
     def recorded(*args):
@@ -253,6 +254,7 @@ def test_every_exact_step_runs_at_the_one_budget(seed, beta, inner_kind):
         return relaxed(*args)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pfdca.dca, "_OUTER_MAX_ITER", 3000)
         mp.setattr(pfdca.dca, "_SURROGATE_STEP_ITERS", 1)
         mp.setattr(pfdca.dca, "_surrogate_descent", recorded)
         mp.setattr(pfdca.dca, relaxed.__name__, relaxed_recorded)
@@ -313,8 +315,11 @@ def test_converging_step_is_the_full_budget_step(seed, nx, ny, card_z, beta, alp
 def test_dca_run_on_random_sources(seed, nx, extra_y, card_z, beta, alpha, inner_kind):
     rng = np.random.default_rng(seed)
     j = full_rank_joint(rng, nx, nx + extra_y, concentration=float(rng.choice([0.3, 1.0, 10.0])))
-    cfg = DcaConfig(beta=beta, alpha=alpha, inner_kind=inner_kind, outer_max_iter=300, seed=seed % 1000)
-    check_run(dca_run(j, card_z, cfg))
+    cfg = DcaConfig(beta=beta, alpha=alpha, inner_kind=inner_kind, seed=seed % 1000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pfdca.dca, "_OUTER_MAX_ITER", 300)
+        res = dca_run(j, card_z, cfg)
+    check_run(res)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -362,7 +367,7 @@ def test_relaxed_step_is_rejected_at_most_once(seed, source, card_z, beta, alpha
     else:
         nx = int(rng.integers(2, 5))
         j = full_rank_joint(rng, nx, nx + int(rng.integers(0, 3)), concentration=float(rng.choice([0.3, 1.0, 10.0])))
-    cfg = DcaConfig(beta=beta, alpha=alpha, inner_kind=inner_kind, outer_max_iter=300, seed=seed % 1000)
+    cfg = DcaConfig(beta=beta, alpha=alpha, inner_kind=inner_kind, seed=seed % 1000)
     attempts = mirror_attempts = 0
 
     def counted(*args):
@@ -376,6 +381,7 @@ def test_relaxed_step_is_rejected_at_most_once(seed, source, card_z, beta, alpha
         return _mirror_step(*args)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pfdca.dca, "_OUTER_MAX_ITER", 300)
         mp.setattr(pfdca.dca, "_compute_c_arr", counted)
         mp.setattr(pfdca.dca, "_mirror_step", mirror_counted)
         res = dca_run(j, card_z, cfg)
@@ -414,11 +420,11 @@ def closed_form_drops(j, card_z, cfg):
 
 def test_demo_cell_takes_no_stalled_relaxed_step(demo_joint):
     # A q=1 cell of the default demo sweep where the relaxed step once
-    # lowered the loss by only 6.6e-7, below outer_tol, and was still
+    # lowered the loss by only 6.6e-7, below _OUTER_TOL, and was still
     # taken. No closed-form step may stall: it is discarded instead.
     cfg = DcaConfig(beta=0.1, alpha=0.1, inner_kind="sparse_log", seed=5251137118807649466)
     res, drops = closed_form_drops(demo_joint, 2, cfg)
-    assert drops and min(drops) > cfg.outer_tol
+    assert drops and min(drops) > _OUTER_TOL
     assert res.converged
     check_run(res)
 
@@ -435,14 +441,16 @@ def test_demo_cell_takes_no_stalled_relaxed_step(demo_joint):
 )
 def test_every_closed_form_step_lowers_the_loss_past_outer_tol(seed, nx, ny, card_z, beta, alpha, inner_kind):
     # One guard rule for the relaxed and the mirror step: every one a run
-    # takes lowers the loss by more than outer_tol. Only an exact step
+    # takes lowers the loss by more than _OUTER_TOL. Only an exact step
     # may lower it by less.
     rng = np.random.default_rng(seed)
     channel = rng.dirichlet(np.full(ny, float(rng.choice([0.3, 1.0]))), nx).T
     j = JointXY(DiscreteDist(rng.dirichlet(np.full(nx, 2.0))), CondDist(channel))
-    cfg = DcaConfig(beta=beta, alpha=alpha, inner_kind=inner_kind, outer_max_iter=300, seed=seed % 1000)
-    res, drops = closed_form_drops(j, card_z, cfg)
-    assert all(drop > cfg.outer_tol for drop in drops)
+    cfg = DcaConfig(beta=beta, alpha=alpha, inner_kind=inner_kind, seed=seed % 1000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pfdca.dca, "_OUTER_MAX_ITER", 300)
+        res, drops = closed_form_drops(j, card_z, cfg)
+    assert all(drop > _OUTER_TOL for drop in drops)
     check_run(res)
 
 

@@ -239,9 +239,13 @@ class TestRunSweep:
             ("restarts", 1.5),
             ("card_z_values", (2, 2)),
             ("card_z_values", (2, 2.5)),
-            ("outer_max_iter", 2.5),
+            ("beta_grid", (True,)),
             ("restarts", True),
             ("card_z_values", (True,)),
+            # Numeric text and booleans are not numbers, as in distribution files.
+            ("beta_grid", (0.5, np.True_)),
+            ("alpha_grid", ("0.5",)),
+            ("alpha_grid", "12"),
         ],
     )
     def test_config_refuses_values_that_would_fail_later(self, field, value):
@@ -251,6 +255,11 @@ class TestRunSweep:
     def test_config_takes_numpy_integers(self):
         cfg = SweepConfig(card_z_values=np.array([3, 2]), restarts=np.int64(2), base_seed=np.uint32(5))
         assert cfg.card_z_values == (3, 2) and all(type(v) is int for v in cfg.card_z_values)
+
+    def test_grids_take_integers_and_numpy_floats(self):
+        cfg = SweepConfig(beta_grid=(1, 2, 10), alpha_grid=np.geomspace(0.5, 2.0, 3, dtype=np.float32))
+        assert cfg.beta_grid == (1.0, 2.0, 10.0) and cfg.alpha_grid == (0.5, 1.0, 2.0)
+        assert all(type(v) is float for v in cfg.beta_grid + cfg.alpha_grid)
 
 
 class TestResolveJobs:
