@@ -83,7 +83,11 @@ is projected onto the column simplices, which keeps that coordinate at
 0, so every trial is feasible. A column with one positive entry
 projects back to itself, so a step that moves only such columns gets no
 trial. A boost only lowers the loss further, so the certificate holds,
-and fewer outer iterations are needed.
+and fewer outer iterations are needed. Every loss, of a step or a
+trial, reads one product per encoder, ``W = V @ [p(x) | P(x|y) | I]``
+(the identity block is exact): the column entropies of ``W`` are H(Z),
+each H(Z|y) and each H(Z|x). The reported information terms and ``g``
+read that vector too, and the mirror step its logs ``log W``.
 
 Mirror steps and exact (fallback) steps are counted on the result, and
 so are accepted boosts, after every kind of step alike; an accepted
@@ -110,7 +114,7 @@ from .probability import (
     InvalidDistributionError,
     JointXY,
     _col_entropies,
-    _neg_plogp_sum,
+    _neg_plogp_sum,  # noqa: F401  (bound by the tracer, unused here)
     bayes_invert,
     random_encoder,
 )
@@ -239,18 +243,17 @@ class _Problem:
     py: np.ndarray      # (ny,)
     pycx: np.ndarray    # (ny, nx), P(y|x)
     pxcy: np.ndarray    # (nx, ny), P(x|y)
+    stack: np.ndarray   # (nx, 1 + ny + nx), [p(x) | P(x|y) | I]
 
     @staticmethod
     def build(j: JointXY) -> "_Problem":
         """The problem of ``j``, from the memo when ``j`` already has one."""
         prob = _PROBLEMS.get(j)
         if prob is None:
-            prob = _PROBLEMS[j] = _Problem(
-                px=j.p_x.probs,
-                py=j.p_y.probs,
-                pycx=j.y_given_x.matrix,
-                pxcy=bayes_invert(j).matrix,
-            )
+            px, pxcy = j.p_x.probs, bayes_invert(j).matrix
+            stack = np.hstack([px[:, None], pxcy, np.eye(px.shape[0])])
+            stack.flags.writeable = False
+            prob = _PROBLEMS[j] = _Problem(px=px, py=j.p_y.probs, pycx=j.y_given_x.matrix, pxcy=pxcy, stack=stack)
         return prob
 
     @functools.cached_property
@@ -269,25 +272,19 @@ class _Problem:
 _PROBLEMS: "weakref.WeakKeyDictionary[JointXY, _Problem]" = weakref.WeakKeyDictionary()
 
 
-def _code_terms(V: np.ndarray, prob: _Problem):
-    """(H(Z), I(Z;X)) in nats for a raw encoder matrix."""
-    hz = _neg_plogp_sum(V @ prob.px)
-    return hz, hz - float(_col_entropies(V) @ prob.px)
-
-
 def _metrics(V: np.ndarray, prob: _Problem):
-    """(I(Z;Y), I(Z;X)) in nats for a raw encoder matrix."""
-    hz, izx = _code_terms(V, prob)
-    return hz + _f_value_arr(V, prob), izx
+    """(H(Z), I(Z;Y), I(Z;X)) in nats for a raw encoder matrix, from the
+    column entropies of ``V @ prob.stack``: H(Z), then H(Z|y) per y, then
+    H(Z|x) per x."""
+    h = _col_entropies(V @ prob.stack)
+    hz, ny = float(h[0]), prob.py.shape[0]
+    return hz, hz - float(h[1 : 1 + ny] @ prob.py), hz - float(h[1 + ny :] @ prob.px)
 
 
-def _loss(V: np.ndarray, prob: _Problem, beta: float, f: float | None = None) -> float:
-    """The loss at ``V``; ``f`` is ``_f_value_arr(V, prob)`` when already
-    computed."""
-    hz, izx = _code_terms(V, prob)
-    if f is None:
-        f = _f_value_arr(V, prob)
-    return (hz + f) - beta * izx
+def _loss(V: np.ndarray, prob: _Problem, beta: float) -> float:
+    """The loss ``I(Z;Y) - beta * I(Z;X)`` at ``V``."""
+    _, izy, izx = _metrics(V, prob)
+    return izy - beta * izx
 
 
 def _clog(a: np.ndarray) -> np.ndarray:
@@ -320,7 +317,9 @@ def _mirror_step(V: np.ndarray, prob: _Problem, beta: float) -> np.ndarray:
     1-smooth relative to. In log space, per column,
     ``V+ ~ V**(1+beta) * p_z**(1-beta) * exp(-sum_y P(y|x) log P(z|y))``;
     there is no projection and no division by p(x)."""
-    return _softmax_cols(_compute_c_arr(V, prob, beta) + _clog(V) - _clog(V @ prob.pxcy) @ prob.pycx)
+    logs, ny = _clog(V @ prob.stack), prob.py.shape[0]
+    log_pz, log_v = logs[:, :1], logs[:, 1 + ny :]
+    return _softmax_cols(log_pz + beta * (log_v - log_pz) + log_v - logs[:, 1 : 1 + ny] @ prob.pycx)
 
 
 def _relaxed_target(V: np.ndarray, prob: _Problem, beta: float) -> np.ndarray:
@@ -345,12 +344,13 @@ def _simplex_project_columns(m: np.ndarray) -> np.ndarray:
     probability simplex (Duchi et al., ICML 2008). ``m`` is not modified."""
     n, cols = m.shape
     counts, col_idx = _project_indices(n, cols)
-    u = np.sort(m, axis=0)[::-1]
-    shifted = u.cumsum(axis=0)
+    u = m.copy(order="K")
+    u.sort(axis=0)
+    shifted = u[::-1].cumsum(axis=0)
     shifted -= 1.0
     ratio = shifted / counts
-    # u - ratio > 0 exactly when u > ratio, for finite floats.
-    rho = n - 1 - (u > ratio)[::-1].argmax(axis=0)
+    # u ascends, ratio follows u[::-1]; u - ratio > 0 exactly when u > ratio.
+    rho = n - 1 - (u > ratio[::-1]).argmax(axis=0)
     out = m - ratio[rho, col_idx]
     np.maximum(out, 0.0, out=out)
     return out
@@ -364,7 +364,7 @@ def _f_value_arr(V: np.ndarray, prob: _Problem) -> float:
 
 def _g_value_arr(V: np.ndarray, prob: _Problem, beta: float) -> float:
     """Linearized part -H(Z) + beta * I(Z;X), natural extension."""
-    hz, izx = _code_terms(V, prob)
+    hz, _, izx = _metrics(V, prob)
     return -hz + beta * izx
 
 
@@ -486,23 +486,21 @@ def _surrogate_descent(V, grad_g_k, prob: _Problem, tol, max_iter):
     """The exact step the guard falls back on: descent over the column
     simplices on the linearized objective ``f(p) - <grad_g_k, p>``, any
     decrease of which certifies a decrease of the true loss. Returns the
-    iterate, whether the search stopped before its budget, and ``f`` at
-    the iterate.
+    iterate and whether the search stopped before its budget.
     """
 
     def evaluate(V):
-        f = _f_value_arr(V, prob)
-        return f - float(np.add.reduce(grad_g_k * V, axis=None)), f
+        return _f_value_arr(V, prob) - float(np.add.reduce(grad_g_k * V, axis=None)), None
 
     def move(V, prev):
         # A coordinate that enters or leaves zero jumps in its clamped-log
         # gradient, which is not curvature: the spectral pair leaves it out.
         return np.where(np.minimum(V, prev) > 0.0, V - prev, 0.0)
 
-    V, _, f, stopped = _spectral_descent(
-        V, evaluate, lambda V, f: _grad_f_arr(V, prob) - grad_g_k, _simplex_project_columns, move, tol, max_iter
+    V, _, _, stopped = _spectral_descent(
+        V, evaluate, lambda V, _: _grad_f_arr(V, prob) - grad_g_k, _simplex_project_columns, move, tol, max_iter
     )
-    return V, stopped, f
+    return V, stopped
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +566,12 @@ def _boosted_step(V: np.ndarray, cand: np.ndarray, cand_loss: float, prob: _Prob
     # A column with one positive entry is a vertex of its simplex: every
     # projected trial keeps it at cand. Unless d moves some column with
     # two or more, every trial is cand itself and none can pass.
-    if not np.any(down.any(axis=0) & (pos.sum(axis=0) > 1)):
+    if not np.logical_or.reduce(np.logical_or.reduce(down, axis=0) & (np.add.reduce(pos, axis=0) > 1)):
         return None
     down &= pos
-    lam = float(np.min(cand[down] / -d[down], initial=_BOOST_MAX_STEP))
+    lam = float(np.minimum.reduce(cand[down] / -d[down], initial=_BOOST_MAX_STEP))
+    if lam < _BOOST_MIN_STEP:
+        return None
     dd = float(np.add.reduce(d * d, axis=None))
     while lam >= _BOOST_MIN_STEP:
         y = _simplex_project_columns(cand + lam * d)
@@ -642,8 +642,8 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
             # run has converged.
             fallback_steps += 1
             grad_g_k = _grad_g_arr(V, prob, beta)
-            cand, stopped, cand_f = _surrogate_descent(V, grad_g_k, prob, _INNER_TOL, _SURROGATE_STEP_ITERS)
-            cand_loss = _loss(cand, prob, beta, cand_f)
+            cand, stopped = _surrogate_descent(V, grad_g_k, prob, _INNER_TOL, _SURROGATE_STEP_ITERS)
+            cand_loss = _loss(cand, prob, beta)
             if stopped and loss - cand_loss <= _OUTER_TOL:
                 if cand_loss <= loss:
                     V, loss = cand, cand_loss
@@ -663,7 +663,7 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
 
     trace_arr = np.asarray(trace)
     defect = bool(np.any(np.diff(trace_arr) > DESCENT_SLACK))
-    izy, izx = _metrics(V, prob)
+    _, izy, izx = _metrics(V, prob)
     enc = Encoder(V)
     return DcaResult(
         encoder=enc,

@@ -12,9 +12,12 @@ a baseline for the quality of the package's exact step, not for bits.
 
 The ``untrimmed_*`` kernels are the projection, the entropy kernel, the
 loss and the exact step (with its spectral first trials) as they were
-before these kernels were trimmed to fewer NumPy calls and before the
-exact step returned ``f`` at its iterate. Tests assert that the package's
-kernels still return the same bits.
+before these kernels were trimmed to fewer NumPy calls. Tests assert
+that the package's projection, entropy kernel and exact step still
+return the same bits. ``untrimmed_loss`` takes each information term
+from its own product, so it bounds the package's loss to rounding;
+``stacked_loss`` is the one-product loss written out in full, and pins
+the package's loss bit for bit.
 
 ``baseline_points`` evaluates the greedy and exhaustive baselines the
 way they were evaluated before each source got one problem object: a
@@ -201,6 +204,19 @@ def untrimmed_loss(V, px, pxcy, py, beta):
     hz = -float(untrimmed_plogp(pz).sum())
     izx = hz - float(untrimmed_col_entropies(V) @ px)
     izy = hz - float(untrimmed_col_entropies(V @ pxcy) @ py)
+    return izy - beta * izx
+
+
+def stacked_loss(V, px, pxcy, py, beta):
+    """I(Z;Y) - beta * I(Z;X) in nats from one product: the column
+    entropies of ``V @ [p(x) | P(x|y) | I]`` give H(Z), H(Z|y) per y and
+    H(Z|x) per x."""
+    ny = pxcy.shape[1]
+    stack = np.hstack([px[:, None], pxcy, np.eye(px.shape[0])])
+    h = untrimmed_col_entropies(V @ stack)
+    hz = float(h[0])
+    izy = hz - float(h[1 : 1 + ny] @ py)
+    izx = hz - float(h[1 + ny :] @ px)
     return izy - beta * izx
 
 

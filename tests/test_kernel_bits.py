@@ -3,8 +3,10 @@ kernels return: same arrays, same bits.
 
 The q=1 line search reuses the accepted trial's log-sum-exp for the
 next gradient, and the projection and entropy kernels use fewer NumPy
-calls; none of this may change a single output bit, so every comparison
-here is exact.
+calls; none of this may change a single output bit, so those
+comparisons are exact. The loss reads all its information terms from
+one stacked product, so it is pinned exactly to the reference that
+does the same, and to the per-term reference within a stated bound.
 """
 
 import numpy as np
@@ -20,9 +22,10 @@ from pfdca.dca import (
     _ARMIJO_STEPS,
     _SURROGATE_STEP_ITERS,
     _col_entropies,
-    _f_value_arr,
+    _g_value_arr,
     _grad_g_arr,
     _loss,
+    _metrics,
     _neg_plogp_sum,
     _Problem,
     _simplex_project_columns,
@@ -195,6 +198,12 @@ def test_entropies_match_reference(m):
     assert entropy_nats(column) == ref.entropy_nats(column)
 
 
+def within_rounding(got, want):
+    """The stacked product and the per-term products round apart; the
+    information terms then differ by a few units in the last place."""
+    return abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
 @SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -205,9 +214,9 @@ def test_entropies_match_reference(m):
     budget=st.sampled_from([1, 5, _SURROGATE_STEP_ITERS]),
 )
 def test_exact_step_and_loss_match_untrimmed(seed, nx, ny, nz, concentration, budget):
-    # The exact step returns the untrimmed step's iterate and stop flag,
-    # plus f at that iterate; the loss computed from that f is the loss
-    # computed from scratch.
+    # The exact step returns the untrimmed step's iterate and stop flag.
+    # The loss at that iterate is the one-product loss bit for bit, and
+    # the per-term loss to rounding.
     rng = np.random.default_rng(seed)
     channel = rng.dirichlet(np.full(ny, concentration), nx).T
     prob = _Problem.build(JointXY(DiscreteDist(rng.dirichlet(np.full(nx, 2.0))), CondDist(channel)))
@@ -216,11 +225,53 @@ def test_exact_step_and_loss_match_untrimmed(seed, nx, ny, nz, concentration, bu
     V /= V.sum(axis=0)
     beta = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
     g = _grad_g_arr(V, prob, beta)
-    got, stopped, f = _surrogate_descent(V, g, prob, 1e-9, budget)
+    got, stopped = _surrogate_descent(V, g, prob, 1e-9, budget)
     want, want_stopped = ref.untrimmed_surrogate_descent(
         V, g, prob.pxcy, prob.pycx, prob.px, prob.py, LOG_CLAMP, 1e-9, budget
     )
     assert np.array_equal(got, want) and stopped == want_stopped
-    assert f == _f_value_arr(got, prob)
-    loss = ref.untrimmed_loss(got, prob.px, prob.pxcy, prob.py, beta)
-    assert _loss(got, prob, beta, f) == loss == _loss(got, prob, beta)
+    loss = _loss(got, prob, beta)
+    assert loss == ref.stacked_loss(got, prob.px, prob.pxcy, prob.py, beta)
+    assert within_rounding(loss, ref.untrimmed_loss(got, prob.px, prob.pxcy, prob.py, beta))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nx=st.integers(1, 6),
+    ny=st.integers(1, 7),
+    nz=st.integers(1, 9),
+    concentration=st.sampled_from([0.2, 1.0, 5.0]),
+    zero_y=st.booleans(),
+    fortran=st.booleans(),
+)
+def test_stacked_product_matches_per_term_kernels(seed, nx, ny, nz, concentration, zero_y, fortran):
+    # The draws include |Y| < |X|; ``zero_y`` empties a row of P(y|x), so
+    # that P(y) = 0. |Z| up to 9 reaches NumPy's pairwise sums.
+    rng = np.random.default_rng(seed)
+    channel = rng.dirichlet(np.full(ny, concentration), nx).T
+    if zero_y and ny > 1:
+        channel[rng.integers(ny)] = 0.0
+        channel /= channel.sum(axis=0)
+    prob = _Problem.build(JointXY(DiscreteDist(rng.dirichlet(np.full(nx, 2.0))), CondDist(channel)))
+    V = rng.dirichlet(np.full(nz, concentration), nx).T
+    V[V < 1e-3] = 0.0
+    V /= V.sum(axis=0)
+    if fortran:
+        V = np.asfortranarray(V)
+    beta = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+    assert not prob.stack.flags.writeable
+    assert np.array_equal(prob.stack[:, 1 : 1 + ny], prob.pxcy)
+    assert np.array_equal((V @ prob.stack)[:, 1 + ny :], V)
+    # The per-term formulas: each information term from its own product.
+    hz = -float(ref.untrimmed_plogp(V @ prob.px).sum())
+    izx = hz - float(ref.untrimmed_col_entropies(V) @ prob.px)
+    izy = hz - float(ref.untrimmed_col_entropies(V @ prob.pxcy) @ prob.py)
+    got_hz, got_izy, got_izx = _metrics(V, prob)
+    assert within_rounding(got_hz, hz)
+    assert within_rounding(got_izy, izy) and within_rounding(got_izx, izx)
+    loss = _loss(V, prob, beta)
+    assert loss == ref.stacked_loss(V, prob.px, prob.pxcy, prob.py, beta)
+    assert within_rounding(loss, izy - beta * izx)
+    assert loss == got_izy - beta * got_izx
+    assert within_rounding(_g_value_arr(V, prob, beta), -hz + beta * izx)

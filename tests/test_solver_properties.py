@@ -112,8 +112,8 @@ def test_full_budget_reaches_long_run_optimum():
     worst = 0.0
     for seed in range(200):
         V, g, prob = subproblem(seed)
-        got, _, _ = _surrogate_descent(V, g, prob, INNER_TOL, FULL_BUDGET)
-        long_run, _, _ = _surrogate_descent(V, g, prob, 0.0, 4 * FULL_BUDGET)
+        got, _ = _surrogate_descent(V, g, prob, INNER_TOL, FULL_BUDGET)
+        long_run, _ = _surrogate_descent(V, g, prob, 0.0, 4 * FULL_BUDGET)
         unit = ref.surrogate_descent(V, g, prob.pxcy, prob.pycx, prob.px, prob.py, LOG_CLAMP, INNER_TOL, FULL_BUDGET)
         best = min(objective(long_run, g, prob), objective(unit, g, prob))
         worst = max(worst, (objective(got, g, prob) - best) / abs(best))
@@ -128,7 +128,7 @@ def test_full_budget_reaches_long_run_optimum():
 )
 def test_any_budget_stays_stochastic_and_descends(seed, budget, concentration):
     V, g, prob = subproblem(seed, concentration)
-    got, _, _ = _surrogate_descent(V, g, prob, INNER_TOL, budget)
+    got, _ = _surrogate_descent(V, g, prob, INNER_TOL, budget)
     assert np.all(got >= 0.0)
     assert np.allclose(got.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
     assert objective(got, g, prob) <= objective(V, g, prob)
@@ -138,11 +138,11 @@ def test_plain_step_that_stops_early_is_the_full_budget_step():
     stopped_early = 0
     for seed in range(60):
         V, g, prob = subproblem(seed, concentration=(0.2, 1.0, 5.0)[seed % 3])
-        plain, stopped, _ = _surrogate_descent(V, g, prob, INNER_TOL, _SURROGATE_STEP_ITERS)
+        plain, stopped = _surrogate_descent(V, g, prob, INNER_TOL, _SURROGATE_STEP_ITERS)
         if not stopped:
             continue
         stopped_early += 1
-        full, full_stopped, _ = _surrogate_descent(V, g, prob, INNER_TOL, FULL_BUDGET)
+        full, full_stopped = _surrogate_descent(V, g, prob, INNER_TOL, FULL_BUDGET)
         assert full_stopped
         assert np.array_equal(plain, full)
     assert stopped_early >= 20
@@ -151,8 +151,7 @@ def test_plain_step_that_stops_early_is_the_full_budget_step():
 def test_exact_step_no_step_passes(monkeypatch):
     # A NaN in grad_g_k makes every objective NaN, which fails every Armijo
     # test: all steps are tried, and the step returns its start, stopped,
-    # with f at the start, as the untrimmed reference does. The search
-    # reaches the gradient and the projection through the module's globals.
+    # as the untrimmed reference does. The search reaches the gradient and the projection through the module's globals.
     V, g, prob = subproblem(7)
     g[0, 0] = np.nan
     calls = {"_grad_f_arr": 0, "_simplex_project_columns": 0}
@@ -161,14 +160,13 @@ def test_exact_step_no_step_passes(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(pfdca.dca, name, counted)
-    got, stopped, f = _surrogate_descent(V, g, prob, INNER_TOL, _SURROGATE_STEP_ITERS)
+    got, stopped = _surrogate_descent(V, g, prob, INNER_TOL, _SURROGATE_STEP_ITERS)
     assert calls == {"_grad_f_arr": 1, "_simplex_project_columns": len(_ARMIJO_STEPS)}
     want, want_stopped = ref.untrimmed_surrogate_descent(
         V, g, prob.pxcy, prob.pycx, prob.px, prob.py, LOG_CLAMP, INNER_TOL, _SURROGATE_STEP_ITERS
     )
     assert np.array_equal(got, V) and np.array_equal(want, V)
     assert stopped and want_stopped
-    assert f == _f_value_arr(V, prob)
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -295,9 +293,9 @@ def test_converging_step_is_the_full_budget_step(seed, nx, ny, card_z, beta, alp
         mp.setattr(pfdca.dca, "_surrogate_descent", recorded)
         res = dca_run(j, card_z, cfg)
     assert res.converged
-    (V, g, prob, tol, budget), (last, stopped, _) = calls[-1]
+    (V, g, prob, tol, budget), (last, stopped) = calls[-1]
     assert budget == _SURROGATE_STEP_ITERS and stopped
-    full, full_stopped, _ = _surrogate_descent(V, g, prob, tol, FULL_BUDGET)
+    full, full_stopped = _surrogate_descent(V, g, prob, tol, FULL_BUDGET)
     assert full_stopped
     assert np.array_equal(full, last)
 
@@ -356,8 +354,9 @@ def test_dca_run_on_rank_deficient_sources(seed, nx, ny_short, card_z, beta, alp
 def test_relaxed_step_is_rejected_at_most_once(seed, source, card_z, beta, alpha, inner_kind):
     # The relaxed step is tried every iteration until its first rejection
     # or stall, then the mirror step until its first rejection, so at most
-    # one attempt of each is not an accepted step. Each attempt of either
-    # computes the update coefficients once.
+    # one attempt of each is not an accepted step. Each relaxed attempt
+    # computes the update coefficients once; a mirror step reads its logs
+    # from the stacked product and never computes them.
     rng = np.random.default_rng(seed)
     if source == "demo":
         j = JointXY(DiscreteDist(DEMO_PX.copy()), CondDist(DEMO_CHANNEL.copy()))
@@ -378,18 +377,20 @@ def test_relaxed_step_is_rejected_at_most_once(seed, source, card_z, beta, alpha
     def mirror_counted(*args):
         nonlocal mirror_attempts
         mirror_attempts += 1
-        return _mirror_step(*args)
+        before = attempts
+        out = _mirror_step(*args)
+        assert attempts == before
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pfdca.dca, "_OUTER_MAX_ITER", 300)
         mp.setattr(pfdca.dca, "_compute_c_arr", counted)
         mp.setattr(pfdca.dca, "_mirror_step", mirror_counted)
         res = dca_run(j, card_z, cfg)
-    assert attempts - (res.iterations - res.fallback_steps) in (0, 1, 2)
     # Every iteration takes one step: an accepted relaxed step, a mirror
     # step or an exact step.
     relaxed_accepted = res.iterations - res.mirror_steps - res.fallback_steps
-    assert attempts - mirror_attempts - relaxed_accepted in (0, 1)
+    assert attempts - relaxed_accepted in (0, 1)
     assert mirror_attempts - res.mirror_steps in (0, 1)
 
 
@@ -576,7 +577,7 @@ def test_exact_step_that_zeroes_a_coordinate_is_still_boosted():
         V = np.random.default_rng(seed).dirichlet(np.full(3, 0.3), 3).T
         for beta in (0.5, 2.0):
             g = _grad_g_arr(V, prob, beta)
-            cand, _, _ = _surrogate_descent(V, g, prob, INNER_TOL, _SURROGATE_STEP_ITERS)
+            cand, _ = _surrogate_descent(V, g, prob, INNER_TOL, _SURROGATE_STEP_ITERS)
             d = cand - V
             if not float(np.min(cand[d < 0.0] / -d[d < 0.0], initial=np.inf)) < _BOOST_MIN_STEP:
                 continue
