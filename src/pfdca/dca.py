@@ -16,7 +16,11 @@ two inner solvers:
 * ``sparse_log``: projected gradient on the box-constrained
   log-likelihood objective
   ``0.5 * ||lse_x(l_xy + l_zx) - log q||^2 + alpha * ||l_zx||_1``,
-  followed by a softmax back to probabilities.
+  followed by a softmax back to probabilities. The log-sum-exp is taken
+  in product form, ``log(exp(l_zx) @ exp(l_xy))``, with no max shift:
+  the box keeps every ``l_zx`` at or above -30 and every column of
+  P(x|y) sums to 1 (a y of zero mass gets P(X)), so every entry of the
+  product is at least ``exp(-30) / |X|``.
 
 One search, ``_spectral_descent``, serves all three inner solves, the
 ``sparse_log`` fit, the ``ridge`` fit where its closed form does not
@@ -376,27 +380,31 @@ def _certified(drop: float, cand: np.ndarray, V: np.ndarray, prob: _Problem) -> 
     return drop >= 0.5 * float(move @ move) - _CERT_SLACK
 
 
-def _sparse_terms(L, l_xy):
-    """``(s, lse)`` of the q=1 inner problem at ``L`` of shape (|Z|, |X|):
-    ``s[z, x, y] = L[z, x] + l_xy[x, y]`` and its log-sum-exp over x."""
-    s = L[:, :, None] + l_xy
-    mx = s.max(axis=1)
-    return s, mx + np.log(np.add.reduce(np.exp(s - mx[:, None, :]), axis=1))
+def _sparse_terms(L, c_xy):
+    """``(E, S)`` of the q=1 inner problem at ``L`` of shape (|Z|, |X|),
+    in product form: ``E = exp(L)`` and ``S = E @ c_xy``, where
+    ``c_xy = exp(l_xy)`` is P(x|y) floored at ``LOG_CLAMP``. ``log S`` is
+    the log-sum-exp over x of ``L[z, x] + l_xy[x, y]``, and needs no max
+    shift: on the box every entry of ``S`` is at least
+    ``exp(_BOX_LO) / |X|`` when the columns of P(x|y) sum to 1."""
+    e = np.exp(L)
+    return e, e @ c_xy
 
 
-def _sparse_objective(L, lse, log_target, alpha):
+def _sparse_objective(L, resid, alpha):
     """Objective of the q=1 inner problem at ``L`` of shape (|Z|, |X|),
-    given ``lse``, the log-sum-exp of ``_sparse_terms(L, l_xy)``."""
-    resid = lse - log_target
+    given ``resid = log S - log_target`` with ``S`` from
+    ``_sparse_terms(L, c_xy)``."""
     return 0.5 * float(np.add.reduce(resid * resid, axis=None)) - alpha * float(np.add.reduce(L, axis=None))
 
 
-def _sparse_gradient(terms, log_target, alpha):
+def _sparse_gradient(terms, c_xy, alpha):
     """Gradient of the q=1 objective at ``L``, given ``terms``, which is
-    ``_sparse_terms(L, l_xy)``."""
-    s, lse = terms
-    weights = np.exp(s - lse[:, None, :])
-    return np.einsum("zy,zxy->zx", lse - log_target, weights) - alpha
+    ``(E, S, resid)`` at ``L``: ``E * ((resid / S) @ c_xy.T) - alpha``,
+    the log-sum-exp's softmax weights ``E[z, x] * c_xy[x, y] / S[z, y]``
+    applied to the residual without forming them."""
+    e, s, resid = terms
+    return e * ((resid / s) @ c_xy.T) - alpha
 
 
 def _spectral_descent(x, evaluate, gradient, project, move, tol, max_iter):
@@ -468,16 +476,20 @@ def _ridge_descent(V, target, prob: _Problem, alpha, tol, max_iter):
 
 def _sparse_descent(L, l_xy, log_target, alpha, tol, max_iter):
     """The q=1 solve on the log-likelihood box [_BOX_LO, _BOX_HI]:
-    returns the iterate and its objective."""
+    returns the iterate and its objective. Each evaluation is one
+    ``exp`` and one product (see ``_sparse_terms``), and the accepted
+    trial's ``(E, S, resid)`` feeds the next gradient."""
+    c_xy = np.exp(l_xy)
 
     def evaluate(L):
-        terms = _sparse_terms(L, l_xy)
-        return _sparse_objective(L, terms[1], log_target, alpha), terms
+        e, s = _sparse_terms(L, c_xy)
+        resid = np.log(s) - log_target
+        return _sparse_objective(L, resid, alpha), (e, s, resid)
 
     # Iterates keep the start's memory layout, which sets the order of
     # every sum; a C-ordered start gives every caller the same bits.
     return _spectral_descent(
-        np.ascontiguousarray(L), evaluate, lambda L, terms: _sparse_gradient(terms, log_target, alpha),
+        np.ascontiguousarray(L), evaluate, lambda L, terms: _sparse_gradient(terms, c_xy, alpha),
         lambda L: np.minimum(np.maximum(L, _BOX_LO, out=L), _BOX_HI, out=L), np.subtract, tol, max_iter,
     )[:2]
 

@@ -6,6 +6,14 @@ objective and gradient computed from scratch. Tests assert that the
 package's kernels return exactly the same arrays, bit for bit. The q=1 descent starts each backtracking search at
 the safeguarded spectral step, as the package does.
 
+The q=1 kernels come in two forms. ``product_objective`` and
+``product_gradient`` take the log-sum-exp over x as
+``log(exp(L) @ exp(l_xy))``, as the package does, and
+``sparse_descent`` runs on them, so it pins the package's q=1 solve bit
+for bit. ``sparse_objective`` and ``sparse_gradient`` take it with the
+max shift, term by term (``lse_over_x``); tests hold the product form
+within a stated bound of them.
+
 ``surrogate_descent`` is the exact step as it was before its searches
 started at the spectral step: every search starts at 1. Tests use it as
 a baseline for the quality of the package's exact step, not for bits.
@@ -77,20 +85,43 @@ def simplex_project_columns(m):
     return np.maximum(m - theta[None, :], 0.0)
 
 
-def sparse_objective(L, l_xy, log_target, alpha):
+def lse_over_x(L, l_xy):
+    """Log-sum-exp over x of ``L[z, x] + l_xy[x, y]``, per (z, y), shifted
+    by its max over x, so that it is finite at any spread."""
     s = L[:, :, None] + l_xy[None, :, :]
     mx = s.max(axis=1)
-    resid = mx + np.log(np.exp(s - mx[:, None, :]).sum(axis=1)) - log_target
+    return mx + np.log(np.exp(s - mx[:, None, :]).sum(axis=1))
+
+
+def sparse_objective(L, l_xy, log_target, alpha):
+    resid = lse_over_x(L, l_xy) - log_target
     return 0.5 * float(np.sum(resid * resid)) - alpha * float(np.sum(L))
 
 
 def sparse_gradient(L, l_xy, log_target, alpha):
     s = L[:, :, None] + l_xy[None, :, :]
-    mx = s.max(axis=1)
-    lse = mx + np.log(np.exp(s - mx[:, None, :]).sum(axis=1))
+    lse = lse_over_x(L, l_xy)
     resid = lse - log_target
     weights = np.exp(s - lse[:, None, :])
-    return np.einsum("zy,zxy->zx", resid, weights) - alpha, resid
+    return np.einsum("zy,zxy->zx", resid, weights) - alpha
+
+
+def product_terms(L, l_xy, log_target):
+    """``(E, S, resid)``: ``E = exp(L)``, ``S = E @ exp(l_xy)`` and
+    ``resid = log S - log_target``."""
+    e = np.exp(L)
+    s = e @ np.exp(l_xy)
+    return e, s, np.log(s) - log_target
+
+
+def product_objective(L, l_xy, log_target, alpha):
+    _, _, resid = product_terms(L, l_xy, log_target)
+    return 0.5 * float(np.sum(resid * resid)) - alpha * float(np.sum(L))
+
+
+def product_gradient(L, l_xy, log_target, alpha):
+    e, s, resid = product_terms(L, l_xy, log_target)
+    return e * ((resid / s) @ np.exp(l_xy).T) - alpha
 
 
 def spectral_step(s, y):
@@ -109,17 +140,17 @@ def sparse_descent(L, l_xy, log_target, alpha, lo, hi, tol, max_iter, halvings=N
     When ``halvings`` is a list, the number of step halvings each
     iteration took is appended to it (47 when no step passed).
     """
-    obj = sparse_objective(L, l_xy, log_target, alpha)
+    obj = product_objective(L, l_xy, log_target, alpha)
     prev = None
     for _ in range(max_iter):
-        grad, _ = sparse_gradient(L, l_xy, log_target, alpha)
+        grad = product_gradient(L, l_xy, log_target, alpha)
         first = 1.0 if prev is None else spectral_step(L - prev[0], grad - prev[1])
         factor = 1.0
         accepted = False
         count = 0
         while factor >= ARMIJO_MIN_STEP:
             trial = np.clip(L - (first * factor) * grad, lo, hi)
-            trial_obj = sparse_objective(trial, l_xy, log_target, alpha)
+            trial_obj = product_objective(trial, l_xy, log_target, alpha)
             if trial_obj <= obj + ARMIJO_DECREASE * float(np.sum(grad * (trial - L))):
                 accepted = True
                 break

@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pfdca.dca
 from conftest import FIXED_POINT_BETA, lagrangian_oracle, stationary_encoder_oracle
@@ -340,6 +342,29 @@ class TestInnerRidge:
         assert any(searched) == (alpha < 1.0)
 
 
+def sparse_at(L, l_xy, log_t):
+    """``(c_xy, (E, S, resid))`` of the q=1 inner problem at ``L``, as the
+    solver's evaluation forms them."""
+    c_xy = np.exp(l_xy)
+    e, s = _sparse_terms(L, c_xy)
+    return c_xy, (e, s, np.log(s) - log_t)
+
+
+def sparse_source(seed, nx, ny):
+    """A random source whose p(x) and P(y|x) have zero cells, with some y
+    of zero mass when |Y| > 1."""
+    rng = np.random.default_rng(seed)
+    px = rng.dirichlet(np.ones(nx))
+    px[rng.random(nx) < 0.3] = 0.0
+    px[rng.integers(nx)] += 0.5
+    channel = rng.dirichlet(np.full(ny, 0.5), nx).T
+    channel[rng.random(channel.shape) < 0.3] = 0.0
+    if ny > 1:
+        channel[rng.integers(ny)] = 0.0
+    channel[rng.integers(ny), channel.sum(axis=0) == 0.0] = 1.0
+    return JointXY(DiscreteDist(px / px.sum()), CondDist(channel / channel.sum(axis=0))), rng
+
+
 class TestInnerSparse:
     def test_zero_residual_is_stationary(self, demo_joint):
         rng = np.random.default_rng(11)
@@ -348,7 +373,8 @@ class TestInnerSparse:
         L_star = np.clip(np.log(V), _BOX_LO, _BOX_HI)
         target = markov_compose(Encoder(V), bayes_invert(demo_joint))
         log_t = np.log(target.matrix)
-        grad = _sparse_gradient(_sparse_terms(L_star, l_xy), log_t, 0.0)
+        c_xy, terms = sparse_at(L_star, l_xy, log_t)
+        grad = _sparse_gradient(terms, c_xy, 0.0)
         assert np.max(np.abs(grad)) <= 1e-10
         L, _ = _sparse_descent(L_star, l_xy, log_t, 0.0, _INNER_TOL, ORACLE_MAX_ITER)
         assert np.max(np.abs(_softmax_cols(L) - V)) < 1e-9
@@ -359,13 +385,40 @@ class TestInnerSparse:
         l_xy = np.log(bayes_invert(demo_joint).matrix)
         log_t = np.log(_relaxed_target(Encoder(np.full((3, 3), 1.0 / 3)).matrix, _Problem.build(demo_joint), 1.0))
         alpha = 0.7
-        terms = _sparse_terms(L, l_xy)
-        with_pen = _sparse_objective(L, terms[1], log_t, alpha)
-        without = _sparse_objective(L, terms[1], log_t, 0.0)
+        c_xy, terms = sparse_at(L, l_xy, log_t)
+        with_pen = _sparse_objective(L, terms[2], alpha)
+        without = _sparse_objective(L, terms[2], 0.0)
         assert with_pen - without == pytest.approx(-alpha * np.sum(L), rel=1e-12)
-        g1 = _sparse_gradient(terms, log_t, alpha)
-        g0 = _sparse_gradient(terms, log_t, 0.0)
+        g1 = _sparse_gradient(terms, c_xy, alpha)
+        g0 = _sparse_gradient(terms, c_xy, 0.0)
         assert np.allclose(g1 - g0, -alpha, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nx=st.integers(1, 6),
+        ny=st.integers(1, 6),
+        nz=st.integers(1, 6),
+        alpha=st.sampled_from([0.01, 1.0, 10.0]),
+    )
+    def test_gradient_matches_fd_on_sources_with_zero_cells(self, seed, nx, ny, nz, alpha):
+        # The solver's own inputs: l_xy from P(x|y), the target from the
+        # relaxed step, and an interior L.
+        j, rng = sparse_source(seed, nx, ny)
+        prob = _Problem.build(j)
+        l_xy = _clog(prob.pxcy)
+        log_t = _clog(_relaxed_target(random_encoder(rng, nz, nx).matrix, prob, float(rng.uniform(0.5, 5.0))))
+        L = rng.uniform(_BOX_LO + 1.0, _BOX_HI - 0.01, (nz, nx))
+        c_xy, terms = sparse_at(L, l_xy, log_t)
+        # Every column of P(x|y) sums to 1, so S = exp(L) @ c_xy stays at
+        # or above exp(_BOX_LO) / |X| anywhere in the box: here, and where
+        # every entry of L sits on the lower bound.
+        floor = np.exp(_BOX_LO) / nx
+        assert np.min(terms[1]) >= floor
+        assert np.min(_sparse_terms(np.full_like(L, _BOX_LO), c_xy)[1]) >= floor
+        grad = _sparse_gradient(terms, c_xy, alpha)
+        fd = fd_gradient(lambda M: _sparse_objective(M, sparse_at(M, l_xy, log_t)[1][2], alpha), L)
+        assert np.max(np.abs(grad - fd)) <= 1e-6 * max(1.0, np.max(np.abs(grad)))
 
     def test_solution_feasible(self, demo_joint):
         rng = np.random.default_rng(13)

@@ -1,12 +1,15 @@
 """The solver's kernels return exactly what the sequential reference
 kernels return: same arrays, same bits.
 
-The q=1 line search reuses the accepted trial's log-sum-exp for the
-next gradient, and the projection and entropy kernels use fewer NumPy
-calls; none of this may change a single output bit, so those
-comparisons are exact. The loss reads all its information terms from
-one stacked product, so it is pinned exactly to the reference that
-does the same, and to the per-term reference within a stated bound.
+The q=1 line search reuses the accepted trial's ``(E, S, resid)`` for
+the next gradient, and the projection and entropy kernels use fewer
+NumPy calls; none of this may change a single output bit, so those
+comparisons are exact. The q=1 kernels take the log-sum-exp in product
+form, so the solve is pinned exactly to the product-form reference, and
+its objective and gradient to the shifted, term-by-term reference within
+a stated bound. The loss reads all its information terms from one
+stacked product, so it is pinned exactly to the reference that does the
+same, and to the per-term reference within a stated bound.
 """
 
 import numpy as np
@@ -30,6 +33,9 @@ from pfdca.dca import (
     _Problem,
     _simplex_project_columns,
     _sparse_descent,
+    _sparse_gradient,
+    _sparse_objective,
+    _sparse_terms,
     _spectral_step,
     _surrogate_descent,
 )
@@ -134,6 +140,44 @@ def test_sparse_descent_no_step_passes():
     assert halvings == [47]
     assert np.array_equal(got_L, want_L) and np.array_equal(got_L, L0)
     assert np.isnan(got_obj)
+
+
+# Bound on the product-form q=1 objective and gradient against the
+# shifted reference, relative to max(1, |value|); the two forms round
+# apart by a few units in the last place of log S.
+PRODUCT_FORM_TOL = 1e-12
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nz=st.integers(1, 7),
+    nx=st.integers(1, 6),
+    ny=st.integers(1, 8),
+    alpha=st.sampled_from([0.01, 0.1, 1.0, 10.0, 100.0]),
+    kind=st.sampled_from(["raw", "source"]),
+    zero_cells=st.booleans(),
+    at_bounds=st.booleans(),
+    corner=st.sampled_from([None, "L", "l_xy", "both"]),
+)
+def test_product_form_within_bound_of_shifted_form(seed, nz, nx, ny, alpha, kind, zero_cells, at_bounds, corner):
+    # Anywhere in the box, and at its corners: every L at the lower bound,
+    # every l_xy at the clamped log of a zero cell, or both at once.
+    L, l_xy, log_t = sparse_instance(seed, nz, nx, ny, kind, zero_cells, at_bounds)
+    if corner in ("L", "both"):
+        L[:] = LO
+    if corner in ("l_xy", "both"):
+        l_xy[:] = np.log(LOG_CLAMP)
+    c_xy = np.exp(l_xy)
+    e, s = _sparse_terms(L, c_xy)
+    resid = np.log(s) - log_t
+    got_obj, want_obj = _sparse_objective(L, resid, alpha), ref.sparse_objective(L, l_xy, log_t, alpha)
+    assert abs(got_obj - want_obj) <= PRODUCT_FORM_TOL * max(1.0, abs(want_obj))
+    got_grad, want_grad = _sparse_gradient((e, s, resid), c_xy, alpha), ref.sparse_gradient(L, l_xy, log_t, alpha)
+    assert np.max(np.abs(got_grad - want_grad)) <= PRODUCT_FORM_TOL * max(1.0, np.max(np.abs(want_grad)))
+    # The package's kernels are the product-form reference, bit for bit.
+    assert got_obj == ref.product_objective(L, l_xy, log_t, alpha)
+    assert np.array_equal(got_grad, ref.product_gradient(L, l_xy, log_t, alpha))
 
 
 def test_spectral_step_safeguards():

@@ -5,8 +5,9 @@ that the solver builds on them."""
 import numpy as np
 import pytest
 
+import reference_kernels as ref
 from pfdca import CondDist, DiscreteDist, JointXY
-from pfdca.dca import _Problem, _softmax_cols, _sparse_terms
+from pfdca.dca import _BOX_HI, _BOX_LO, _Problem, _softmax_cols, _sparse_terms
 from pfdca.linops import MarkovOperator
 from pfdca.probability import bayes_invert, markov_compose, random_encoder
 
@@ -21,8 +22,14 @@ def backward_block(j):
 
 
 def lse_over_x(L, l_xy):
-    """Log-sum-exp over x of ``L[z, x] + l_xy[x, y]``, per (z, y)."""
-    return _sparse_terms(np.asarray(L, dtype=float), np.asarray(l_xy, dtype=float))[1]
+    """Log-sum-exp over x of ``L[z, x] + l_xy[x, y]``, per (z, y), in the
+    solver's product form ``log(exp(L) @ exp(l_xy))``."""
+    return np.log(_sparse_terms(np.asarray(L, dtype=float), np.exp(np.asarray(l_xy, dtype=float)))[1])
+
+
+def shifted_lse_over_x(L, l_xy):
+    """The same log-sum-exp, shifted by its max over x."""
+    return ref.lse_over_x(np.asarray(L, dtype=float), np.asarray(l_xy, dtype=float))
 
 
 class TestOperators:
@@ -131,18 +138,36 @@ class TestSoftmax:
 
 class TestLogSumExp:
     def test_single_element_exact(self):
-        assert lse_over_x([[-3.7]], [[0.0]]) == -3.7
+        # The shift leaves one term exact; the product form rounds its exp
+        # and its log.
+        assert shifted_lse_over_x([[-3.7]], [[0.0]]) == -3.7
+        assert lse_over_x([[-3.7]], [[0.0]]) == pytest.approx(-3.7, abs=1e-15)
 
     def test_two_zeros(self):
-        assert lse_over_x([[0.0, 0.0]], [[0.0], [0.0]]) == pytest.approx(np.log(2), abs=1e-15)
+        for lse in (lse_over_x, shifted_lse_over_x):
+            assert lse([[0.0, 0.0]], [[0.0], [0.0]]) == pytest.approx(np.log(2), abs=1e-15)
 
     def test_extreme_spread_is_stable(self):
-        out = lse_over_x([[-745.0, 0.0]], [[0.0], [0.0]])
+        # The shift keeps the log-sum-exp finite at any spread; the product
+        # form relies on the box instead (below).
+        out = shifted_lse_over_x([[-1e4, 0.0]], [[0.0], [0.0]])
         assert np.all(np.isfinite(out))
         assert out == pytest.approx(0.0, abs=1e-12)
+
+    def test_product_form_needs_no_shift_on_the_box(self):
+        # The box's corners: every L at either bound, every P(x|y) at the
+        # clamp or spread evenly. No product entry comes near underflow,
+        # and the two forms round apart by a few units in the last place.
+        clamp = np.log(1e-12)
+        for L in (np.full((2, 3), _BOX_LO), np.full((2, 3), _BOX_HI), np.array([[_BOX_LO] * 3, [_BOX_HI] * 3])):
+            for l_xy in (np.full((3, 2), clamp), np.full((3, 2), np.log(1.0 / 3.0))):
+                got, want = lse_over_x(L, l_xy), shifted_lse_over_x(L, l_xy)
+                assert np.all(np.isfinite(got))
+                assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
 
     def test_axis_variant(self):
         # The sum runs over x for each (z, y).
         l_xy = np.array([[0.0, 1.0], [0.0, 1.0]])
         expected = np.array([np.log(2), 1 + np.log(2)])
-        assert np.allclose(lse_over_x(np.zeros((1, 2)), l_xy), expected)
+        for lse in (lse_over_x, shifted_lse_over_x):
+            assert np.allclose(lse(np.zeros((1, 2)), l_xy), expected)
