@@ -122,7 +122,6 @@ def cmd_solve(args) -> int:
         "stationarity_gap": res.stationarity_gap,
         "fallback_steps": res.fallback_steps,
         "mirror_steps": res.mirror_steps,
-        "boosted_steps": res.boosted_steps,
         "defect": res.defect,
         "loss_trace": res.loss_trace.tolist(),
         "encoder": res.encoder.matrix.tolist(),

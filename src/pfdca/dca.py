@@ -47,20 +47,27 @@ kinds of closed-form step come first, in this order:
   ``h(V) = sum_x p(x) sum_z V log V`` (Bauschke, Bolte and Teboulle,
   Math. Oper. Res. 2017; Lu, Freund and Nesterov, SIAM J. Optim. 2018),
   so the unit Bregman step on the linearized objective lowers the true
-  loss by at least ``D_h(V, V+)``. It has a closed form per column,
-  ``V+(z|x) ~ V**(1+beta) * p_z**(1-beta) *
-  exp(-sum_y P(y|x) log P(z|y))``, with no projection and no line
-  search.
+  loss by at least ``D_h(V, V+)``. The step of length ``t`` has a
+  closed form per column, ``log V+ = log V + t * (log p_z +
+  beta * (log V - log p_z) - sum_y P(y|x) log P(z|y))`` followed by a
+  softmax, with no projection.
 
 One rule guards both. A candidate is taken when it lowers the loss by
 more than the outer tolerance ``_OUTER_TOL`` and by at least half the
 squared movement of the code marginal (up to ``_CERT_SLACK``). The
 first candidate of a kind that fails is discarded, that kind is dropped
 for the rest of the run, and the same iteration tries the next kind.
-Once no kind is left, every iteration takes the exact step: direct
-projected-gradient descent on the linearized objective
-``f(p) - <grad g(p_k), p>``, any decrease of which certifies a decrease
-of the true loss.
+A mirror candidate longer than the unit step is the one exception.
+Only the unit step carries the a-priori decrease, but the guard
+certifies every candidate whatever its length, so the length is
+backtracked as in the CoCaIn BPG scheme of Mukkamala, Ochs, Pock and
+Sabach (SIAM J. Math. Data Sci. 2020): each run starts at ``t = 1``,
+each accepted mirror step doubles ``t`` up to ``_MIRROR_MAX_STEP``, and
+a rejected candidate with ``t > 1`` halves ``t`` and is retried in the
+same iteration. Only a rejected unit step drops the kind. Once no kind
+is left, every iteration takes the exact step: direct projected-
+gradient descent on the linearized objective ``f(p) - <grad g(p_k), p>``,
+any decrease of which certifies a decrease of the true loss.
 
 Every inner solve, relaxed or exact, runs at the one small budget
 ``_SURROGATE_STEP_ITERS``: descent needs a decrease of the linearized
@@ -72,31 +79,14 @@ that has not converged after ``_OUTER_MAX_ITER`` outer iterations stops
 there. This preserves the monotone-descent certificate and leaves the
 final encoder approximately stationary.
 
-Every step taken that does not end the run, relaxed, mirror or exact,
-is boosted, as in the boosted DC algorithm of Aragon Artacho, Fleming
-and Vuong (Math. Program. 2018), in the linearly constrained form of
-Aragon Artacho, Campoy and Vuong (Set-Valued Var. Anal. 2022): a line
-search along the step's own direction ``d = y - x`` from its result
-``y`` takes the first of ``y + lam * d``, for ``lam`` from
-``min(lam_max, _BOOST_MAX_STEP)`` halving down to ``_BOOST_MIN_STEP``,
-whose loss lies at least ``_BOOST_DECREASE * lam**2 * ||d||^2`` below
-that of ``y``. ``lam_max`` is measured on the face of ``y``: it is where
-the first coordinate positive in ``y`` that falls along ``d`` reaches 0.
-A coordinate the step already put at 0 does not bound it; every trial
-is projected onto the column simplices, which keeps that coordinate at
-0, so every trial is feasible. A column with one positive entry
-projects back to itself, so a step that moves only such columns gets no
-trial. A boost only lowers the loss further, so the certificate holds,
-and fewer outer iterations are needed. Every loss, of a step or a
-trial, reads one product per encoder, ``W = V @ [p(x) | P(x|y) | I]``
+Every loss reads one product per encoder, ``W = V @ [p(x) | P(x|y) | I]``
 (the identity block is exact): the column entropies of ``W`` are H(Z),
 each H(Z|y) and each H(Z|x). The reported information terms and ``g``
 read that vector too, and the mirror step its logs ``log W``.
 
-Mirror steps and exact (fallback) steps are counted on the result, and
-so are accepted boosts, after every kind of step alike; an accepted
-ascent beyond ``DESCENT_SLACK`` (never produced by the guard) would be
-flagged as a defect.
+Mirror steps and exact (fallback) steps are counted on the result; an
+accepted ascent beyond ``DESCENT_SLACK`` (never produced by the guard)
+would be flagged as a defect.
 """
 
 import functools
@@ -120,7 +110,7 @@ from .probability import (
     _col_entropies,
     _neg_plogp_sum,  # noqa: F401  (bound by the tracer, unused here)
     bayes_invert,
-    random_encoder,
+    random_start,
 )
 
 # Per-step slack on the monotone-descent certificate.
@@ -151,11 +141,8 @@ _ARMIJO_MIN_STEP = 1e-14
 _SPECTRAL_MIN = 1e-6
 _SPECTRAL_MAX = 1e6
 _SPECTRAL_FALLBACK = 1.0
-# Line search of the boosted step (see the module docstring): longest
-# first trial, shortest trial, and sufficient-decrease factor.
-_BOOST_MAX_STEP = 4.0
-_BOOST_MIN_STEP = 1e-3
-_BOOST_DECREASE = 0.1
+# Longest mirror step length (see the module docstring).
+_MIRROR_MAX_STEP = 4.0
 
 
 def _armijo_steps() -> tuple:
@@ -234,8 +221,6 @@ class DcaResult:
     fallback_steps: int = 0
     # Accepted closed-form mirror steps.
     mirror_steps: int = 0
-    # Accepted boosts, after relaxed, mirror and exact steps alike.
-    boosted_steps: int = 0
 
 
 @dataclass(frozen=True)
@@ -315,15 +300,16 @@ def _softmax_cols(logits: np.ndarray) -> np.ndarray:
     return e / np.add.reduce(e, axis=0, keepdims=True)
 
 
-def _mirror_step(V: np.ndarray, prob: _Problem, beta: float) -> np.ndarray:
-    """Closed-form exact DC step: the unit Bregman step of the linearized
-    objective under ``h(V) = sum_x p(x) sum_z V log V``, which ``f`` is
-    1-smooth relative to. In log space, per column,
-    ``V+ ~ V**(1+beta) * p_z**(1-beta) * exp(-sum_y P(y|x) log P(z|y))``;
-    there is no projection and no division by p(x)."""
+def _mirror_step(V: np.ndarray, prob: _Problem, beta: float, t: float) -> np.ndarray:
+    """Closed-form exact DC step of length ``t``: the Bregman step of the
+    linearized objective under ``h(V) = sum_x p(x) sum_z V log V``, which
+    ``f`` is 1-smooth relative to; ``t = 1`` is the unit step. In log
+    space, per column, ``log V+ = log V + t * (log p_z + beta * (log V -
+    log p_z) - sum_y P(y|x) log P(z|y))`` up to the softmax's
+    normalization; there is no projection and no division by p(x)."""
     logs, ny = _clog(V @ prob.stack), prob.py.shape[0]
     log_pz, log_v = logs[:, :1], logs[:, 1 + ny :]
-    return _softmax_cols(log_pz + beta * (log_v - log_pz) + log_v - logs[:, 1 : 1 + ny] @ prob.pycx)
+    return _softmax_cols(log_v + t * (log_pz + beta * (log_v - log_pz) - logs[:, 1 : 1 + ny] @ prob.pycx))
 
 
 def _relaxed_target(V: np.ndarray, prob: _Problem, beta: float) -> np.ndarray:
@@ -558,42 +544,6 @@ def stationarity_gap(enc: Encoder, j: JointXY, beta: float) -> float:
     return _stationarity_gap_arr(enc.matrix, _measure_problem(enc, j, beta), beta)
 
 
-def _boosted_step(V: np.ndarray, cand: np.ndarray, cand_loss: float, prob: _Problem, beta: float):
-    """The boosted step: a line search along the step's direction
-    ``d = cand - V`` (see the module docstring).
-
-    ``lam_max`` is where the ray leaves the face of ``cand``: the first
-    coordinate that is positive in ``cand`` and falls along ``d``
-    reaches 0 there. A coordinate the step already put at 0 does not
-    bound it; each trial is projected onto the column simplices, which
-    keeps such a coordinate at 0 and absorbs rounding. Trials start at
-    ``min(lam_max, _BOOST_MAX_STEP)`` and shrink down to
-    ``_BOOST_MIN_STEP``. Returns ``(y, loss(y), lam)`` for the first
-    trial with ``loss(y) <= cand_loss - _BOOST_DECREASE * lam**2 *
-    ||d||^2``, or None when no trial can move or none passes.
-    """
-    d = cand - V
-    down = d < 0.0
-    pos = cand > 0.0
-    # A column with one positive entry is a vertex of its simplex: every
-    # projected trial keeps it at cand. Unless d moves some column with
-    # two or more, every trial is cand itself and none can pass.
-    if not np.logical_or.reduce(np.logical_or.reduce(down, axis=0) & (np.add.reduce(pos, axis=0) > 1)):
-        return None
-    down &= pos
-    lam = float(np.minimum.reduce(cand[down] / -d[down], initial=_BOOST_MAX_STEP))
-    if lam < _BOOST_MIN_STEP:
-        return None
-    dd = float(np.add.reduce(d * d, axis=None))
-    while lam >= _BOOST_MIN_STEP:
-        y = _simplex_project_columns(cand + lam * d)
-        y_loss = _loss(y, prob, beta)
-        if y_loss <= cand_loss - _BOOST_DECREASE * lam * lam * dd:
-            return y, y_loss, lam
-        lam *= _ARMIJO_SHRINK
-    return None
-
-
 def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None) -> DcaResult:
     """Run the guarded difference-of-convex iteration to convergence.
 
@@ -609,8 +559,7 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
             raise ValueError("init encoder shape does not match (card_z, |X|)")
         V = init.matrix.copy()
     else:
-        rng = np.random.default_rng(cfg.seed)
-        V = random_encoder(rng, card_z, j.n_x).matrix.copy()
+        V = random_start(np.random.default_rng(cfg.seed), card_z, j.n_x)
 
     prob = _Problem.build(j)
     beta, alpha = cfg.beta, cfg.alpha
@@ -626,13 +575,19 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
             target = _relaxed_target(V, prob, beta)
             return _ridge_descent(V, target, prob, alpha, _INNER_TOL, _SURROGATE_STEP_ITERS)[0]
 
+    # The length of the next mirror step (see the module docstring).
+    t = 1.0
+
+    def mirror(V, prob, beta):
+        return _mirror_step(V, prob, beta, t)
+
     # The closed-form kinds still in play, in the order they are tried.
-    kinds = [relaxed, _mirror_step]
+    kinds = [relaxed, mirror]
 
     loss = _loss(V, prob, beta)
     trace = [loss]
     converged = False
-    fallback_steps = mirror_steps = boosted_steps = 0
+    fallback_steps = mirror_steps = 0
     iterations = 0
 
     for it in range(1, _OUTER_MAX_ITER + 1):
@@ -640,13 +595,18 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
         cand = None
         while cand is None and kinds:
             # The guard (see the module docstring): a candidate that fails
-            # it is discarded and drops its kind for the rest of the run.
+            # it is discarded. A mirror step longer than 1 is retried at
+            # half its length; any other failure drops its kind for the
+            # rest of the run.
             cand = kinds[0](V, prob, beta)
             cand_loss = _loss(cand, prob, beta)
             drop = loss - cand_loss
             if not (drop > _OUTER_TOL and _certified(drop, cand, V, prob)):
                 cand = None
-                del kinds[0]
+                if kinds[0] is mirror and t > 1.0:
+                    t *= 0.5
+                else:
+                    del kinds[0]
         if cand is None:
             # No kind is left: descend the linearization directly. A step
             # that stopped before its budget is the one any larger budget
@@ -662,14 +622,9 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
                     trace.append(loss)
                 converged = True
                 break
-        elif kinds[0] is not relaxed:
+        elif kinds[0] is mirror:
             mirror_steps += 1
-        # Every step taken that does not end the run, of any kind, is
-        # boosted along its own direction.
-        boosted = _boosted_step(V, cand, cand_loss, prob, beta)
-        if boosted is not None:
-            cand, cand_loss, _ = boosted
-            boosted_steps += 1
+            t = min(2.0 * t, _MIRROR_MAX_STEP)
         V, loss = cand, cand_loss
         trace.append(loss)
 
@@ -689,5 +644,4 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
         defect=defect,
         fallback_steps=fallback_steps,
         mirror_steps=mirror_steps,
-        boosted_steps=boosted_steps,
     )

@@ -190,11 +190,17 @@ class Encoder(CondDist):
         return self.n_cond
 
 
-def random_encoder(rng: np.random.Generator, card_z: int, n_x: int) -> Encoder:
-    """Random start: uniform [0, 1] entries, columns normalized."""
+def random_start(rng: np.random.Generator, card_z: int, n_x: int) -> np.ndarray:
+    """The matrix of ``random_encoder``, unvalidated: uniform [0, 1]
+    entries, columns normalized."""
     m = rng.random((card_z, n_x))
     m /= m.sum(axis=0, keepdims=True)
-    return Encoder(m)
+    return m
+
+
+def random_encoder(rng: np.random.Generator, card_z: int, n_x: int) -> Encoder:
+    """Random start: uniform [0, 1] entries, columns normalized."""
+    return Encoder(random_start(rng, card_z, n_x))
 
 
 def random_interior_encoder(rng: np.random.Generator, card_z: int, n_x: int) -> Encoder:

@@ -84,7 +84,8 @@ class TestSolve:
         assert np.array_equal(np.array(payload["loss_trace"]), res.loss_trace)
         assert payload["fallback_steps"] == res.fallback_steps
         assert payload["mirror_steps"] == res.mirror_steps > 0
-        assert payload["boosted_steps"] == res.boosted_steps > 0
+        # There is no boost, so no key counts one.
+        assert not any("boost" in key for key in payload)
 
     def test_iteration_cap_exit_code(self, tmp_path, demo_dist_file, monkeypatch):
         monkeypatch.setattr(pfdca.dca, "_OUTER_MAX_ITER", 1)
@@ -407,7 +408,7 @@ class TestExitCodes:
     def test_non_stochastic_encoder_is_internal(self, tmp_path, demo_dist_file, monkeypatch):
         bad = SimpleNamespace(
             converged=True, iterations=1, loss_nats=0.0, i_zx_bits=0.0, i_zy_bits=0.0,
-            stationarity_gap=0.0, fallback_steps=0, mirror_steps=0, boosted_steps=0, defect=False,
+            stationarity_gap=0.0, fallback_steps=0, mirror_steps=0, defect=False,
             loss_trace=np.zeros(1), encoder=SimpleNamespace(matrix=np.full((3, 3), 0.5)),
         )
         monkeypatch.setattr(pfdca.cli, "dca_run", lambda *args: bad)

@@ -470,6 +470,24 @@ class TestDcaRun:
         assert np.array_equal(r1.loss_trace, r2.loss_trace)
         assert np.array_equal(r1.encoder.matrix, r2.encoder.matrix)
 
+    def test_seeded_start_is_the_random_encoder_unvalidated(self, demo_joint, monkeypatch):
+        # A seeded run starts from random_encoder's matrix, bit for bit, but
+        # validates only its result's encoder, not its start.
+        cfg = DcaConfig(beta=1.3, alpha=0.7, seed=11)
+        want = dca_run(demo_joint, 3, cfg, init=random_encoder(np.random.default_rng(11), 3, 3))
+        checks = []
+        post_init = CondDist.__post_init__
+
+        def counted(self):
+            checks.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(CondDist, "__post_init__", counted)
+        res = dca_run(demo_joint, 3, cfg)
+        assert checks == [res.encoder]
+        assert np.array_equal(res.loss_trace, want.loss_trace)
+        assert np.array_equal(res.encoder.matrix, want.encoder.matrix)
+
     @pytest.mark.parametrize(
         "field, value",
         # Numeric text and booleans are not numbers, as in distribution files.
