@@ -145,21 +145,6 @@ _SPECTRAL_FALLBACK = 1.0
 _MIRROR_MAX_STEP = 4.0
 
 
-def _armijo_steps() -> tuple:
-    """Backtracking factors 1, shrink, shrink**2, ... down to the last
-    one at or above ``_ARMIJO_MIN_STEP``; a search tries its first step
-    times each factor in turn."""
-    steps = []
-    step = 1.0
-    while step >= _ARMIJO_MIN_STEP:
-        steps.append(step)
-        step *= _ARMIJO_SHRINK
-    return tuple(steps)
-
-
-_ARMIJO_STEPS = _armijo_steps()
-
-
 def _spectral_step(s: np.ndarray, y: np.ndarray) -> float:
     """First trial step ``<s,s>/<s,y>`` of Barzilai and Borwein (IMA J.
     Numer. Anal. 1988), from the last accepted move ``s`` and the change
@@ -319,30 +304,26 @@ def _relaxed_target(V: np.ndarray, prob: _Problem, beta: float) -> np.ndarray:
     return _softmax_cols(_compute_c_arr(V, prob, beta) @ prob.b_pinv_t)
 
 
-@functools.lru_cache(maxsize=64)
-def _project_indices(n: int, cols: int):
-    """Read-only (1..n as a float column, 0..cols-1) for projecting an
-    (n, cols) array."""
-    counts = np.arange(1, n + 1, dtype=float)[:, None]
-    col_idx = np.arange(cols)
-    counts.flags.writeable = col_idx.flags.writeable = False
-    return counts, col_idx
-
-
 def _simplex_project_columns(m: np.ndarray) -> np.ndarray:
     """Euclidean projection of every column of a 2-D array onto the
     probability simplex (Duchi et al., ICML 2008). ``m`` is not modified."""
     n, cols = m.shape
-    counts, col_idx = _project_indices(n, cols)
-    u = m.copy(order="K")
-    u.sort(axis=0)
+    u = np.sort(m, axis=0)
     shifted = u[::-1].cumsum(axis=0)
     shifted -= 1.0
-    ratio = shifted / counts
+    ratio = shifted / np.arange(1, n + 1, dtype=float)[:, None]
     # u ascends, ratio follows u[::-1]; u - ratio > 0 exactly when u > ratio.
     rho = n - 1 - (u > ratio[::-1]).argmax(axis=0)
-    out = m - ratio[rho, col_idx]
+    out = m - ratio[rho, np.arange(cols)]
     np.maximum(out, 0.0, out=out)
+    # At entries of about 1e17 the cumulative sums lose their -1, and a
+    # column's result misses the simplex. Such a column is projected again
+    # relative to its max, with entries 1 or more below it raised to -1:
+    # they project to 0 either way, and raised they cannot overflow the
+    # sums. A NaN column is left as it is.
+    bad = [abs(s - 1.0) > STOCHASTIC_ATOL for s in np.add.reduce(out, axis=0).tolist()]
+    if any(bad):
+        out[:, bad] = _simplex_project_columns(np.maximum(m[:, bad] - m[:, bad].max(axis=0), -1.0))
     return out
 
 
@@ -397,27 +378,30 @@ def _spectral_descent(x, evaluate, gradient, project, move, tol, max_iter):
     """The one Armijo search (see the module docstring). ``evaluate(x)``
     gives ``(objective, aux)``, ``gradient(x, aux)`` reuses ``aux``, and
     ``move(x, prev)`` is the accepted move the spectral step reads.
-    Returns ``(x, objective, aux, stopped)``: ``stopped`` when the loop
-    ended before its budget, so any larger budget returns the same ``x``."""
+    Returns ``(x, objective, stopped)``: ``stopped`` when the loop ended
+    before its budget, so any larger budget returns the same ``x``."""
     obj, aux = evaluate(x)
     first, prev = _SPECTRAL_FALLBACK, None
     for _ in range(max_iter):
         grad = gradient(x, aux)
         if prev is not None:
             first = _spectral_step(move(x, prev[0]), grad - prev[1])
-        for step in _ARMIJO_STEPS:
+        # Halving is exact, so the trials are first * 2**-k, k = 0..46.
+        step = 1.0
+        while step >= _ARMIJO_MIN_STEP:
             trial = project(x - (first * step) * grad)
             trial_obj, trial_aux = evaluate(trial)
             if trial_obj <= obj + _ARMIJO_DECREASE * float(np.add.reduce(grad * (trial - x), axis=None)):
                 break
+            step *= _ARMIJO_SHRINK
         else:
-            return x, obj, aux, True
+            return x, obj, True
         done = abs(obj - trial_obj) <= tol * max(1.0, abs(obj))
         prev = x, grad
         x, obj, aux = trial, trial_obj, trial_aux
         if done:
-            return x, obj, aux, True
-    return x, obj, aux, False
+            return x, obj, True
+    return x, obj, False
 
 
 def _ridge_descent(V, target, prob: _Problem, alpha, tol, max_iter):
@@ -495,7 +479,7 @@ def _surrogate_descent(V, grad_g_k, prob: _Problem, tol, max_iter):
         # gradient, which is not curvature: the spectral pair leaves it out.
         return np.where(np.minimum(V, prev) > 0.0, V - prev, 0.0)
 
-    V, _, _, stopped = _spectral_descent(
+    V, _, stopped = _spectral_descent(
         V, evaluate, lambda V, _: _grad_f_arr(V, prob) - grad_g_k, _simplex_project_columns, move, tol, max_iter
     )
     return V, stopped
@@ -566,23 +550,18 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
     if cfg.inner_kind is InnerKind.SPARSE_LOG:
         l_xy = _clog(prob.pxcy)
 
-        def relaxed(V, prob, beta):
+        def relaxed(V):
             L0 = np.clip(_clog(V), _BOX_LO, _BOX_HI)
             log_target = _clog(_relaxed_target(V, prob, beta))
             return _softmax_cols(_sparse_descent(L0, l_xy, log_target, alpha, _INNER_TOL, _SURROGATE_STEP_ITERS)[0])
     else:
-        def relaxed(V, prob, beta):
+        def relaxed(V):
             target = _relaxed_target(V, prob, beta)
             return _ridge_descent(V, target, prob, alpha, _INNER_TOL, _SURROGATE_STEP_ITERS)[0]
 
-    # The length of the next mirror step (see the module docstring).
-    t = 1.0
-
-    def mirror(V, prob, beta):
-        return _mirror_step(V, prob, beta, t)
-
-    # The closed-form kinds still in play, in the order they are tried.
-    kinds = [relaxed, mirror]
+    # The kind in play (0 relaxed, 1 mirror, 2 exact steps alone) and the
+    # length of the next mirror step (see the module docstring).
+    kind, t = 0, 1.0
 
     loss = _loss(V, prob, beta)
     trace = [loss]
@@ -592,22 +571,21 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
 
     for it in range(1, _OUTER_MAX_ITER + 1):
         iterations = it
-        cand = None
-        while cand is None and kinds:
+        while kind < 2:
             # The guard (see the module docstring): a candidate that fails
             # it is discarded. A mirror step longer than 1 is retried at
             # half its length; any other failure drops its kind for the
             # rest of the run.
-            cand = kinds[0](V, prob, beta)
+            cand = relaxed(V) if kind == 0 else _mirror_step(V, prob, beta, t)
             cand_loss = _loss(cand, prob, beta)
             drop = loss - cand_loss
-            if not (drop > _OUTER_TOL and _certified(drop, cand, V, prob)):
-                cand = None
-                if kinds[0] is mirror and t > 1.0:
-                    t *= 0.5
-                else:
-                    del kinds[0]
-        if cand is None:
+            if drop > _OUTER_TOL and _certified(drop, cand, V, prob):
+                break
+            if kind == 1 and t > 1.0:
+                t *= 0.5
+            else:
+                kind += 1
+        if kind == 2:
             # No kind is left: descend the linearization directly. A step
             # that stopped before its budget is the one any larger budget
             # gives, so if it cannot improve past the outer tolerance the
@@ -622,7 +600,7 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
                     trace.append(loss)
                 converged = True
                 break
-        elif kinds[0] is mirror:
+        elif kind == 1:
             mirror_steps += 1
             t = min(2.0 * t, _MIRROR_MAX_STEP)
         V, loss = cand, cand_loss

@@ -246,6 +246,32 @@ class TestSimplexProjection:
         assert np.allclose(once.sum(axis=0), 1.0, atol=1e-12)
         assert np.min(once) >= 0.0
 
+    def test_huge_columns_stay_stochastic(self):
+        # At about 1e17 the -1 of the cumulative sums is lost, so one pass
+        # alone projects [1e18, 0, -1e18] to [1e18, 0.333, 0]. The last
+        # column's sums overflow to -inf below its max.
+        m = np.array(
+            [
+                [1e18, 1e17, -3e17, 1e300, 5.0, 1.0],
+                [0.0, 1e17, 2e17, -1e300, 3e200, -1.7e308],
+                [-1e18, 1e17 + 32.0, 2e17, 2e299, -7e250, -1.7e308],
+            ]
+        )
+        with np.errstate(over="ignore"):
+            out = _simplex_project_columns(m)
+        assert np.min(out) >= 0.0
+        assert np.allclose(out.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+        # Only entries within 1 of their column's max are supported.
+        want = [[1.0, 0.0, 0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 0.5, 0.0, 1.0, 0.0], [0.0, 1.0, 0.5, 0.0, 0.0, 0.0]]
+        assert np.allclose(out, want, rtol=0.0, atol=1e-15)
+        # Ordinary columns beside them keep their bits.
+        rng = np.random.default_rng(3)
+        small = rng.normal(size=(3, 4))
+        with np.errstate(over="ignore"):
+            both = _simplex_project_columns(np.hstack([small, m]))
+        assert np.array_equal(both[:, :4], _simplex_project_columns(small))
+        assert np.array_equal(both[:, 4:], out)
+
 
 class TestInnerRidge:
     def test_interpolation_limit(self, demo_joint):
@@ -462,6 +488,22 @@ class TestDcaRun:
         )
         assert res.converged
         assert np.max(np.diff(res.loss_trace)) <= DESCENT_SLACK
+
+    @pytest.mark.parametrize("beta", [1e17, 5e17, 1e100, 1e300])
+    @pytest.mark.parametrize("inner_kind", ["ridge", "sparse_log"])
+    @pytest.mark.parametrize("zero_x", [False, True])
+    def test_huge_beta_converges(self, demo_joint, beta, inner_kind, zero_x):
+        # The exact step's gradient grows with beta; its projections stay on
+        # the simplex, so the run ends on a column-stochastic encoder.
+        j = demo_joint
+        if zero_x:
+            j = JointXY(DiscreteDist(np.array([0.5, 0.5, 0.0])), CondDist(np.array([[0.9, 0.2, 0.5], [0.1, 0.8, 0.5]])))
+        for card_z in (2, 3):
+            res = dca_run(j, card_z, DcaConfig(beta=beta, alpha=1.0, inner_kind=inner_kind, seed=card_z))
+            assert res.converged
+            V = res.encoder.matrix
+            assert np.min(V) >= 0.0 and np.allclose(V.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+            assert np.isfinite(res.loss_nats)
 
     def test_deterministic_given_seed(self, demo_joint):
         cfg = DcaConfig(beta=1.3, alpha=0.7, seed=11)

@@ -22,7 +22,6 @@ import pfdca.probability
 import reference_kernels as ref
 from pfdca import CondDist, DiscreteDist, JointXY
 from pfdca.dca import (
-    _ARMIJO_STEPS,
     _SURROGATE_STEP_ITERS,
     _col_entropies,
     _g_value_arr,
@@ -36,6 +35,7 @@ from pfdca.dca import (
     _sparse_gradient,
     _sparse_objective,
     _sparse_terms,
+    _spectral_descent,
     _spectral_step,
     _surrogate_descent,
 )
@@ -89,14 +89,30 @@ def assert_same_solve(L0, l_xy, log_t, alpha, tol, max_iter):
     assert got_obj == want_obj
 
 
-def test_step_table_is_sequential_halving():
-    steps = []
-    step = 1.0
-    while step >= ref.ARMIJO_MIN_STEP:
-        steps.append(step)
-        step *= ref.ARMIJO_SHRINK
-    assert len(steps) == 47
-    assert list(_ARMIJO_STEPS) == steps
+def test_backtracking_is_sequential_halving():
+    # A one-coordinate search at x = 0 whose first trial passes and whose
+    # every later objective is NaN; the projection records each trial's
+    # move -x and returns 0. The second backtracking starts at the
+    # spectral step <s,s>/<s,y> = 1/2 (s = 1, y = 3 - 1), tries it times
+    # 2**-k for k = 0..46, the last factor at or above the minimum step,
+    # along the gradient 3, and then the search stops.
+    objectives = iter([1.0, 0.0])
+    gradients = iter([np.ones(1), np.full(1, 3.0)])
+    trials = []
+
+    def project(x):
+        trials.append(-x[0])
+        return np.zeros(1)
+
+    got = _spectral_descent(
+        np.zeros(1), lambda x: (next(objectives, np.nan), None), lambda x, aux: next(gradients),
+        project, lambda x, prev: np.ones(1), 0.0, 5,
+    )
+    assert 2.0**-46 >= ref.ARMIJO_MIN_STEP > 2.0**-47
+    assert trials == [1.0] + [0.5 * 2.0**-k * 3.0 for k in range(47)]
+    assert len(got) == 3
+    x, obj, stopped = got
+    assert np.array_equal(x, np.zeros(1)) and obj == 0.0 and stopped
 
 
 @SETTINGS
@@ -212,8 +228,6 @@ def test_projection_matches_reference(m):
     assert np.array_equal(_simplex_project_columns(m), want)
     assert np.array_equal(_simplex_project_columns(m), ref.untrimmed_simplex_project_columns(m))
     assert np.array_equal(m, before)
-    # The second call of a shape reuses its cached index arrays.
-    assert np.array_equal(_simplex_project_columns(m), want)
 
 
 @settings(max_examples=200, deadline=None)

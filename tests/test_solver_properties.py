@@ -9,7 +9,8 @@ solver on random sources, full rank or not: every inner solve, exact or
 relaxed, runs at one budget, the exact step that ends a converged run is
 the full-budget step, its outputs stay valid, and its relaxed and mirror
 steps follow the one guard rule, with the mirror step's length doubled
-after each accepted step and halved on each rejected long one. On a set
+after each accepted step and halved on each rejected long one, and a
+step kind once dropped is never tried again. On a set
 of random sources nearly every run ends close to stationarity. The
 mirror step is checked against its closed form's optimality condition
 at several lengths, the unit step against the decrease that relative
@@ -19,7 +20,7 @@ run of the search and its KKT conditions.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import pfdca.dca
@@ -27,7 +28,6 @@ import reference_kernels as ref
 from conftest import DEMO_CHANNEL, DEMO_PX
 from pfdca import CondDist, DcaConfig, DiscreteDist, JointXY, dca_run
 from pfdca.dca import (
-    _ARMIJO_STEPS,
     _INNER_TOL,
     _MIRROR_MAX_STEP,
     _OUTER_TOL,
@@ -161,7 +161,8 @@ def test_exact_step_no_step_passes(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(pfdca.dca, name, counted)
     got, stopped = _surrogate_descent(V, g, prob, INNER_TOL, _SURROGATE_STEP_ITERS)
-    assert calls == {"_grad_f_arr": 1, "_simplex_project_columns": len(_ARMIJO_STEPS)}
+    # The 47 trial steps are 2**-k for k = 0..46.
+    assert calls == {"_grad_f_arr": 1, "_simplex_project_columns": 47}
     want, want_stopped = ref.untrimmed_surrogate_descent(
         V, g, prob.pxcy, prob.pycx, prob.px, prob.py, LOG_CLAMP, INNER_TOL, _SURROGATE_STEP_ITERS
     )
@@ -412,6 +413,47 @@ def test_relaxed_step_is_rejected_at_most_once(seed, source, card_z, beta, alpha
             assert t > 1.0 and next_V is V and next_t == t / 2
     # Only a rejected unit step drops the kind.
     assert not mirror_calls or taken[-1] or mirror_calls[-1][1] == 1.0
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    source=st.sampled_from(["random", "demo", "short"]),
+    card_z=st.integers(2, 4),
+    beta=st.sampled_from([0.3, 1.0, 3.0, 10.0]),
+    alpha=st.sampled_from([0.1, 1.0, 10.0]),
+    inner_kind=st.sampled_from(["ridge", "sparse_log"]),
+)
+# A run that takes 22 exact steps, where most runs take one.
+@example(seed=225, source="random", card_z=2, beta=0.3, alpha=1.0, inner_kind="sparse_log")
+def test_step_kinds_never_go_back(seed, source, card_z, beta, alpha, inner_kind):
+    # A dropped kind is never tried again: the attempts of a run, relaxed
+    # ("r", one update-coefficient computation each), mirror ("m") and
+    # exact ("e"), read relaxed*, mirror*, exact*.
+    rng = np.random.default_rng(seed)
+    if source == "demo":
+        j = JointXY(DiscreteDist(DEMO_PX.copy()), CondDist(DEMO_CHANNEL.copy()))
+    elif source == "short":
+        j = JointXY(DiscreteDist(np.full(3, 1.0 / 3)), CondDist(np.array([[0.6, 0.5, 0.4], [0.4, 0.5, 0.6]])))
+    else:
+        nx = int(rng.integers(2, 5))
+        j = full_rank_joint(rng, nx, nx + int(rng.integers(0, 3)), concentration=float(rng.choice([0.3, 1.0, 10.0])))
+    kinds = []
+
+    def recorded(kind, fn):
+        def call(*args):
+            kinds.append(kind)
+            return fn(*args)
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pfdca.dca, "_OUTER_MAX_ITER", 300)
+        for kind, name in (("r", "_compute_c_arr"), ("m", "_mirror_step"), ("e", "_surrogate_descent")):
+            mp.setattr(pfdca.dca, name, recorded(kind, getattr(pfdca.dca, name)))
+        res = dca_run(j, card_z, DcaConfig(beta=beta, alpha=alpha, inner_kind=inner_kind, seed=seed % 1000))
+    seq = "".join(kinds)
+    assert seq == "r" * seq.count("r") + "m" * seq.count("m") + "e" * seq.count("e"), seq
+    assert seq.count("e") == res.fallback_steps
 
 
 def closed_form_drops(j, card_z, cfg):
