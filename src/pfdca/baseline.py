@@ -9,14 +9,15 @@ every set partition, which is an exact oracle for small |X|.
 A clustering is an integer row holding the cluster id, 0..k-1, of each
 x symbol; a greedy level is the array of its candidate merges, and the
 set partitions are rows in lexicographic order. Clusterings are scored
-in stacks: every clustering with the same cluster count k (one greedy
-merge level, or one k of the set partitions) is one item of a
-``(B, k, |X|)`` one-hot array, evaluated by one NumPy pass per block of
-``_BLOCK`` items. P(X), P(Y) and P(X|Y) come from the solver's problem
-object, built once per source. Per item the sums are those of
-``mutual_information`` on a single encoder, through the same entropy
-kernels of ``probability``, so every point is the same, bit for bit, as
-scoring its clustering alone. The stationarity residual of a one-hot
+in stacks, the way the solver scores an encoder: every clustering with
+the same cluster count k (one greedy merge level, or one k of the set
+partitions) is k rows of a one-hot matrix, and each block of ``_BLOCK``
+items takes one product with ``[p(x) | P(x|y)]``, the first 1 + |Y|
+columns of the solver's problem stack (built once per source), and one
+column-entropy pass. A one-hot column has H(Z|x) = 0, so the stack's
+identity block is left out. Every point is the same, bit for bit, as
+scoring its clustering alone, and its loss is ``pf_lagrangian`` of its
+one-hot encoder to rounding. The stationarity residual of a one-hot
 encoder is 0 by construction (each column has one supported code), so
 it is written, not computed. ``exhaustive_points`` makes its points one
 at a time, so a caller that writes them as they come holds only the
@@ -32,7 +33,6 @@ from .probability import (  # noqa: F401
     NATS_TO_BITS,
     JointXY,
     _col_entropies,
-    _entropies,
     bayes_invert,
     mutual_information,
 )
@@ -40,7 +40,7 @@ from .sweep import Solver, TradeoffPoint
 
 EXHAUSTIVE_MAX_SYMBOLS = 12
 # Clusterings per stacked evaluation: bounds the float working arrays
-# (a few (block, k, |X|) and (block, k, |Y|) stacks) for any |X|.
+# (a (block * k, |X|) one-hot matrix and its product) for any |X|.
 _BLOCK = 512
 
 
@@ -52,18 +52,21 @@ def _scores(assignments: np.ndarray, k: int, prob: _Problem) -> tuple:
     """(I(Z;Y), I(Z;X)) in nats of each row of ``assignments``, a clustering
     of X into k clusters, on the source of ``prob``.
 
-    A one-hot column has zero entropy, so I(Z;X) = H(Z).
+    Per item, the column entropies of ``V @ [p(x) | P(x|y)]`` are H(Z),
+    floored at 0 so that one cluster reads 0, not -1e-16, then H(Z|y) per
+    y. A one-hot column has zero entropy, so I(Z;X) = H(Z).
     """
     i_zy, i_zx = np.empty(len(assignments)), np.empty(len(assignments))
-    n_x = len(prob.px)
+    n_x, n_c = len(prob.px), 1 + len(prob.py)
     for lo in range(0, len(assignments), _BLOCK):
         block = assignments[lo:lo + _BLOCK]
-        V = np.zeros((len(block), k, n_x))
-        V[np.arange(len(block))[:, None], block, np.arange(n_x)] = 1.0
-        M = V @ prob.pxcy
+        V = np.zeros((len(block) * k, n_x))
+        V[np.arange(len(block))[:, None] * k + block, np.arange(n_x)] = 1.0
+        h = _col_entropies((V @ prob.stack[:, :n_c]).reshape(len(block), k, n_c))
+        hz = np.where(h[:, 0] < 0.0, 0.0, h[:, 0])   # max(h, 0.0): keeps -0.0, as max does
         # (B, 1, |Y|) @ (|Y|,) is one dot per item, as for a single encoder.
-        i_zy[lo:lo + _BLOCK] = _entropies(M @ prob.py) - (_col_entropies(M)[:, None, :] @ prob.py)[:, 0]
-        i_zx[lo:lo + _BLOCK] = _entropies(V @ prob.px)
+        i_zy[lo:lo + _BLOCK] = hz - (h[:, None, 1:] @ prob.py)[:, 0]
+        i_zx[lo:lo + _BLOCK] = hz
     return i_zy, i_zx
 
 

@@ -235,15 +235,9 @@ def _col_entropies(m: np.ndarray) -> np.ndarray:
     return -np.add.reduce(_plogp(m), axis=-2)
 
 
-def _entropies(p: np.ndarray) -> np.ndarray:
-    """Entropy of each pmf along the last axis of ``p``, clamped at 0."""
-    h = -np.add.reduce(_plogp(p), axis=-1)
-    return np.where(h < 0.0, 0.0, h)   # max(h, 0.0): keeps -0.0, as max does
-
-
 def entropy_nats(probs: np.ndarray) -> float:
-    """Shannon entropy of a raw probability vector, 0*log(0) = 0."""
-    return float(_entropies(np.asarray(probs, dtype=float)))
+    """Shannon entropy of a raw probability vector, 0*log(0) = 0, clamped at 0."""
+    return max(_neg_plogp_sum(np.asarray(probs, dtype=float)), 0.0)
 
 
 def entropy(d: DiscreteDist) -> float:

@@ -31,9 +31,10 @@ the package's loss bit for bit.
 way they were evaluated before each source got one problem object: a
 fresh Bayes inverse and a fresh P(Y) for every clustering and every
 greedy candidate, each clustering a ``HardClustering`` merged by
-``_merge`` and scored through ``clustering_to_encoder`` and the entropy
-kernels above, kept here so that the package shares no merge, relabel or
-information code with this reference.
+``_merge`` and scored through ``clustering_to_encoder`` and the column
+entropies of its product with ``[p(x) | P(x|y)]``, the solver's stacked
+layout without its identity block, kept here so that the package shares
+no merge, relabel or information code with this reference.
 Tests assert that the package's baselines write the same CSV bytes.
 
 ``points_csv`` writes trade-off points one cell at a time, by the type of
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 
 from pfdca.baseline import iter_partitions
 from pfdca.dca import stationarity_gap
-from pfdca.probability import NATS_TO_BITS, CondDist, DiscreteDist, Encoder, bayes_invert
+from pfdca.probability import NATS_TO_BITS, DiscreteDist, Encoder, bayes_invert
 from pfdca.sweep import CSV_HEADER, Solver, TradeoffPoint
 
 ARMIJO_SHRINK = 0.5
@@ -331,17 +332,15 @@ def _merge(c: HardClustering, a: int, b: int) -> HardClustering:
     return HardClustering(tuple(v - 1 if v > b else v for v in merged))
 
 
-def _mutual_information(channel, w):
-    """I(out; cond) in nats of a column-stochastic ``channel`` under ``w``."""
-    return entropy_nats(channel @ w) - float(col_entropies(channel) @ w)
-
-
 def _information(enc, j):
-    """(I(Z;Y), I(Z;X)) in nats, with a fresh P(X|Y) and P(Y)."""
+    """(I(Z;Y), I(Z;X)) in nats of a one-hot encoder, with a fresh P(X|Y)
+    and P(Y): the column entropies of ``enc @ [p(x) | P(x|y)]`` give H(Z),
+    floored at 0, and H(Z|y) per y. A one-hot column has zero entropy, so
+    I(Z;X) = H(Z)."""
     p_y = DiscreteDist(j.y_given_x.matrix @ j.p_x.probs).probs
-    # CondDist repairs the columns of P(Z|Y) as the package's channels are repaired.
-    p_zy = CondDist(enc.matrix @ bayes_invert(j).matrix).matrix
-    return _mutual_information(p_zy, p_y), _mutual_information(enc.matrix, j.p_x.probs)
+    h = untrimmed_col_entropies(enc.matrix @ np.hstack([j.p_x.probs[:, None], bayes_invert(j).matrix]))
+    hz = max(float(h[0]), 0.0)
+    return hz - float(h[1:] @ p_y), hz
 
 
 def baseline_point(j, c, beta, solver, iterations):

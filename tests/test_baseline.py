@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import pfdca.baseline
 import reference_kernels as ref
 from conftest import entropy_oracle, mi_bruteforce_oracle
-from pfdca import CondDist, DiscreteDist, JointXY, stationarity_gap
+from pfdca import CondDist, DiscreteDist, JointXY, pf_lagrangian, stationarity_gap
 from pfdca.baseline import (
     EXHAUSTIVE_MAX_SYMBOLS,
     ExhaustiveGuardError,
@@ -243,6 +243,55 @@ def test_baselines_match_reference_at_larger_alphabets(nx, seed):
     want = ref.baseline_points(j, 1.0)
     assert bits(points) == bits(want)
     assert points_to_csv(points) == points_to_csv(want)
+
+
+@BASELINE_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nx=st.integers(1, 7),
+    ny=st.integers(1, 7),
+    zero=st.sampled_from([None, "x", "y"]),
+    log_beta=st.floats(math.log(0.1), math.log(10.0)),
+)
+def test_baseline_points_agree_with_the_solver_lagrangian(seed, nx, ny, zero, log_beta):
+    # The dominance report sets baseline points beside solver points, so a
+    # clustering scores as the solver's Lagrangian scores its one-hot
+    # encoder, to rounding. With zero, a public or private symbol of zero
+    # mass is inserted into a source of one fewer symbol.
+    beta = math.exp(log_beta)
+    j = random_joint(seed, nx - (zero == "x" and nx > 1), ny - (zero == "y" and ny > 1))
+    rng = np.random.default_rng(seed)
+    if j.n_x < nx:
+        k = int(rng.integers(0, nx))
+        column = rng.dirichlet(np.ones(ny))
+        j = JointXY(
+            DiscreteDist(np.insert(j.p_x.probs, k, 0.0)),
+            CondDist(np.insert(j.y_given_x.matrix, k, column, axis=1)),
+        )
+    if j.n_y < ny:
+        j = JointXY(j.p_x, CondDist(np.insert(j.y_given_x.matrix, int(rng.integers(0, ny)), 0.0, axis=0)))
+    parts = list(iter_partitions(nx))
+    index = {c: i for i, c in enumerate(parts)}
+    exhaustive = exhaustive_partitions(j, beta)
+
+    def check(p, assignment):
+        want = pf_lagrangian(clustering_to_encoder(HardClustering(assignment)), j, beta)
+        assert abs(p.loss_nats - want) <= 4e-15 * max(1.0, abs(want))
+        assert p.i_zx_bits >= 0.0
+
+    for p in exhaustive:
+        check(p, parts[p.iterations])
+    # Replay the greedy trajectory: each level takes the first candidate
+    # merge of least loss, read off the exhaustive points.
+    current = tuple(range(nx))
+    for p in greedy_merge_run(j, beta):
+        if p.iterations:
+            c = HardClustering(current)
+            k = c.n_clusters
+            cands = [_merge(c, a, b).assignment for a in range(k) for b in range(a + 1, k)]
+            current = min(cands, key=lambda m: exhaustive[index[m]].loss_nats)
+        assert p.card_z == max(current) + 1
+        check(p, current)
 
 
 @BASELINE_SETTINGS
