@@ -53,8 +53,9 @@ def _scores(assignments: np.ndarray, k: int, prob: _Problem) -> tuple:
     of X into k clusters, on the source of ``prob``.
 
     Per item, the column entropies of ``V @ [p(x) | P(x|y)]`` are H(Z),
-    floored at 0 so that one cluster reads 0, not -1e-16, then H(Z|y) per
-    y. A one-hot column has zero entropy, so I(Z;X) = H(Z).
+    then H(Z|y) per y. A one-hot column has zero entropy, so I(Z;X) =
+    H(Z). H(Z) and I(Z;Y) are floored at 0, so that one cluster reads 0,
+    not -1e-16.
     """
     i_zy, i_zx = np.empty(len(assignments)), np.empty(len(assignments))
     n_x, n_c = len(prob.px), 1 + len(prob.py)
@@ -65,7 +66,8 @@ def _scores(assignments: np.ndarray, k: int, prob: _Problem) -> tuple:
         h = _col_entropies((V @ prob.stack[:, :n_c]).reshape(len(block), k, n_c))
         hz = np.where(h[:, 0] < 0.0, 0.0, h[:, 0])   # max(h, 0.0): keeps -0.0, as max does
         # (B, 1, |Y|) @ (|Y|,) is one dot per item, as for a single encoder.
-        i_zy[lo:lo + _BLOCK] = hz - (h[:, None, 1:] @ prob.py)[:, 0]
+        izy = hz - (h[:, None, 1:] @ prob.py)[:, 0]
+        i_zy[lo:lo + _BLOCK] = np.where(izy < 0.0, 0.0, izy)
         i_zx[lo:lo + _BLOCK] = hz
     return i_zy, i_zx
 

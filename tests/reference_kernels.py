@@ -334,13 +334,13 @@ def _merge(c: HardClustering, a: int, b: int) -> HardClustering:
 
 def _information(enc, j):
     """(I(Z;Y), I(Z;X)) in nats of a one-hot encoder, with a fresh P(X|Y)
-    and P(Y): the column entropies of ``enc @ [p(x) | P(x|y)]`` give H(Z),
-    floored at 0, and H(Z|y) per y. A one-hot column has zero entropy, so
-    I(Z;X) = H(Z)."""
+    and P(Y): the column entropies of ``enc @ [p(x) | P(x|y)]`` give H(Z)
+    and H(Z|y) per y. A one-hot column has zero entropy, so I(Z;X) = H(Z).
+    H(Z) and I(Z;Y) are floored at 0."""
     p_y = DiscreteDist(j.y_given_x.matrix @ j.p_x.probs).probs
     h = untrimmed_col_entropies(enc.matrix @ np.hstack([j.p_x.probs[:, None], bayes_invert(j).matrix]))
     hz = max(float(h[0]), 0.0)
-    return hz - float(h[1:] @ p_y), hz
+    return max(hz - float(h[1:] @ p_y), 0.0), hz
 
 
 def baseline_point(j, c, beta, solver, iterations):

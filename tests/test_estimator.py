@@ -1,4 +1,8 @@
+import gc
+import sys
+import threading
 import warnings
+import weakref
 from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
@@ -6,6 +10,8 @@ import pytest
 
 from pfdca import DcaConfig, DcaPrivacyFunnel, InvalidDistributionError, JointXY, dca_run
 from pfdca.estimator import NotFittedError, check_joint_matrix, check_symbols
+
+from conftest import DEMO_CHANNEL, DEMO_PX
 
 
 class TestEstimatorProtocol:
@@ -139,6 +145,126 @@ class TestFit:
     def test_score_is_negated_loss(self, demo_joint):
         est = DcaPrivacyFunnel(card_z=3, beta=2.0, seed=2).fit(demo_joint)
         assert est.score() == pytest.approx(-est.result_.loss_nats)
+
+
+# The demo joint pmf as the benchmark passes it (a transpose, so F-ordered),
+# and a seeded 5x6 source whose C- and F-ordered arrays build sources that
+# differ in the last bits.
+DEMO_PXY = (DEMO_CHANNEL * DEMO_PX).T
+SEEDED_PXY = np.random.default_rng(2).dirichlet(np.ones(30)).reshape(5, 6)
+
+
+def _fit_bytes(est):
+    """The bytes of a fit's source, encoder, loss trace and stationarity gap."""
+    j = est.joint_
+    return (
+        j.p_x.probs.tobytes(), j.y_given_x.matrix.tobytes(), est.encoder_.matrix.tobytes(),
+        est.loss_trace_.tobytes(), np.float64(est.stationarity_gap_).tobytes(),
+    )
+
+
+class TestSourceReuse:
+    """A fit on an array equal to the last one that validated reuses its
+    source; any other input is validated as if it were the first."""
+
+    def test_equal_array_gets_the_same_source(self):
+        arr = DEMO_PXY.copy(order="K")
+        first = DcaPrivacyFunnel(card_z=2).fit(arr).joint_
+        for same in (arr, arr.copy(order="K"), np.asfortranarray(DEMO_PXY)):
+            assert DcaPrivacyFunnel(card_z=3, seed=1).fit(same).joint_ is first
+        # Another layout is another key.
+        assert DcaPrivacyFunnel(card_z=2).fit(np.ascontiguousarray(arr)).joint_ is not first
+
+    def test_array_changed_in_place_gets_a_new_source(self):
+        arr = DEMO_PXY.copy(order="K")
+        first = DcaPrivacyFunnel(card_z=3, beta=0.5).fit(arr)
+        arr[:] = arr[[1, 2, 0]]
+        second = DcaPrivacyFunnel(card_z=3, beta=0.5).fit(arr)
+        assert second.joint_ is not first.joint_
+        assert np.allclose(second.joint_.joint_matrix(), arr, rtol=0.0, atol=1e-15)
+        fresh = DcaPrivacyFunnel(card_z=3, beta=0.5).fit(JointXY.from_joint_matrix(arr.copy(order="K")))
+        assert _fit_bytes(second) == _fit_bytes(fresh)
+        assert second.encoder_.matrix.tobytes() != first.encoder_.matrix.tobytes()
+
+    @pytest.mark.parametrize("inner_kind", ["ridge", "sparse_log"])
+    @pytest.mark.parametrize("pxy", [DEMO_PXY, SEEDED_PXY], ids=["demo", "seeded5x6"])
+    def test_reused_source_fits_as_a_fresh_one(self, pxy, inner_kind):
+        # One layout after the other, so a memo blind to layout would hand
+        # the F-ordered array the C-ordered array's source.
+        params = dict(card_z=3, beta=2.0, alpha=0.5, inner_kind=inner_kind, seed=1)
+        for arr in (np.ascontiguousarray(pxy), np.asfortranarray(pxy), np.ascontiguousarray(pxy)):
+            fresh = DcaPrivacyFunnel(**params).fit(JointXY.from_joint_matrix(arr.copy(order="K")))
+            for _ in range(2):   # a miss, then a hit
+                assert _fit_bytes(DcaPrivacyFunnel(**params).fit(arr)) == _fit_bytes(fresh)
+
+    @pytest.mark.parametrize("inner_kind", ["ridge", "sparse_log"])
+    def test_integer_arrays_fit_as_a_fresh_source(self, inner_kind):
+        # A point mass is the one joint pmf with integer cells.
+        point = np.array([[0, 0, 0], [0, 1, 0]])
+        for arr in (point, np.asfortranarray(point), point.astype(np.int32), point.astype(float)):
+            fresh = DcaPrivacyFunnel(card_z=2, inner_kind=inner_kind).fit(JointXY.from_joint_matrix(arr.copy(order="K")))
+            for _ in range(2):
+                assert _fit_bytes(DcaPrivacyFunnel(card_z=2, inner_kind=inner_kind).fit(arr)) == _fit_bytes(fresh)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[0.5, np.nan], [0.25, 0.25]]),
+            np.array([[0.75, -0.25], [0.25, 0.25]]),
+            np.array([[0.5, 0.4], [0.4, 0.5]]),
+        ],
+        ids=["nan", "negative", "sum"],
+    )
+    def test_invalid_array_raises_on_every_call(self, bad):
+        for _ in range(3):
+            with pytest.raises(InvalidDistributionError):
+                DcaPrivacyFunnel().fit(bad)
+        valid = np.array([[0.5, 0.0], [0.25, 0.25]])
+        DcaPrivacyFunnel().fit(valid)
+        for _ in range(2):
+            with pytest.raises(InvalidDistributionError):
+                DcaPrivacyFunnel().fit(bad)
+
+    def test_boolean_array_refused_after_a_valid_fit(self):
+        DcaPrivacyFunnel().fit(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(InvalidDistributionError, match="not a number"):
+            DcaPrivacyFunnel().fit(np.array([[True, False], [False, False]]))
+
+    def test_concurrent_checks_get_their_own_source(self):
+        def source(j):
+            return j.p_x.probs.tobytes(), j.y_given_x.matrix.tobytes(), j.y_given_x.matrix.strides
+
+        arrays = [SEEDED_PXY + 0.0, SEEDED_PXY[::-1] + 0.0, np.asfortranarray(SEEDED_PXY), DEMO_PXY + 0.0]
+        want = [source(JointXY.from_joint_matrix(arr.copy(order="K"))) for arr in arrays]
+        wrong = []
+
+        def check_many(i):
+            for _ in range(500):
+                if source(check_joint_matrix(arrays[i])) != want[i]:
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=check_many, args=(i % len(arrays),)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_memo_holds_one_source(self):
+        arrays = [SEEDED_PXY + 0.0, SEEDED_PXY[::-1] + 0.0, SEEDED_PXY[:, ::-1] + 0.0]
+        refs = [weakref.ref(DcaPrivacyFunnel().fit(arr).joint_) for arr in arrays]
+        gc.collect()
+        assert [r() is None for r in refs] == [True, True, False]
+        # A list and a JointXY are not stored: the last array still hits.
+        DcaPrivacyFunnel().fit(arrays[0].tolist())
+        DcaPrivacyFunnel().fit(JointXY.from_joint_matrix(arrays[1]))
+        assert DcaPrivacyFunnel().fit(arrays[2]).joint_ is refs[2]()
 
 
 class TestTransform:
