@@ -143,6 +143,7 @@ _SPECTRAL_MAX = 1e6
 _SPECTRAL_FALLBACK = 1.0
 # Longest mirror step length (see the module docstring).
 _MIRROR_MAX_STEP = 4.0
+_TINY = np.finfo(float).tiny
 
 
 def _spectral_step(s: np.ndarray, y: np.ndarray) -> float:
@@ -281,7 +282,9 @@ def _compute_c_arr(V: np.ndarray, prob: _Problem, beta: float) -> np.ndarray:
 
 
 def _softmax_cols(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max(axis=0, keepdims=True))
+    # Floored at the smallest normal float: the closed form is positive
+    # everywhere, and an entry that underflowed to 0 would leave the support.
+    e = np.maximum(np.exp(logits - logits.max(axis=0, keepdims=True)), _TINY)
     return e / np.add.reduce(e, axis=0, keepdims=True)
 
 

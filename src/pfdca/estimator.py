@@ -10,11 +10,12 @@ passes the parameters to ``dca_run``; ``transform`` maps public symbols
 to their code distributions under the fitted encoder, without the
 private variable.
 
-A later ``fit`` on an equal array (same shape, layout, dtype and bytes)
-reuses the validated source and its problem, so ``joint_`` can be one
-read-only object shared by several estimators.
+A later ``fit`` on a joint of equal values, whatever its memory layout,
+dtype or form, reuses the validated source and its problem, so
+``joint_`` can be one read-only object shared by several estimators.
 """
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -27,34 +28,25 @@ class NotFittedError(ValueError):
     """fit must be called before using the fitted encoder."""
 
 
-# The key (shape, strides, dtype, bytes) of the last numeric array that
-# validated, and its source, stored as one tuple so that concurrent fits
-# never read a key with another array's source. The strides are in the
-# key because a source is built in the array's memory order: C- and
-# F-ordered arrays of one joint can build sources that differ in the last
-# bits or in layout, and so fit a few ulps apart.
-_last_source = (None, None)
-
-
 def check_joint_matrix(X) -> JointXY:
     """A JointXY as is, or the source of a joint pmf array of shape (|X|, |Y|).
 
-    A numeric ndarray equal to the last one that validated, in shape,
-    layout, dtype and bytes, gets that array's JointXY back, so its
-    problem and pseudo-inverse are built once. The key is the content,
-    not the object: an array changed in place gets a new source.
+    Any other input is validated as numbers, and input with the values of
+    the last one that built a source, in any layout, dtype or form, gets
+    that source back, so its problem and pseudo-inverse are built once.
+    The key is the content, not the object: an array changed in place
+    gets a new source.
     """
-    global _last_source
     if isinstance(X, JointXY):
         return X
-    if type(X) is not np.ndarray or X.dtype.kind not in "iuf":
-        return JointXY.from_joint_matrix(X)
-    key = (X.shape, X.strides, X.dtype.str, X.tobytes())
-    last_key, joint = _last_source
-    if key != last_key:
-        joint = JointXY.from_joint_matrix(X)
-        _last_source = key, joint
-    return joint
+    arr = _numbers(X, "joint matrix")
+    return _source(arr.shape, arr.tobytes())
+
+
+# One entry: concurrent fits each get the source of their own key.
+@functools.lru_cache(maxsize=1)
+def _source(shape: tuple, data: bytes) -> JointXY:
+    return JointXY.from_joint_matrix(np.frombuffer(data).reshape(shape))
 
 
 def check_symbols(X, n_x: int) -> np.ndarray:

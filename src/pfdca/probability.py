@@ -9,7 +9,10 @@ Conventions used throughout:
 * all information quantities are computed in nats, conversion to bits
   happens only at reporting boundaries (``NATS_TO_BITS``);
 * ``0 * log 0 == 0`` for entropies, while probabilities feeding an
-  optimization step are floored at ``LOG_CLAMP`` before any log.
+  optimization step are floored at ``LOG_CLAMP`` before any log;
+* every validated array is a C-ordered float64 copy of its input, so a
+  distribution, and every sum over it, depends on the input's values
+  alone, not on its memory layout, its dtype or its being a list.
 """
 
 import functools
@@ -35,8 +38,9 @@ class InvalidDistributionError(ValueError):
 
 
 def _numbers(values, name: str) -> np.ndarray:
+    """``values`` as a new C-ordered float64 array, if every entry is a number."""
     try:
-        arr = np.array(values)
+        arr = np.array(values, order="C")
     except (TypeError, ValueError) as exc:  # ragged rows
         raise InvalidDistributionError(f"{name} has an entry that is not a number: {exc}") from exc
     # Integers and floats only: a float conversion would also parse text and

@@ -164,16 +164,17 @@ def _fit_bytes(est):
 
 
 class TestSourceReuse:
-    """A fit on an array equal to the last one that validated reuses its
-    source; any other input is validated as if it were the first."""
+    """A fit on a joint with the values of the last one that validated,
+    in any layout, dtype or form, reuses its source; any other input is
+    validated as if it were the first."""
 
     def test_equal_array_gets_the_same_source(self):
         arr = DEMO_PXY.copy(order="K")
         first = DcaPrivacyFunnel(card_z=2).fit(arr).joint_
         for same in (arr, arr.copy(order="K"), np.asfortranarray(DEMO_PXY)):
             assert DcaPrivacyFunnel(card_z=3, seed=1).fit(same).joint_ is first
-        # Another layout is another key.
-        assert DcaPrivacyFunnel(card_z=2).fit(np.ascontiguousarray(arr)).joint_ is not first
+        # Both layouts share one source.
+        assert DcaPrivacyFunnel(card_z=2).fit(np.ascontiguousarray(arr)).joint_ is first
 
     def test_array_changed_in_place_gets_a_new_source(self):
         arr = DEMO_PXY.copy(order="K")
@@ -189,8 +190,8 @@ class TestSourceReuse:
     @pytest.mark.parametrize("inner_kind", ["ridge", "sparse_log"])
     @pytest.mark.parametrize("pxy", [DEMO_PXY, SEEDED_PXY], ids=["demo", "seeded5x6"])
     def test_reused_source_fits_as_a_fresh_one(self, pxy, inner_kind):
-        # One layout after the other, so a memo blind to layout would hand
-        # the F-ordered array the C-ordered array's source.
+        # One layout after the other: the F-ordered array gets the C-ordered
+        # array's source, which must fit as a fresh source of either.
         params = dict(card_z=3, beta=2.0, alpha=0.5, inner_kind=inner_kind, seed=1)
         for arr in (np.ascontiguousarray(pxy), np.asfortranarray(pxy), np.ascontiguousarray(pxy)):
             fresh = DcaPrivacyFunnel(**params).fit(JointXY.from_joint_matrix(arr.copy(order="K")))
@@ -205,6 +206,23 @@ class TestSourceReuse:
             fresh = DcaPrivacyFunnel(card_z=2, inner_kind=inner_kind).fit(JointXY.from_joint_matrix(arr.copy(order="K")))
             for _ in range(2):
                 assert _fit_bytes(DcaPrivacyFunnel(card_z=2, inner_kind=inner_kind).fit(arr)) == _fit_bytes(fresh)
+
+    @pytest.mark.parametrize("inner_kind", ["ridge", "sparse_log"])
+    def test_every_form_of_a_joint_shares_one_source(self, inner_kind):
+        # The permuted demo joint, whose two layouts once fitted 2.8e-16
+        # apart, and a point mass, the one joint pmf with integer cells.
+        pxy, point = DEMO_PXY[[1, 2, 0]], np.array([[0, 0, 0], [0, 1, 0]])
+        params = dict(card_z=3, beta=0.5, inner_kind=inner_kind)
+        for forms in (
+            [np.ascontiguousarray(pxy), np.asfortranarray(pxy), pxy.tolist()],
+            [point, np.asfortranarray(point), point.astype(np.int32), point.astype(float), point.tolist()],
+        ):
+            want = _fit_bytes(DcaPrivacyFunnel(**params).fit(JointXY.from_joint_matrix(forms[0])))
+            first = check_joint_matrix(forms[0])
+            for arr in forms:
+                assert check_joint_matrix(arr) is first
+                assert _fit_bytes(DcaPrivacyFunnel(**params).fit(arr)) == want
+                assert _fit_bytes(DcaPrivacyFunnel(**params).fit(JointXY.from_joint_matrix(arr))) == want
 
     @pytest.mark.parametrize(
         "bad",
@@ -261,8 +279,9 @@ class TestSourceReuse:
         refs = [weakref.ref(DcaPrivacyFunnel().fit(arr).joint_) for arr in arrays]
         gc.collect()
         assert [r() is None for r in refs] == [True, True, False]
-        # A list and a JointXY are not stored: the last array still hits.
-        DcaPrivacyFunnel().fit(arrays[0].tolist())
+        # A list of equal values hits, and a JointXY is not stored: the last
+        # array still hits.
+        assert DcaPrivacyFunnel().fit(arrays[2].tolist()).joint_ is refs[2]()
         DcaPrivacyFunnel().fit(JointXY.from_joint_matrix(arrays[1]))
         assert DcaPrivacyFunnel().fit(arrays[2]).joint_ is refs[2]()
 

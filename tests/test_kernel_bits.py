@@ -130,7 +130,8 @@ def test_backtracking_is_sequential_halving():
 )
 def test_sparse_descent_matches_sequential(seed, nz, nx, ny, alpha, kind, zero_cells, at_bounds, tol, fortran):
     parts = sparse_instance(seed, nz, nx, ny, kind, zero_cells, at_bounds)
-    # Memory layouts vary: the solver's own l_xy, for one, is F-ordered.
+    # Memory layouts vary: the solver's own arrays are C-ordered, but
+    # _sparse_descent takes any.
     L0, l_xy, log_t = (np.asfortranarray(a) if f else np.ascontiguousarray(a) for a, f in zip(parts, fortran))
     assert_same_solve(L0, l_xy, log_t, alpha, tol, 150)
 

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     DEMO_CHANNEL,
@@ -25,6 +27,7 @@ from pfdca import (
     mutual_information,
     pf_lagrangian,
 )
+from pfdca.dca import _Problem
 from pfdca.probability import random_encoder
 
 
@@ -192,6 +195,43 @@ class TestBayesInvert:
         enc = random_encoder(rng, 3, nx)
         for beta in (0.5, 2.0):
             assert pf_lagrangian(enc, j, beta) == pytest.approx(pf_lagrangian(enc, short, beta), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nx=st.integers(1, 5),
+    ny=st.integers(1, 6),
+    zero_cells=st.booleans(),
+    point_mass=st.booleans(),
+)
+def test_every_form_of_a_joint_builds_one_source(seed, nx, ny, zero_cells, point_mass):
+    # A source is its values: C- and F-ordered arrays, a strided view and a
+    # nested list of one joint (and integers, for a point mass) build
+    # byte-equal, C-ordered arrays, and so does the solver's problem.
+    rng = np.random.default_rng(seed)
+    pxy = rng.dirichlet(np.full(nx * ny, 0.5)).reshape(nx, ny)
+    if zero_cells:
+        pxy[rng.random(pxy.shape) < 0.3] = 0.0
+    if point_mass or not pxy.any():
+        pxy = np.zeros((nx, ny))
+        pxy[rng.integers(nx), rng.integers(ny)] = 1.0
+    pxy /= pxy.sum()
+    padded = np.zeros((2 * nx, 3 * ny))
+    padded[1::2, ::-3] = pxy
+    forms = [np.ascontiguousarray(pxy), np.asfortranarray(pxy), padded[1::2, ::-3], pxy.tolist()]
+    if point_mass:
+        forms.append(pxy.astype(int))
+
+    def arrays(j):
+        prob = _Problem.build(j)
+        built = (j.p_x.probs, j.y_given_x.matrix, j.p_y.probs, bayes_invert(j).matrix)
+        assert all(a.flags.c_contiguous for a in built + (prob.px, prob.py, prob.pycx, prob.pxcy, prob.stack))
+        return [(a.shape, a.tobytes()) for a in built]
+
+    want = arrays(JointXY.from_joint_matrix(forms[0]))
+    for arr in forms[1:]:
+        assert arrays(JointXY.from_joint_matrix(arr)) == want
 
 
 class TestLagrangian:

@@ -522,6 +522,12 @@ def test_every_closed_form_step_lowers_the_loss_past_outer_tol(seed, nx, ny, car
     beta=st.floats(0.1, 10.0),
     inner_kind=st.sampled_from(["ridge", "sparse_log"]),
 )
+# Draws whose steps of length 2 and 4 once underflowed an entry of a p(x) = 0
+# column to exactly 0, though the closed form is positive.
+@example(seed=172, nx=2, ny=7, zero_x=True, card_z=3, beta=6.0, inner_kind="ridge")
+@example(seed=117, nx=2, ny=1, zero_x=True, card_z=2, beta=8.0, inner_kind="ridge")
+@example(seed=3, nx=2, ny=2, zero_x=True, card_z=2, beta=8.0, inner_kind="ridge")
+@example(seed=1758, nx=2, ny=2, zero_x=True, card_z=5, beta=7.0, inner_kind="ridge")
 def test_mirror_step_is_the_closed_form_bregman_step(seed, nx, ny, zero_x, card_z, beta, inner_kind):
     # Channels with zero cells, |Y| below, at or above |X|, and with
     # zero_x a public symbol of zero mass. The Bregman step of length t
