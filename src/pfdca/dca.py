@@ -80,9 +80,12 @@ there. This preserves the monotone-descent certificate and leaves the
 final encoder approximately stationary.
 
 Every loss reads one product per encoder, ``W = V @ [p(x) | P(x|y) | I]``
-(the identity block is exact): the column entropies of ``W`` are H(Z),
-each H(Z|y) and each H(Z|x). The reported information terms and ``g``
-read that vector too, and the mirror step its logs ``log W``.
+(the identity block is exact): its column entropies are H(Z), each
+H(Z|y) and each H(Z|x). The loop carries ``W`` with ``V`` and forms it
+once per encoder: the mirror step reads ``log W``, the certificate the
+first columns (p(z)) of two products, the result the last ``W``'s terms.
+The relaxed target and ``grad g`` form their own ``V @ p(x)``: ``W``'s
+first column can differ from it in the last bits, which would move runs.
 
 Mirror steps and exact (fallback) steps are counted on the result; an
 accepted ascent beyond ``DESCENT_SLACK`` (never produced by the guard)
@@ -247,19 +250,20 @@ class _Problem:
 _PROBLEMS: "weakref.WeakKeyDictionary[JointXY, _Problem]" = weakref.WeakKeyDictionary()
 
 
-def _metrics(V: np.ndarray, prob: _Problem):
-    """(H(Z), I(Z;Y), I(Z;X)) in nats for a raw encoder matrix, from the
-    column entropies of ``V @ prob.stack``: H(Z), then H(Z|y) per y, then
-    H(Z|x) per x."""
-    h = _col_entropies(V @ prob.stack)
+def _metrics(W: np.ndarray, prob: _Problem):
+    """(H(Z), I(Z;Y), I(Z;X)) in nats from the column entropies of an
+    encoder's ``W = V @ prob.stack``: H(Z), then H(Z|y) per y, then H(Z|x)
+    per x. ``+ 0.0`` turns a one-code encoder's -0.0 terms into 0.0."""
+    h = _col_entropies(W)
     hz, ny = float(h[0]), prob.py.shape[0]
-    return hz, hz - float(h[1 : 1 + ny] @ prob.py), hz - float(h[1 + ny :] @ prob.px)
+    return hz, hz - float(h[1 : 1 + ny] @ prob.py) + 0.0, hz - float(h[1 + ny :] @ prob.px) + 0.0
 
 
-def _loss(V: np.ndarray, prob: _Problem, beta: float) -> float:
-    """The loss ``I(Z;Y) - beta * I(Z;X)`` at ``V``."""
-    _, izy, izx = _metrics(V, prob)
-    return izy - beta * izx
+def _loss(V: np.ndarray, prob: _Problem, beta: float):
+    """``(I(Z;Y) - beta * I(Z;X), W, (I(Z;Y), I(Z;X)))`` at ``V``."""
+    W = V @ prob.stack
+    _, izy, izx = _metrics(W, prob)
+    return izy - beta * izx, W, (izy, izx)
 
 
 def _clog(a: np.ndarray) -> np.ndarray:
@@ -288,14 +292,14 @@ def _softmax_cols(logits: np.ndarray) -> np.ndarray:
     return e / np.add.reduce(e, axis=0, keepdims=True)
 
 
-def _mirror_step(V: np.ndarray, prob: _Problem, beta: float, t: float) -> np.ndarray:
-    """Closed-form exact DC step of length ``t``: the Bregman step of the
-    linearized objective under ``h(V) = sum_x p(x) sum_z V log V``, which
-    ``f`` is 1-smooth relative to; ``t = 1`` is the unit step. In log
-    space, per column, ``log V+ = log V + t * (log p_z + beta * (log V -
-    log p_z) - sum_y P(y|x) log P(z|y))`` up to the softmax's
-    normalization; there is no projection and no division by p(x)."""
-    logs, ny = _clog(V @ prob.stack), prob.py.shape[0]
+def _mirror_step(W: np.ndarray, prob: _Problem, beta: float, t: float) -> np.ndarray:
+    """Closed-form exact DC step of length ``t`` from the encoder with
+    stacked product ``W``: the Bregman step of the linearized objective
+    under ``h(V) = sum_x p(x) sum_z V log V``, which ``f`` is 1-smooth
+    relative to; ``t = 1`` is the unit step. Per column, ``log V+ = log V
+    + t * (log p_z + beta * (log V - log p_z) - sum_y P(y|x) log P(z|y))``
+    up to the softmax's normalization, all three logs read from ``log W``."""
+    logs, ny = _clog(W), prob.py.shape[0]
     log_pz, log_v = logs[:, :1], logs[:, 1 + ny :]
     return _softmax_cols(log_v + t * (log_pz + beta * (log_v - log_pz) - logs[:, 1 : 1 + ny] @ prob.pycx))
 
@@ -338,15 +342,15 @@ def _f_value_arr(V: np.ndarray, prob: _Problem) -> float:
 
 def _g_value_arr(V: np.ndarray, prob: _Problem, beta: float) -> float:
     """Linearized part -H(Z) + beta * I(Z;X), natural extension."""
-    hz, _, izx = _metrics(V, prob)
+    hz, _, izx = _metrics(V @ prob.stack, prob)
     return -hz + beta * izx
 
 
-def _certified(drop: float, cand: np.ndarray, V: np.ndarray, prob: _Problem) -> bool:
-    """The guard's decrease certificate for the step ``V -> cand``: the
-    loss drop is at least half the squared movement of the code marginal,
-    up to ``_CERT_SLACK``. Written so that a NaN fails it."""
-    move = (cand - V) @ prob.px
+def _certified(drop: float, cand_W: np.ndarray, W: np.ndarray) -> bool:
+    """The guard's decrease certificate for the step ``W -> cand_W`` of
+    stacked products: the loss drop is at least half the squared move of
+    their first column, p(z), up to ``_CERT_SLACK``. A NaN fails it."""
+    move = cand_W[:, 0] - W[:, 0]
     return drop >= 0.5 * float(move @ move) - _CERT_SLACK
 
 
@@ -518,7 +522,7 @@ def _measure_problem(enc: Encoder, j: JointXY, beta: float) -> _Problem:
 def pf_lagrangian(enc: Encoder, j: JointXY, beta: float) -> float:
     """Privacy-funnel Lagrangian I(Z;Y) - beta * I(Z;X) in nats: the loss
     that ``dca_run`` descends and reports as ``loss_nats``."""
-    return _loss(enc.matrix, _measure_problem(enc, j, beta), beta)
+    return _loss(enc.matrix, _measure_problem(enc, j, beta), beta)[0]
 
 
 def stationarity_gap(enc: Encoder, j: JointXY, beta: float) -> float:
@@ -562,27 +566,25 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
             target = _relaxed_target(V, prob, beta)
             return _ridge_descent(V, target, prob, alpha, _INNER_TOL, _SURROGATE_STEP_ITERS)[0]
 
-    # The kind in play (0 relaxed, 1 mirror, 2 exact steps alone) and the
-    # length of the next mirror step (see the module docstring).
+    # The loop's state: the encoder, its stacked product, loss and terms; the
+    # kind in play (0 relaxed, 1 mirror, 2 exact steps alone) and the length
+    # of the next mirror step (see the module docstring).
+    loss, W, info = _loss(V, prob, beta)
     kind, t = 0, 1.0
-
-    loss = _loss(V, prob, beta)
     trace = [loss]
     converged = False
-    fallback_steps = mirror_steps = 0
-    iterations = 0
+    fallback_steps = mirror_steps = iterations = 0
 
-    for it in range(1, _OUTER_MAX_ITER + 1):
-        iterations = it
+    for iterations in range(1, _OUTER_MAX_ITER + 1):
         while kind < 2:
             # The guard (see the module docstring): a candidate that fails
             # it is discarded. A mirror step longer than 1 is retried at
             # half its length; any other failure drops its kind for the
             # rest of the run.
-            cand = relaxed(V) if kind == 0 else _mirror_step(V, prob, beta, t)
-            cand_loss = _loss(cand, prob, beta)
+            cand = relaxed(V) if kind == 0 else _mirror_step(W, prob, beta, t)
+            cand_loss, cand_W, cand_info = _loss(cand, prob, beta)
             drop = loss - cand_loss
-            if drop > _OUTER_TOL and _certified(drop, cand, V, prob):
+            if drop > _OUTER_TOL and _certified(drop, cand_W, W):
                 break
             if kind == 1 and t > 1.0:
                 t *= 0.5
@@ -592,26 +594,24 @@ def dca_run(j: JointXY, card_z: int, cfg: DcaConfig, init: Encoder | None = None
             # No kind is left: descend the linearization directly. A step
             # that stopped before its budget is the one any larger budget
             # gives, so if it cannot improve past the outer tolerance the
-            # run has converged.
+            # run has converged, on that step unless it raises the loss.
             fallback_steps += 1
-            grad_g_k = _grad_g_arr(V, prob, beta)
-            cand, stopped = _surrogate_descent(V, grad_g_k, prob, _INNER_TOL, _SURROGATE_STEP_ITERS)
-            cand_loss = _loss(cand, prob, beta)
-            if stopped and loss - cand_loss <= _OUTER_TOL:
-                if cand_loss <= loss:
-                    V, loss = cand, cand_loss
-                    trace.append(loss)
-                converged = True
+            cand, stopped = _surrogate_descent(V, _grad_g_arr(V, prob, beta), prob, _INNER_TOL, _SURROGATE_STEP_ITERS)
+            cand_loss, cand_W, cand_info = _loss(cand, prob, beta)
+            converged = stopped and loss - cand_loss <= _OUTER_TOL
+            if converged and cand_loss > loss:
                 break
         elif kind == 1:
             mirror_steps += 1
             t = min(2.0 * t, _MIRROR_MAX_STEP)
-        V, loss = cand, cand_loss
+        V, W, loss, info = cand, cand_W, cand_loss, cand_info
         trace.append(loss)
+        if converged:
+            break
 
     trace_arr = np.asarray(trace)
     defect = bool(np.any(np.diff(trace_arr) > DESCENT_SLACK))
-    _, izy, izx = _metrics(V, prob)
+    izy, izx = info
     enc = Encoder(V)
     return DcaResult(
         encoder=enc,

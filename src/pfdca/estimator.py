@@ -58,12 +58,11 @@ def check_symbols(X, n_x: int) -> np.ndarray:
     """
     arr = _numbers(X, "symbol input")
     if arr.ndim == 1:
-        # A non-finite float has no integer.
-        if not np.all(np.isfinite(arr)):
+        # Checked on the floats, before the cast to int, which would only
+        # warn on a value no int holds, such as NaN, an infinity or 1e300.
+        if not np.all((arr >= 0) & (arr < n_x)) or np.any(np.floor(arr) != arr):
             raise ValueError(f"symbol indices must be integers in [0, {n_x})")
         idx = arr.astype(int)
-        if np.any(idx != arr) or idx.min(initial=0) < 0 or idx.max(initial=0) >= n_x:
-            raise ValueError(f"symbol indices must be integers in [0, {n_x})")
         rows = np.zeros((idx.shape[0], n_x))
         rows[np.arange(idx.shape[0]), idx] = 1.0
         return rows

@@ -333,13 +333,17 @@ class TestValidationHelpers:
         with pytest.raises(ValueError):
             check_symbols(np.array([3]), 3)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, -np.inf, 1e300, 2.0**63, -1e30, np.uint64(2**63), np.uint64(2**64 - 1)]
+    )
     def test_check_symbols_non_finite_index(self, value):
-        # The check runs before the cast to int, which would only warn.
+        # The check runs before the cast to int, which would only warn: on a
+        # value that is not finite, or finite but beyond any int. A uint64
+        # index of 2**63 or more becomes such a float.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError):
-                check_symbols(np.array([0.0, value]), 3)
+                check_symbols(np.array([0, value], dtype=np.asarray(value).dtype), 3)
 
     def test_check_symbols_boolean_indices(self):
         # Booleans are not symbol indices, and not row weights either.

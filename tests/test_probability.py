@@ -27,8 +27,8 @@ from pfdca import (
     mutual_information,
     pf_lagrangian,
 )
-from pfdca.dca import _Problem
-from pfdca.probability import random_encoder
+from pfdca.dca import _Problem, _metrics
+from pfdca.probability import NATS_TO_BITS, random_encoder
 
 
 class TestValidation:
@@ -278,6 +278,18 @@ class TestLagrangian:
             cfg = DcaConfig(beta=beta, alpha=float(rng.uniform(0.1, 2.0)), inner_kind=inner_kind, seed=seed)
             res = dca_run(j, int(rng.integers(2, 6)), cfg)
             assert pf_lagrangian(res.encoder, j, beta) == res.loss_nats
+            # The reported loss and information terms are those of the final
+            # encoder, not of an iterate the loop left behind.
+            assert res.loss_trace[-1] == res.loss_nats
+            prob = _Problem.build(j)
+            _, izy, izx = _metrics(res.encoder.matrix @ prob.stack, prob)
+            assert res.i_zx_bits == izx * NATS_TO_BITS and res.i_zy_bits == izy * NATS_TO_BITS
+
+    @pytest.mark.parametrize("inner_kind", ["ridge", "sparse_log"])
+    def test_one_code_reports_positive_zero_bits(self, demo_joint, inner_kind):
+        # A one-code encoder's column entropies are -0.0; its terms read 0.0.
+        res = dca_run(demo_joint, 1, DcaConfig(beta=1.0, alpha=1.0, inner_kind=inner_kind))
+        assert np.copysign(1.0, res.i_zx_bits) == 1.0 and np.copysign(1.0, res.i_zy_bits) == 1.0
 
 
 class TestInformationInequalities:

@@ -346,8 +346,26 @@ def test_dca_run_on_rank_deficient_sources(seed, nx, ny_short, card_z, beta, alp
 def guard_passes(V, out, prob, beta):
     """Whether the guard takes the step ``V -> out``: it lowers the loss
     by more than ``_OUTER_TOL`` and passes the certificate."""
-    drop = _loss(V, prob, beta) - _loss(out, prob, beta)
-    return drop > _OUTER_TOL and _certified(drop, out, V, prob)
+    loss, W, _ = _loss(V, prob, beta)
+    out_loss, out_W, _ = _loss(out, prob, beta)
+    drop = loss - out_loss
+    return drop > _OUTER_TOL and _certified(drop, out_W, W)
+
+
+def record_products(mp):
+    """Wraps ``_loss`` on ``mp``, and returns the lookup from each stacked
+    product ``W`` a run forms to the encoder it was formed from, so that a
+    wrapper of a step that reads ``W`` can name that encoder."""
+    formed = {}
+
+    def recorded(V, prob, beta):
+        out = _loss(V, prob, beta)
+        # Each W is kept alive with its encoder, so no id is reused.
+        formed[id(out[1])] = out[1], V
+        return out
+
+    mp.setattr(pfdca.dca, "_loss", recorded)
+    return lambda W: formed[id(W)][1]
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -386,14 +404,15 @@ def test_relaxed_step_is_rejected_at_most_once(seed, source, card_z, beta, alpha
         attempts += 1
         return _compute_c_arr(*args)
 
-    def mirror_counted(V, prob, beta, t):
+    def mirror_counted(W, prob, beta, t):
         before = attempts
-        out = _mirror_step(V, prob, beta, t)
+        out = _mirror_step(W, prob, beta, t)
         assert attempts == before
-        mirror_calls.append((V, t, out))
+        mirror_calls.append((encoder_of(W), t, out))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
+        encoder_of = record_products(mp)
         mp.setattr(pfdca.dca, "_OUTER_MAX_ITER", 300)
         mp.setattr(pfdca.dca, "_compute_c_arr", counted)
         mp.setattr(pfdca.dca, "_mirror_step", mirror_counted)
@@ -460,15 +479,17 @@ def closed_form_drops(j, card_z, cfg):
     """``(result, drops)`` of one run: ``drops`` holds the loss drop of
     every relaxed or mirror step taken, recorded at each candidate that
     passes the guard's certificate. The exact step is not certified."""
-    drops = []
+    drops, prob = [], _Problem.build(j)
 
-    def certified_recorded(drop, cand, V, prob):
-        passed = _certified(drop, cand, V, prob)
+    def certified_recorded(drop, cand_W, W):
+        passed = _certified(drop, cand_W, W)
         if passed:
-            drops.append(_loss(V, prob, cfg.beta) - _loss(cand, prob, cfg.beta))
+            V, cand = encoder_of(W), encoder_of(cand_W)
+            drops.append(_loss(V, prob, cfg.beta)[0] - _loss(cand, prob, cfg.beta)[0])
         return passed
 
     with pytest.MonkeyPatch.context() as mp:
+        encoder_of = record_products(mp)
         mp.setattr(pfdca.dca, "_certified", certified_recorded)
         res = dca_run(j, card_z, cfg)
     # Every iteration takes one step, closed-form or exact.
@@ -552,7 +573,7 @@ def test_mirror_step_is_the_closed_form_bregman_step(seed, nx, ny, zero_x, card_
     supp = V > 0.0
     diff = _grad_f_arr(V, prob) - _grad_g_arr(V, prob, beta)
     for t in (1.0, 2.0, 4.0):
-        new = _mirror_step(V, prob, beta, t)
+        new = _mirror_step(V @ prob.stack, prob, beta, t)
         assert np.all(np.isfinite(new)) and np.all(new >= 0.0)
         assert np.allclose(new.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
         assert np.all(new[supp] > 0.0)
@@ -564,12 +585,13 @@ def test_mirror_step_is_the_closed_form_bregman_step(seed, nx, ny, zero_x, card_
 
     calls = []
 
-    def recorded(V, prob, beta, t):
-        out = _mirror_step(V, prob, beta, t)
-        calls.append((V, out))
+    def recorded(W, prob, beta, t):
+        out = _mirror_step(W, prob, beta, t)
+        calls.append((encoder_of(W), out))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
+        encoder_of = record_products(mp)
         mp.setattr(pfdca.dca, "_mirror_step", recorded)
         res = dca_run(j, card_z, DcaConfig(beta=beta, alpha=1.0, inner_kind=inner_kind, seed=seed % 1000))
     check_run(res)
@@ -580,7 +602,7 @@ def test_mirror_step_is_the_closed_form_bregman_step(seed, nx, ny, zero_x, card_
     accepted = [(V, out) for V, out in calls if any(start is out for start, _ in calls)]
     assert len(accepted) == res.mirror_steps
     for V, out in accepted:
-        drop = _loss(V, prob, beta) - _loss(out, prob, beta)
+        drop = _loss(V, prob, beta)[0] - _loss(out, prob, beta)[0]
         move = (out - V) @ prob.px
         assert drop >= 0.5 * float(move @ move) - _CERT_SLACK
 
@@ -609,8 +631,8 @@ def test_unit_mirror_step_lowers_the_loss_by_its_bregman_distance(seed, nx, ny, 
         px /= px.sum()
     prob = _Problem.build(JointXY(DiscreteDist(px), CondDist(channel)))
     V = rng.dirichlet(np.ones(card_z), nx).T
-    new = _mirror_step(V, prob, beta, 1.0)
-    drop = _loss(V, prob, beta) - _loss(new, prob, beta)
+    new = _mirror_step(V @ prob.stack, prob, beta, 1.0)
+    drop = _loss(V, prob, beta)[0] - _loss(new, prob, beta)[0]
     bregman = float(((V * np.log(V / new) - V + new) @ px).sum())
     assert drop >= bregman - 1e-12 * max(1.0, abs(drop))
 
